@@ -266,17 +266,20 @@ def _load_sweep_config(path: str, cli_seed: int) -> regimes.SweepConfig:
 def cmd_regime_map(args) -> int:
     config = _load_sweep_config(args.config, args.seed)
     skip: set[tuple[str, str]] = set()
-    resuming = args.resume and args.out and os.path.exists(args.out)
-    if resuming:
-        with open(args.out) as fh:
-            existing = fh.read()
-        for line in existing.splitlines()[1:]:
-            cells = line.split(",")
-            if len(cells) >= 3:
-                skip.add((cells[1], cells[2]))
-        if existing and not existing.endswith("\n"):
-            with open(args.out, "a") as fh:
-                fh.write("\n")
+    resuming = False
+    if args.resume and args.out and os.path.exists(args.out):
+        with open(args.out, "rb+") as fh:
+            # only newline-terminated lines are complete; a cut-off tail is dropped
+            data = fh.read()
+            complete = data[: data.rfind(b"\n") + 1]
+            lines = complete.decode().splitlines()
+            resuming = lines[:1] == [regimes.CSV_HEADER]
+            if resuming:
+                fh.truncate(len(complete))
+                for line in lines[1:]:
+                    cells = line.split(",")
+                    if len(cells) >= 3:
+                        skip.add((cells[1], cells[2]))
     rows = regimes.regime_map_sweep(config, skip=skip, threads=_threads(args))
     if args.out:
         # stream rows so an interrupted sweep can be resumed

@@ -399,7 +399,7 @@ def two_lift(G: RegularGraph, s: Signing) -> RegularGraph:
 
 
 def search_low_lambda_signing(
-    G: RegularGraph, restarts: int, seed, max_passes: int = 200, threads: int = 1
+    G: RegularGraph, restarts: int, seed, max_passes: int = 200
 ) -> tuple[Signing, float]:
     """Randomized-restart greedy search for a signing whose 2-lift has small lambda2.
 
@@ -407,8 +407,7 @@ def search_low_lambda_signing(
     applies the best single-edge flip while lambda2 of the lift improves.
     Returns the best signing seen and its lift's lambda2; no optimality
     guarantee. The min-reduction breaks ties on the lexicographically smaller
-    sign vector, so the result depends only on (G, restarts, seed), never on
-    ``threads``.
+    sign vector, so the result depends only on (G, restarts, seed).
     """
     from . import spectral  # local import: spectral depends on graphs
 
@@ -436,13 +435,7 @@ def search_low_lambda_signing(
             lam, sg = improved
         return lam, sg.signs, sg
 
-    if threads > 1 and restarts > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_restart, range(restarts)))
-    else:
-        results = [one_restart(r) for r in range(restarts)]
+    results = [one_restart(r) for r in range(restarts)]
     lam, _, signing = min(results, key=lambda t: (t[0], t[1]))
     return signing, lam
 

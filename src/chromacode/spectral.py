@@ -1,9 +1,9 @@
 """Normalized-adjacency spectra, Rayleigh quotients, and the Cheeger sandwich.
 
-The dense path (symmetric tridiagonalization + iterative diagonalization via
-LAPACK) is the source of truth up to DENSE_CAP vertices; above that a
-power iteration on the all-ones-deflated operator takes over. Disconnected
-graphs and 0-regular graphs report lambda2 = 1 by convention.
+full_spectrum is the dense LAPACK solver (all eigenpairs plus a residual) up
+to DENSE_CAP vertices. lambda2 and lambda_min read it up to LANCZOS_MIN_N
+vertices and use sparse Lanczos (scipy's ARPACK eigsh) above that.
+Disconnected graphs and 0-regular graphs report lambda2 = 1 by convention.
 """
 from __future__ import annotations
 
@@ -17,8 +17,7 @@ from .errors import NoConvergence, TooLarge, ZeroDegree, ZeroVector
 from .graphs import RegularGraph
 
 DENSE_CAP = 4096
-ITER_TOL = 1e-7
-ITER_MAX = 200_000
+LANCZOS_MIN_N = 256
 
 
 @dataclass(frozen=True)
@@ -84,90 +83,54 @@ def full_spectrum(G: RegularGraph, dense_cap: int = DENSE_CAP) -> Spectrum:
     return Spectrum(tuple(float(x) for x in vals), "dense", residual)
 
 
-def _matvec(G: RegularGraph):
-    flat = np.fromiter(
-        (u for nbrs in G.adjacency for u in nbrs), dtype=np.int64, count=G.n * G.d
+def _extreme_eigenvalue(G: RegularGraph, which: str) -> float:
+    """lambda2 (``which="LA"``) or lambda_min (``"SA"``) of a graph with d >= 1.
+
+    Up to LANCZOS_MIN_N vertices the value is read off full_spectrum; above it,
+    ARPACK's implicitly restarted Lanczos runs on the sparse normalized
+    adjacency from a start vector fixed by a constant seed, so the result
+    depends only on G.
+    """
+    if G.n <= LANCZOS_MIN_N:
+        spec = full_spectrum(G)
+        return spec.lambda2 if which == "LA" else spec.lambda_min
+    # imported here, not at module level: scipy.sparse takes about 0.25 s to load
+    # and graphs at or below the cutoff never need it
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+    u, v = G.edge_arrays()
+    A = csr_matrix(
+        (np.full(2 * len(u), 1.0 / G.d), (np.concatenate([u, v]), np.concatenate([v, u]))),
+        shape=(G.n, G.n),
     )
-    ptr = np.arange(0, G.n * G.d + 1, G.d)
-    inv_d = 1.0 / G.d
-
-    def mv(x: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(x[flat], ptr[:-1]) * inv_d
-
-    return mv
-
-
-def _power_iteration(mv, n: int, tol: float, maxit: int, deflate_ones: bool) -> float:
-    """Largest eigenvalue of (A+I)/2 (optionally on the 1-perp subspace),
-    mapped back to an eigenvalue of A."""
-    rng = np.random.default_rng(0xC0DE)
-    x = rng.standard_normal(n)
-    if deflate_ones:
-        x -= x.mean()
-    x /= np.linalg.norm(x)
-    prev = None
-    streak = 0
-    for _ in range(maxit):
-        y = 0.5 * (mv(x) + x)
-        if deflate_ones:
-            y -= y.mean()
-        r = float(x @ y)
-        lam = 2.0 * r - 1.0
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return -1.0
-        x = y / ny
-        if prev is not None and abs(lam - prev) < 0.5 * tol:
-            streak += 1
-            if streak >= 3:
-                return lam
-        else:
-            streak = 0
-        prev = lam
-    raise NoConvergence(f"power iteration did not converge in {maxit} steps")
+    v0 = np.random.default_rng(0xC0DE).standard_normal(G.n)
+    try:
+        # the two largest are 1 and lambda2; the smallest alone is lambda_min
+        vals = eigsh(A, k=2 if which == "LA" else 1, which=which, v0=v0,
+                     return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        raise NoConvergence(f"Lanczos ({which}) did not converge on n={G.n}") from exc
+    return float(np.min(vals))
 
 
-def lambda2(
-    G: RegularGraph,
-    tol: float = ITER_TOL,
-    dense_cap: int = DENSE_CAP,
-    maxit: int = ITER_MAX,
-) -> float:
+def lambda2(G: RegularGraph) -> float:
     """Second-largest normalized eigenvalue (with multiplicity).
 
     Returns exactly 1.0 for 0-regular or disconnected graphs.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if G.d == 0:
         return 1.0
     if not is_connected(G):
         return 1.0
-    if G.n <= dense_cap:
-        return full_spectrum(G, dense_cap=dense_cap).eigenvalues[1]
-    return _power_iteration(_matvec(G), G.n, tol, maxit, deflate_ones=True)
+    return _extreme_eigenvalue(G, "LA")
 
 
-def lambda_min(
-    G: RegularGraph,
-    tol: float = ITER_TOL,
-    dense_cap: int = DENSE_CAP,
-    maxit: int = ITER_MAX,
-) -> float:
-    """Smallest normalized eigenvalue, via the negated-shifted operator above the dense cap."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def lambda_min(G: RegularGraph) -> float:
+    """Smallest normalized eigenvalue."""
     if G.d == 0:
         raise ZeroDegree("lambda_min undefined for 0-regular graphs")
-    if G.n <= dense_cap:
-        return full_spectrum(G, dense_cap=dense_cap).eigenvalues[-1]
-    mv = _matvec(G)
-
-    def neg_mv(x: np.ndarray) -> np.ndarray:
-        return -mv(x)
-
-    # largest eigenvalue of -A is -lambda_min; no deflation needed
-    return -_power_iteration(neg_mv, G.n, tol, maxit, deflate_ones=False)
+    return _extreme_eigenvalue(G, "SA")
 
 
 def rayleigh_quotient(G: RegularGraph, x) -> float:

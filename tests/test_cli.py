@@ -208,11 +208,14 @@ class TestRegimeMap:
         )
         full = tmp_path / "full.csv"
         assert run(["regime-map", "--config", cfg, "--out", full]) == 0
-        full_lines = full.read_text().splitlines()
+        want = full.read_bytes()
+        # an interrupted sweep leaves any prefix, possibly ending mid-row
+        prefix = b"".join(want.splitlines(keepends=True)[:5])
         partial = tmp_path / "partial.csv"
-        partial.write_text("\n".join(full_lines[:5]) + "\n")
-        assert run(["regime-map", "--config", cfg, "--out", partial, "--resume"]) == 0
-        assert partial.read_text() == full.read_text()
+        for cut in range(len(prefix) + 1):
+            partial.write_bytes(prefix[:cut])
+            assert run(["regime-map", "--config", cfg, "--out", partial, "--resume"]) == 0
+            assert partial.read_bytes() == want, cut
 
     def test_threads_neutral(self, tmp_path):
         cfg = self.write_config(

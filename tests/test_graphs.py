@@ -207,12 +207,6 @@ class TestSigningSearch:
         s2, l2 = search_low_lambda_signing(T, restarts=5, seed=2)
         assert s1 == s2 and l1 == l2
 
-    def test_worker_count_neutral(self):
-        T = tensor_power(3, 2)
-        seq = search_low_lambda_signing(T, restarts=6, seed=2, threads=1)
-        par = search_low_lambda_signing(T, restarts=6, seed=2, threads=3)
-        assert seq == par
-
 
 class TestEdgeExpansion:
     def test_k4(self):

@@ -2,10 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromacode import spectral
 from chromacode.errors import NoConvergence, TooLarge, ZeroDegree, ZeroVector
-from chromacode.graphs import Signing, build_from_edges, complete_graph, cycle_graph, tensor_power, two_lift
+from chromacode.graphs import (
+    Signing,
+    build_from_edges,
+    complete_graph,
+    cycle_graph,
+    random_regular_bipartite,
+    tensor_power,
+    two_lift,
+)
 from chromacode.spectral import (
     cheeger_check,
     full_spectrum,
@@ -71,17 +81,30 @@ class TestLambda2:
     def test_zero_degree_marker(self):
         assert lambda2(build_from_edges(4, [])) == 1.0
 
-    def test_iterative_matches_dense(self, fixture_graphs):
-        for name, G in fixture_graphs.items():
-            if G.d == 0 or not spectral.is_connected(G):
-                continue
-            dense = lambda2(G)
-            iterative = lambda2(G, dense_cap=1)
-            assert iterative == pytest.approx(dense, abs=1e-6), name
+    @settings(max_examples=8, deadline=None)
+    @given(
+        half=st.integers(spectral.LANCZOS_MIN_N // 2 + 1, 300),
+        d=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_iterative_matches_dense(self, half, d, seed):
+        # above the cutoff both values come from Lanczos
+        G = random_regular_bipartite(half, d, seed)
+        spec = full_spectrum(G)
+        assert lambda2(G) == pytest.approx(spec.lambda2, abs=1e-9)
+        assert lambda_min(G) == pytest.approx(spec.lambda_min, abs=1e-9)
+        assert lambda2(G) == lambda2(G)
+        assert lambda_min(G) == lambda_min(G)
 
-    def test_no_convergence(self):
+    def test_no_convergence(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        def stalled(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("stalled", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
         with pytest.raises(NoConvergence):
-            lambda2(cycle_graph(7), dense_cap=1, maxit=2)
+            lambda2(cycle_graph(spectral.LANCZOS_MIN_N + 1))
 
 
 class TestLambdaMin:
@@ -96,13 +119,13 @@ class TestLambdaMin:
             math.cos(4 * math.pi / 5), abs=1e-9
         )
 
-    def test_iterative_matches_dense(self, fixture_graphs):
-        for name, G in fixture_graphs.items():
-            if G.d == 0:
-                continue
-            assert lambda_min(G, dense_cap=1) == pytest.approx(
-                lambda_min(G), abs=1e-6
-            ), name
+    def test_iterative_matches_dense(self):
+        # non-bipartite graphs above the cutoff, where lambda_min > -1
+        for G in (complete_graph(400), tensor_power(3, 6), cycle_graph(301)):
+            assert G.n > spectral.LANCZOS_MIN_N
+            spec = full_spectrum(G)
+            assert lambda_min(G) == pytest.approx(spec.lambda_min, abs=1e-9), G.n
+            assert lambda2(G) == pytest.approx(spec.lambda2, abs=1e-9), G.n
 
 
 class TestRayleigh:
