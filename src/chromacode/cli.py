@@ -2,9 +2,9 @@
 
 Subcommands: construct, spectrum, distance, pack, exact-f, certify,
 regime-map, verify. Exit codes: 0 ok, 1 a verification check failed,
-2 usage / parse / validation error. All randomized subcommands are
-deterministic given --seed; --threads only affects speed (CHROMA_THREADS is
-the environment fallback).
+2 usage / parse / validation error. The randomized subcommands (construct,
+pack, regime-map) are deterministic given --seed; regime-map's --threads only
+affects speed (CHROMA_THREADS is the environment fallback).
 """
 from __future__ import annotations
 
@@ -186,20 +186,7 @@ def cmd_verify(args) -> int:
 
 def cmd_pack(args) -> int:
     G = fileio.read_graph(args.graph)
-    q = args.q
-    if args.sampler == "gadget":
-        sampler = lambda s: colorings.sample_gadget_coloring(G, q, s)
-    elif args.sampler == "biased":
-        tau = float(args.tau) if args.tau is not None else 1.0 / (8 * G.d * G.d)
-        sampler = lambda s: colorings.sample_bipartite_biased(G, q, tau, s)
-    elif args.sampler == "enumerated":
-        stream = colorings.enumerate_proper(G, q)
-
-        def sampler(s):
-            i = s[1]
-            return stream[i] if i < len(stream) else None
-    else:  # pragma: no cover
-        raise ChromaError(f"unknown sampler {args.sampler}")
+    sampler = codes.SAMPLERS[args.sampler](G, args.q, args.tau)
     code = codes.greedy_pack(
         G, sampler, args.delta, target=args.target, budget=args.budget,
         seed=args.seed, provenance={"sampler": args.sampler},
@@ -249,7 +236,7 @@ def _load_sweep_config(path: str, cli_seed: int) -> regimes.SweepConfig:
     with open(path) as fh:
         raw = json.load(fh)
     families = tuple(
-        regimes.SweepFamily(kind=f["kind"], params={k: v for k, v in f.items() if k != "kind"})
+        codes.SweepFamily(kind=f["kind"], params={k: v for k, v in f.items() if k != "kind"})
         for f in raw.get("families", [])
     )
     return regimes.SweepConfig(
@@ -303,14 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Expander-graph coloring codes: construction, distance, packing, regimes.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (speed only; CHROMA_THREADS fallback)")
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", parents=[common], help="build a graph file")
+    p = sub.add_parser("construct", parents=[seeded], help="build a graph file")
     p.add_argument("kind", choices=(
         "complete", "cycle", "tensor", "gadget", "random-bipartite", "two-lift"))
     p.add_argument("--q", type=int)
@@ -343,14 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("colorings", nargs="+")
     p.add_argument("--delta", type=_fraction, default=None)
+    p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("pack", parents=[common], help="greedy delta-distinct packing")
+    p = sub.add_parser("pack", parents=[seeded], help="greedy delta-distinct packing")
     p.add_argument("--graph", required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--delta", type=_fraction, required=True)
-    p.add_argument("--sampler", choices=("gadget", "biased", "enumerated"),
-                   required=True)
+    p.add_argument("--sampler", choices=tuple(codes.SAMPLERS), required=True)
     p.add_argument("--tau", type=_fraction, default=None)
     p.add_argument("--budget", type=int, default=2000)
     p.add_argument("--target", type=int, default=64)
@@ -371,8 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_fraction, required=True)
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("regime-map", parents=[common],
+    p = sub.add_parser("regime-map", parents=[seeded],
                        help="sweep a (delta, lambda) grid to CSV")
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker threads (speed only; CHROMA_THREADS fallback)")
     p.add_argument("--config", required=True)
     p.add_argument("--resume", action="store_true",
                    help="skip grid points already present in --out")

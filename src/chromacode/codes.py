@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Sequence
 from . import colorings as col
 from . import graphs, spectral
 from .colorings import Coloring
-from .errors import MixedBinding, TooLarge
+from .errors import ChromaError, MixedBinding, TooLarge
 from .graphs import RegularGraph
 
 CLIQUE_CAP = 2000
@@ -238,29 +238,117 @@ def empirical_rate(C: CodeSet) -> float:
     return math.log(len(C.members), q) / n
 
 
-# -- family sweeps: lower bounds on f ----------------------------------------
+# -- the family table: graph families and their samplers ----------------------
+
+Sampler = Callable[[object], Coloring | None]
+
+
+def list_sampler(members: Sequence[Coloring]) -> Sampler:
+    """Draw i is members[i]; None once the list is exhausted."""
+
+    def sampler(s):
+        i = s[1]
+        return members[i] if i < len(members) else None
+
+    return sampler
+
+
+def _biased_sampler(G: RegularGraph, q: int, tau=None) -> Sampler:
+    tau = 1.0 / (8 * G.d * G.d) if tau is None else float(Fraction(tau))
+    return lambda s: col.sample_bipartite_biased(G, q, tau, s)
+
+
+# the pack samplers, by name: (G, q, tau) -> sampler; only "biased" reads tau
+SAMPLERS: dict[str, Callable[[RegularGraph, int, object], Sampler]] = {
+    "gadget": lambda G, q, tau=None: lambda s: col.sample_gadget_coloring(G, q, s),
+    "biased": _biased_sampler,
+    "enumerated": lambda G, q, tau=None: list_sampler(col.enumerate_proper(G, q)),
+}
+
+
+def _build_layered_pair(q: int, p: Mapping, seed) -> tuple[RegularGraph, Sampler]:
+    G = graphs.random_regular_bipartite((q - 1) * p["m"], p["d"], seed=seed)
+    return G, list_sampler(col.layered_bipartite_pair(G, q))
+
+
+def _build_biased(q: int, p: Mapping, seed) -> tuple[RegularGraph, Sampler]:
+    G = graphs.random_regular_bipartite(p["half"], p["d"], seed=seed)
+    return G, _biased_sampler(G, q, p["tau"])
+
+
+def _build_gadget(q: int, p: Mapping, seed) -> tuple[RegularGraph, Sampler]:
+    G = graphs.gadget_expand(graphs.random_regular_bipartite(p["base_half"], 3, seed=seed))
+    return G, SAMPLERS["gadget"](G, q)
+
+
+def _build_tensor_lift(q: int, p: Mapping, seed) -> tuple[RegularGraph, Sampler]:
+    """K_q^N lifted ``lifts`` times by low-lambda2 signings; lift k searches
+    from seed (*seed, k). Its members are the lifted coordinate colorings."""
+    G = graphs.tensor_power(q, p["N"])
+    members = col.coordinate_colorings(q, p["N"], G)
+    for k in range(p["lifts"]):
+        signing, _ = graphs.search_low_lambda_signing(G, p["restarts"], seed=(*seed, k))
+        G = graphs.two_lift(G, signing)
+        members = [col.lift_coloring(X, G) for X in members]
+    return G, list_sampler(members)
+
 
 @dataclass(frozen=True)
-class FamilyConfig:
-    """One graph family for empirical_f / regime sweeps.
+class FamilySpec:
+    params: Mapping[str, object]  # allowed keys and defaults; integer defaults coerce
+    size_key: str                 # the param that empirical_f's sizes set
+    label: str                    # format string over the params
+    build: Callable[[int, Mapping, tuple], tuple[RegularGraph, Sampler]]
 
-    ``sizes`` is interpreted per constructor: half of the bipartite base for
-    "gadget", half the vertex count for "random-bipartite", and the number of
-    successive 2-lifts for "tensor-lift".
-    """
 
-    constructor: str
-    q: int
-    delta: Fraction
-    lambda_cap: float
-    sizes: tuple[int, ...]
-    seed: int
-    budget: int = 2000
-    target: int = 64
-    d: int = 4
-    tau: float | None = None
-    N: int = 2
-    restarts: int = 40
+FAMILIES: dict[str, FamilySpec] = {
+    "layered-pair": FamilySpec(
+        {"d": 25, "m": 50}, "m", "layered-pair(d={d},m={m})", _build_layered_pair),
+    "biased": FamilySpec(  # tau None: _biased_sampler's default
+        {"d": 4, "half": 500, "tau": None}, "half", "biased(d={d},half={half})", _build_biased),
+    "gadget": FamilySpec(
+        {"base_half": 8}, "base_half", "gadget(base_half={base_half})", _build_gadget),
+    "tensor-lift": FamilySpec(
+        {"N": 2, "lifts": 1, "restarts": 30}, "lifts", "tensor-lift(N={N},lifts={lifts})",
+        _build_tensor_lift),
+}
+
+
+@dataclass(frozen=True)
+class SweepFamily:
+    """One graph family from FAMILIES; ``params`` override its defaults."""
+
+    kind: str
+    params: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        spec = FAMILIES.get(self.kind)
+        if spec is None:
+            raise ChromaError(
+                f"unknown family kind {self.kind!r}; known kinds: {', '.join(FAMILIES)}"
+            )
+        unknown = sorted(set(self.params) - set(spec.params))
+        if unknown:
+            raise ChromaError(
+                f"family {self.kind!r} has no param {', '.join(map(repr, unknown))}; "
+                f"allowed: {', '.join(spec.params)}"
+            )
+
+    def values(self) -> dict:
+        """Every param of the family: the table defaults overridden by ``params``."""
+        defaults = FAMILIES[self.kind].params
+        return {
+            k: int(v) if isinstance(defaults[k], int) else v
+            for k, v in {**defaults, **self.params}.items()
+        }
+
+    def label(self) -> str:
+        return FAMILIES[self.kind].label.format(**self.values())
+
+    def build(self, q: int, seed: tuple) -> tuple[RegularGraph, Sampler]:
+        """The family member for ``seed`` (used unchanged for the graph) and
+        its sampler."""
+        return FAMILIES[self.kind].build(q, self.values(), seed)
 
 
 @dataclass(frozen=True)
@@ -273,58 +361,37 @@ class FamilyRow:
     rejected: bool
 
 
-def build_family_instance(cfg: FamilyConfig, size: int) -> tuple[RegularGraph, CodeSet]:
-    """Construct one family member and its code set (pack or explicit)."""
-    q = cfg.q
-    if cfg.constructor == "gadget":
-        base = graphs.random_regular_bipartite(size, 3, seed=(cfg.seed, size, 0))
-        G = graphs.gadget_expand(base)
-        sampler = lambda s: col.sample_gadget_coloring(G, q, s)
-        code = greedy_pack(
-            G, sampler, cfg.delta, cfg.target, cfg.budget, (cfg.seed, size, 1),
-            provenance={"family": "gadget", "base_half": size},
-        )
-        return G, code
-    if cfg.constructor == "random-bipartite":
-        G = graphs.random_regular_bipartite(size, cfg.d, seed=(cfg.seed, size, 0))
-        tau = cfg.tau if cfg.tau is not None else 1.0 / (8 * cfg.d * cfg.d)
-        sampler = lambda s: col.sample_bipartite_biased(G, q, tau, s)
-        code = greedy_pack(
-            G, sampler, cfg.delta, cfg.target, cfg.budget, (cfg.seed, size, 1),
-            provenance={"family": "random-bipartite", "d": cfg.d, "tau": tau},
-        )
-        return G, code
-    if cfg.constructor == "tensor-lift":
-        G = graphs.tensor_power(q, cfg.N)
-        members = col.coordinate_colorings(q, cfg.N, G)
-        for k in range(size):
-            signing, _ = graphs.search_low_lambda_signing(
-                G, cfg.restarts, seed=(cfg.seed, size, k)
-            )
-            lifted = graphs.two_lift(G, signing)
-            members = [col.lift_coloring(X, lifted) for X in members]
-            G = lifted
-        res = verify_delta_distinct(CodeSet(tuple(members), cfg.delta))
-        code = CodeSet(
-            tuple(members),
-            cfg.delta,
-            res.min_dist,
-            {"family": "tensor-lift", "N": cfg.N, "lifts": size,
-             "delta_ok": res.ok},
-        )
-        return G, code
-    raise ValueError(f"unknown family constructor {cfg.constructor!r}")
+def build_family_instance(
+    q: int, fam: SweepFamily, seed: tuple, delta: Fraction, target: int, budget: int
+) -> tuple[RegularGraph, CodeSet]:
+    """Build one family member and greedily pack its sampler's colorings."""
+    G, sampler = fam.build(q, seed)
+    code = greedy_pack(G, sampler, delta, target, budget, seed,
+                       provenance={"family": fam.label()})
+    return G, code
 
 
-def empirical_f(cfg: FamilyConfig) -> list[FamilyRow]:
+def empirical_f(
+    q: int,
+    fam: SweepFamily,
+    sizes: Sequence[int],
+    delta: Fraction,
+    lambda_cap: float,
+    seed: int,
+    budget: int = 2000,
+    target: int = 64,
+) -> list[FamilyRow]:
     """Lower-bound table for f along one family: build, verify lambda2, pack.
 
-    Graphs whose measured lambda2 exceeds the cap are recorded as rejected,
-    never silently dropped.
+    Each size sets the family's size param (FAMILIES[kind].size_key) and
+    seeds its instance with (seed, size). Graphs whose measured lambda2
+    exceeds the cap are recorded as rejected, never silently dropped.
     """
+    size_key = FAMILIES[fam.kind].size_key
     rows = []
-    for size in cfg.sizes:
-        G, code = build_family_instance(cfg, size)
+    for size in sizes:
+        sized = SweepFamily(fam.kind, {**fam.params, size_key: size})
+        G, code = build_family_instance(q, sized, (seed, size), delta, target, budget)
         lam2 = spectral.lambda2(G)
         rows.append(
             FamilyRow(
@@ -333,7 +400,7 @@ def empirical_f(cfg: FamilyConfig) -> list[FamilyRow]:
                 code_size=len(code),
                 lambda2=lam2,
                 min_dist=code.min_dist,
-                rejected=lam2 > cfg.lambda_cap,
+                rejected=lam2 > lambda_cap,
             )
         )
     return rows

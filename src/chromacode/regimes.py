@@ -16,7 +16,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from . import codes, colorings as col, graphs, spectral
-from .codes import CodeSet, FamilyConfig, distance_threshold
+from .codes import CodeSet, SweepFamily
 from .colorings import Coloring
 from .errors import OutOfRange, PreconditionFail, QTooLarge, TooManyClasses
 from .graphs import RegularGraph
@@ -318,14 +318,6 @@ def hoffman_bound(G: RegularGraph) -> float:
 # -- regime map sweep ---------------------------------------------------------
 
 @dataclass(frozen=True)
-class SweepFamily:
-    """One evidence family for the sweep; params are constructor-specific."""
-
-    kind: str  # layered-pair | biased | gadget | tensor-lift
-    params: Mapping
-
-
-@dataclass(frozen=True)
 class SweepConfig:
     q: int
     delta_grid: tuple[Fraction, ...]
@@ -337,59 +329,6 @@ class SweepConfig:
 
 
 CSV_HEADER = "q,delta,lambda,classification,evidence_kind,n,lambda2_measured,code_size,min_dist"
-
-
-@dataclass
-class _Instance:
-    kind: str
-    graph: RegularGraph
-    lambda2: float
-    fixed_code: CodeSet | None  # delta-independent evidence (pair / lifted coordinates)
-    sampler: object | None      # per-delta packing when not fixed
-    label: str
-
-
-def _build_sweep_instance(q: int, fam: SweepFamily, seed: int, idx: int) -> _Instance:
-    p = dict(fam.params)
-    if fam.kind == "layered-pair":
-        d = int(p.get("d", 25))
-        m = int(p.get("m", 50))
-        half = (q - 1) * m
-        G = graphs.random_regular_bipartite(half, d, seed=(seed, idx))
-        X, Y = col.layered_bipartite_pair(G, q)
-        dist, _ = col.distance(X, Y)
-        code = CodeSet((X, Y), Fraction(0), dist, {"family": "layered-pair", "d": d})
-        return _Instance(fam.kind, G, spectral.lambda2(G), code, None, f"layered-pair(d={d},m={m})")
-    if fam.kind == "biased":
-        d = int(p.get("d", 4))
-        half = int(p.get("half", 500))
-        tau = float(Fraction(p["tau"])) if "tau" in p else 1.0 / (8 * d * d)
-        G = graphs.random_regular_bipartite(half, d, seed=(seed, idx))
-        sampler = lambda s: col.sample_bipartite_biased(G, q, tau, s)
-        return _Instance(fam.kind, G, spectral.lambda2(G), None, sampler, f"biased(d={d},half={half})")
-    if fam.kind == "gadget":
-        base_half = int(p.get("base_half", 8))
-        base = graphs.random_regular_bipartite(base_half, 3, seed=(seed, idx))
-        G = graphs.gadget_expand(base)
-        sampler = lambda s: col.sample_gadget_coloring(G, q, s)
-        return _Instance(fam.kind, G, spectral.lambda2(G), None, sampler, f"gadget(base_half={base_half})")
-    if fam.kind == "tensor-lift":
-        N = int(p.get("N", 2))
-        lifts = int(p.get("lifts", 1))
-        restarts = int(p.get("restarts", 30))
-        cfg = FamilyConfig(
-            constructor="tensor-lift",
-            q=q,
-            delta=Fraction(1) - Fraction(1, q),
-            lambda_cap=1.0,
-            sizes=(lifts,),
-            seed=seed + idx,
-            N=N,
-            restarts=restarts,
-        )
-        G, code = codes.build_family_instance(cfg, lifts)
-        return _Instance(fam.kind, G, spectral.lambda2(G), code, None, f"tensor-lift(N={N},lifts={lifts})")
-    raise ValueError(f"unknown sweep family kind {fam.kind!r}")
 
 
 def regime_map_sweep(
@@ -405,21 +344,19 @@ def regime_map_sweep(
     seed, so ``threads`` changes speed, never output.
     """
     q = config.q
-    if threads > 1 and len(config.families) > 1:
+
+    def build(idx: int):
+        G, sampler = config.families[idx].build(q, (config.seed, idx))
+        return G, sampler, spectral.lambda2(G)
+
+    idxs = range(len(config.families))
+    if threads > 1 and len(idxs) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            instances = list(
-                pool.map(
-                    lambda pair: _build_sweep_instance(q, pair[1], config.seed, pair[0]),
-                    enumerate(config.families),
-                )
-            )
+            instances = list(pool.map(build, idxs))
     else:
-        instances = [
-            _build_sweep_instance(q, fam, config.seed, idx)
-            for idx, fam in enumerate(config.families)
-        ]
+        instances = [build(idx) for idx in idxs]
     pack_cache: dict[tuple[int, Fraction], CodeSet] = {}
     lo = 1 - Fraction(1, q - 1)
     hi = 1 - Fraction(1, q)
@@ -437,38 +374,27 @@ def regime_map_sweep(
                         {"kind": "certificate", "lhs": cert.lhs, "rhs": cert.rhs},
                     )
                     continue
-            found = None
-            for idx, inst in enumerate(instances):
-                if inst.lambda2 > float(lam) + 1e-12:
+            for idx, (G, sampler, lam2) in enumerate(instances):
+                if lam2 > float(lam) + 1e-12:
                     continue
-                thr = distance_threshold(delta, inst.graph.n)
-                if inst.fixed_code is not None:
-                    code = inst.fixed_code
-                    ok = len(code) >= 2 and (code.min_dist or 0) >= thr
-                else:
-                    key = (idx, delta)
-                    if key not in pack_cache:
-                        pack_cache[key] = codes.greedy_pack(
-                            inst.graph, inst.sampler, delta,
-                            config.target, config.budget, (config.seed, idx),
-                        )
-                    code = pack_cache[key]
-                    ok = len(code) >= 2
-                if ok:
-                    found = (inst, code)
+                key = (idx, delta)
+                if key not in pack_cache:
+                    pack_cache[key] = codes.greedy_pack(
+                        G, sampler, delta, config.target, config.budget, (config.seed, idx),
+                    )
+                code = pack_cache[key]
+                if len(code) >= 2:
+                    yield RegimePoint(
+                        delta, lam, q, COUNTEREXAMPLE,
+                        {
+                            "kind": config.families[idx].label(),
+                            "n": G.n,
+                            "lambda2": lam2,
+                            "code_size": len(code),
+                            "min_dist": code.min_dist,
+                        },
+                    )
                     break
-            if found is not None:
-                inst, code = found
-                yield RegimePoint(
-                    delta, lam, q, COUNTEREXAMPLE,
-                    {
-                        "kind": inst.label,
-                        "n": inst.graph.n,
-                        "lambda2": inst.lambda2,
-                        "code_size": len(code),
-                        "min_dist": code.min_dist,
-                    },
-                )
             else:
                 yield RegimePoint(delta, lam, q, UNKNOWN, {})
 

@@ -235,6 +235,18 @@ class TestRegimeMap:
         bad.write_text("{not json")
         assert run(["regime-map", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "family,named",
+        [({"kind": "gadget", "base-half": 4}, "base_half"),
+         ({"kind": "random-bipartite"}, "biased")],
+    )
+    def test_bad_family_exit_2_before_output(self, tmp_path, capsys, family, named):
+        cfg = self.write_config(tmp_path, families=[family])
+        out = tmp_path / "map.csv"
+        assert run(["regime-map", "--config", cfg, "--out", out]) == 2
+        assert not out.exists()
+        assert named in capsys.readouterr().err
+
 
 class TestParsing:
     def test_unknown_command_exits_2(self):
@@ -244,6 +256,17 @@ class TestParsing:
 
     def test_missing_file_exit_2(self):
         assert run(["spectrum", "--graph", "/nonexistent/path.graph"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--graph", "g.graph", "x.json", "--format", "csv"],
+         ["certify", "--q", 3, "--delta", "2/3", "--lambda", "1/5",
+          "--threads", 9, "--seed", 4, "--format", "csv"]],
+    )
+    def test_flag_of_another_subcommand_exits_2(self, argv):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2
 
     def test_bad_fraction_exit_2(self):
         with pytest.raises(SystemExit) as err:

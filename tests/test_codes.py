@@ -5,7 +5,7 @@ import pytest
 from chromacode import colorings as col
 from chromacode.codes import (
     CodeSet,
-    FamilyConfig,
+    SweepFamily,
     distance_threshold,
     empirical_f,
     empirical_rate,
@@ -158,34 +158,22 @@ class TestRate:
 
 class TestEmpiricalF:
     def test_gadget_family_passes_lambda_cap(self):
-        cfg = FamilyConfig(
-            constructor="gadget",
-            q=3,
-            delta=Fraction(1, 2),
-            lambda_cap=1 - 1e-4,
-            sizes=(4, 6),
-            seed=12,
-            budget=300,
-            target=8,
+        sizes = (4, 6)
+        rows = empirical_f(
+            3, SweepFamily("gadget"), sizes, Fraction(1, 2), lambda_cap=1 - 1e-4,
+            seed=12, budget=300, target=8,
         )
-        rows = empirical_f(cfg)
         assert len(rows) == 2
-        for row, size in zip(rows, cfg.sizes):
+        for row, size in zip(rows, sizes):
             assert row.n == 20 * size  # 10x blowup of a 2*size base
             assert not row.rejected
             assert row.code_size >= 2
 
     def test_tensor_lift_family(self):
-        cfg = FamilyConfig(
-            constructor="tensor-lift",
-            q=3,
-            delta=Fraction(2, 3),
-            lambda_cap=1.0,
-            sizes=(1,),
-            seed=3,
-            restarts=10,
+        rows = empirical_f(
+            3, SweepFamily("tensor-lift", {"restarts": 10}), (1,), Fraction(2, 3),
+            lambda_cap=1.0, seed=3,
         )
-        rows = empirical_f(cfg)
         (row,) = rows
         assert row.n == 18
         assert row.code_size == 2
@@ -193,18 +181,10 @@ class TestEmpiricalF:
         assert row.lambda2 < 1.0
 
     def test_biased_family_records_lambda(self):
-        cfg = FamilyConfig(
-            constructor="random-bipartite",
-            q=3,
-            delta=Fraction(1, 5),
-            lambda_cap=0.999,
-            sizes=(40,),
-            seed=4,
-            budget=200,
-            target=4,
-            d=4,
+        (row,) = empirical_f(
+            3, SweepFamily("biased", {"d": 4}), (40,), Fraction(1, 5),
+            lambda_cap=0.999, seed=4, budget=200, target=4,
         )
-        (row,) = empirical_f(cfg)
         assert row.n == 80
         assert 0 < row.lambda2 < 1
         assert row.code_size >= 2

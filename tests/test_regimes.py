@@ -279,3 +279,41 @@ class TestSweep:
         rest = list(regime_map_sweep(config, skip={("1/2", "1/5")}))
         assert len(full) == 2 and len(rest) == 1
         assert regime_point_csv(rest[0]) == regime_point_csv(full[1])
+
+    # one family kind each; pins the graph, sampler and pack seed derivations
+    @pytest.mark.parametrize(
+        "kind,params,want",
+        [
+            ("layered-pair", {"d": 6, "m": 10}, [
+                "3,1/4,1,counterexample-exists,layered-pair(d=6,m=10),40,0.6064186645,2,20",
+                "3,1/2,1,counterexample-exists,layered-pair(d=6,m=10),40,0.6064186645,2,20",
+                "3,2/3,1,unknown,,,,,",
+            ]),
+            ("biased", {"d": 4, "half": 50}, [
+                "3,1/4,1,counterexample-exists,biased(d=4,half=50),100,0.8412158614,4,25",
+                "3,1/2,1,unknown,,,,,",
+                "3,2/3,1,unknown,,,,,",
+            ]),
+            ("gadget", {"base_half": 4}, [
+                "3,1/4,1,counterexample-exists,gadget(base_half=4),80,0.9775613165,4,23",
+                "3,1/2,1,counterexample-exists,gadget(base_half=4),80,0.9775613165,4,41",
+                "3,2/3,1,unknown,,,,,",
+            ]),
+            ("tensor-lift", {"N": 2, "lifts": 1, "restarts": 5}, [
+                "3,1/4,1,counterexample-exists,tensor-lift(N=2,lifts=1),18,0.5,2,12",
+                "3,1/2,1,counterexample-exists,tensor-lift(N=2,lifts=1),18,0.5,2,12",
+                "3,2/3,1,counterexample-exists,tensor-lift(N=2,lifts=1),18,0.5,2,12",
+            ]),
+        ],
+    )
+    def test_rows_per_family_kind(self, kind, params, want):
+        config = SweepConfig(
+            q=3,
+            delta_grid=(Fraction(1, 4), Fraction(1, 2), Fraction(2, 3)),
+            lambda_grid=(Fraction(1),),
+            families=(SweepFamily(kind, params),),
+            seed=3,
+            budget=60,
+            target=4,
+        )
+        assert [regime_point_csv(pt) for pt in regime_map_sweep(config)] == want
