@@ -9,6 +9,7 @@ affects speed (CHROMA_THREADS is the environment fallback).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -185,6 +186,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pack(args) -> int:
+    if args.tau is not None and args.sampler != "biased":
+        raise ChromaError(f"--tau applies to --sampler biased only, not {args.sampler}")
     G = fileio.read_graph(args.graph)
     sampler = codes.SAMPLERS[args.sampler](G, args.q, args.tau)
     code = codes.greedy_pack(
@@ -235,6 +238,13 @@ def _load_sweep_config(path: str, cli_seed: int) -> regimes.SweepConfig:
     """Config JSON drives the sweep; its own "seed" key wins over --seed."""
     with open(path) as fh:
         raw = json.load(fh)
+    allowed = [f.name for f in dataclasses.fields(regimes.SweepConfig)]
+    unknown = sorted(set(raw) - set(allowed))
+    if unknown:
+        raise ChromaError(
+            f"unknown sweep config key(s) {', '.join(map(repr, unknown))}; "
+            f"allowed: {', '.join(allowed)}"
+        )
     families = tuple(
         codes.SweepFamily(kind=f["kind"], params={k: v for k, v in f.items() if k != "kind"})
         for f in raw.get("families", [])

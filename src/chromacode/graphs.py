@@ -31,6 +31,7 @@ from .errors import (
 
 EXPANSION_CAP = 24       # exhaustive edge-expansion limit (2^(n-1) subsets)
 TENSOR_SIZE_CAP = 4096   # vertex cap for tensor powers
+SEARCH_MAX_PASSES = 200  # greedy flip passes per signing-search restart
 
 
 @dataclass(frozen=True)
@@ -139,11 +140,6 @@ class Signing:
             idx = {edge: i for i, edge in enumerate(self.edges)}
             object.__setattr__(self, "_index", idx)
         return self.signs[idx[e]]
-
-    def flipped(self, i: int) -> "Signing":
-        signs = list(self.signs)
-        signs[i] = -signs[i]
-        return Signing(self.edges, tuple(signs))
 
 
 @dataclass(frozen=True)
@@ -399,15 +395,21 @@ def two_lift(G: RegularGraph, s: Signing) -> RegularGraph:
 
 
 def search_low_lambda_signing(
-    G: RegularGraph, restarts: int, seed, max_passes: int = 200
+    G: RegularGraph, restarts: int, seed
 ) -> tuple[Signing, float]:
     """Randomized-restart greedy search for a signing whose 2-lift has small lambda2.
 
-    Each restart draws a random signing from its own derived seed and greedily
-    applies the best single-edge flip while lambda2 of the lift improves.
-    Returns the best signing seen and its lift's lambda2; no optimality
-    guarantee. The min-reduction breaks ties on the lexicographically smaller
-    sign vector, so the result depends only on (G, restarts, seed).
+    Each restart draws a random signing from its own derived seed (the draw of
+    ``Signing.random``) and greedily applies the best single-edge flip while
+    the score improves, for at most SEARCH_MAX_PASSES passes. No lift is built:
+    by Bilu-Linial 2006, spec(lift) = spec(A) U spec(A_s), so the lift's lambda2
+    is max(lambda2(G), top eigenvalue of the signed matrix A_s), and that is
+    the score. Scores are compared rounded to 9 decimals, so candidates that
+    differ only by floating-point noise tie and the tie-breaks decide: within
+    a pass the lowest flip index among the best wins; across restarts the
+    smaller (rounded lambda, sign vector). Returns the best signing and its
+    lift's lambda2; no optimality guarantee. The result depends only on
+    (G, restarts, seed).
     """
     from . import spectral  # local import: spectral depends on graphs
 
@@ -415,29 +417,36 @@ def search_low_lambda_signing(
         raise ValueError("signing search needs d >= 2")
     if not spectral.is_connected(G):
         raise ValueError("signing search needs a connected graph")
+    if restarts < 1:
+        raise ValueError("signing search needs restarts >= 1")
+    lam_base = spectral.lambda2(G)
 
-    def lam_of(sg: Signing) -> float:
-        return spectral.lambda2(two_lift(G, sg))
+    def score(signs: np.ndarray) -> float:
+        top = np.linalg.eigvalsh(spectral.normalized_adjacency(G, signs))[-1]
+        return max(lam_base, float(top))
 
-    def one_restart(r: int) -> tuple[float, tuple[int, ...], Signing]:
+    best = None  # ((rounded lambda, sign tuple), lambda)
+    for r in range(restarts):
         child = (*seed, r) if isinstance(seed, tuple) else (seed, r)
-        sg = Signing.random(G, seed=child)
-        lam = lam_of(sg)
-        for _ in range(max_passes):
-            improved = None
+        signs = np.random.default_rng(child).choice((-1, 1), size=G.m)
+        lam = score(signs)
+        for _ in range(SEARCH_MAX_PASSES):
+            flip, bar = None, round(lam, 9)
             for i in range(G.m):
-                cand = sg.flipped(i)
-                lam_c = lam_of(cand)
-                if lam_c < lam - 1e-12 and (improved is None or lam_c < improved[0]):
-                    improved = (lam_c, cand)
-            if improved is None:
+                signs[i] = -signs[i]
+                lam_c = score(signs)
+                signs[i] = -signs[i]
+                if round(lam_c, 9) < bar:
+                    flip, lam_flip, bar = i, lam_c, round(lam_c, 9)
+            if flip is None:
                 break
-            lam, sg = improved
-        return lam, sg.signs, sg
-
-    results = [one_restart(r) for r in range(restarts)]
-    lam, _, signing = min(results, key=lambda t: (t[0], t[1]))
-    return signing, lam
+            signs[flip] = -signs[flip]
+            lam = lam_flip
+        key = (round(lam, 9), tuple(int(x) for x in signs))
+        if best is None or key < best[0]:
+            best = (key, lam)
+    (_, signs), lam = best
+    return Signing(G.edges(), signs), lam
 
 
 def edge_expansion_exact(

@@ -1,8 +1,9 @@
 """Normalized-adjacency spectra, Rayleigh quotients, and the Cheeger sandwich.
 
 full_spectrum is the dense LAPACK solver (all eigenpairs plus a residual) up
-to DENSE_CAP vertices. lambda2 and lambda_min read it up to LANCZOS_MIN_N
-vertices and use sparse Lanczos (scipy's ARPACK eigsh) above that.
+to DENSE_CAP vertices; only the ``spectrum`` command needs it. lambda2 and
+lambda_min read the dense eigenvalues alone up to LANCZOS_MIN_N vertices and
+use sparse Lanczos (scipy's ARPACK eigsh) above that.
 Disconnected graphs and 0-regular graphs report lambda2 = 1 by convention.
 """
 from __future__ import annotations
@@ -22,10 +23,9 @@ LANCZOS_MIN_N = 256
 
 @dataclass(frozen=True)
 class Spectrum:
-    """All eigenvalues of the normalized adjacency, descending, with solver metadata."""
+    """All eigenvalues of the normalized adjacency, descending, with the residual."""
 
     eigenvalues: tuple[float, ...]
-    method: str
     residual: float
 
     @property
@@ -37,14 +37,19 @@ class Spectrum:
         return self.eigenvalues[-1]
 
 
-def normalized_adjacency(G: RegularGraph) -> np.ndarray:
-    """Dense normalized adjacency: 1/d on edges, 0 elsewhere."""
+def normalized_adjacency(G: RegularGraph, signs=None) -> np.ndarray:
+    """Dense normalized adjacency: 1/d on edges, 0 elsewhere.
+
+    With ``signs`` (+1/-1 per edge, in canonical edge order) it is the signed
+    matrix A_s instead: sign/d on each edge.
+    """
     if G.d == 0:
         raise ZeroDegree("0-regular graph has no normalized adjacency")
     A = np.zeros((G.n, G.n))
     u, v = G.edge_arrays()
-    A[u, v] = 1.0 / G.d
-    A[v, u] = 1.0 / G.d
+    w = 1.0 / G.d if signs is None else np.asarray(signs) / G.d
+    A[u, v] = w
+    A[v, u] = w
     return A
 
 
@@ -67,33 +72,33 @@ def is_connected(G: RegularGraph) -> bool:
     return count == G.n
 
 
-def full_spectrum(G: RegularGraph, dense_cap: int = DENSE_CAP) -> Spectrum:
+def full_spectrum(G: RegularGraph) -> Spectrum:
     """All n eigenvalues via the dense symmetric solver, plus the max residual
     |A x - lambda x|_inf over the reported eigenpairs."""
     if G.d == 0:
         raise ZeroDegree("use lambda2() for the d=0 convention")
-    if G.n > dense_cap:
-        raise TooLarge(f"n={G.n} exceeds dense cap {dense_cap}")
+    if G.n > DENSE_CAP:
+        raise TooLarge(f"n={G.n} exceeds dense cap {DENSE_CAP}")
     A = normalized_adjacency(G)
     vals, vecs = np.linalg.eigh(A)
     vals = vals[::-1]
     # negative-stride views fall off the BLAS fast path in the matmul below
     vecs = np.ascontiguousarray(vecs[:, ::-1])
     residual = float(np.max(np.abs(A @ vecs - vecs * vals)))
-    return Spectrum(tuple(float(x) for x in vals), "dense", residual)
+    return Spectrum(tuple(float(x) for x in vals), residual)
 
 
 def _extreme_eigenvalue(G: RegularGraph, which: str) -> float:
     """lambda2 (``which="LA"``) or lambda_min (``"SA"``) of a graph with d >= 1.
 
-    Up to LANCZOS_MIN_N vertices the value is read off full_spectrum; above it,
-    ARPACK's implicitly restarted Lanczos runs on the sparse normalized
-    adjacency from a start vector fixed by a constant seed, so the result
-    depends only on G.
+    Up to LANCZOS_MIN_N vertices the value is read off the dense eigenvalues
+    (no eigenvectors); above it, ARPACK's implicitly restarted Lanczos runs on
+    the sparse normalized adjacency from a start vector fixed by a constant
+    seed, so the result depends only on G.
     """
     if G.n <= LANCZOS_MIN_N:
-        spec = full_spectrum(G)
-        return spec.lambda2 if which == "LA" else spec.lambda_min
+        vals = np.linalg.eigvalsh(normalized_adjacency(G))  # ascending
+        return float(vals[-2] if which == "LA" else vals[0])
     # imported here, not at module level: scipy.sparse takes about 0.25 s to load
     # and graphs at or below the cutoff never need it
     from scipy.sparse import csr_matrix

@@ -141,6 +141,32 @@ class TestPack:
         code = fileio.read_codeset(str(out), G)
         assert len(code) == payload["size"]
 
+    @pytest.mark.parametrize(
+        "sampler,construct",
+        [("gadget", ["gadget", "--base", "k4"]), ("enumerated", ["cycle", "--n", 5])],
+    )
+    def test_tau_with_another_sampler_exit_2(self, tmp_path, capsys, sampler, construct):
+        gpath = tmp_path / "g.graph"
+        assert run(["construct", *construct, "--out", gpath]) == 0
+        out = tmp_path / "code.json"
+        assert run(
+            ["pack", "--graph", gpath, "--q", 3, "--delta", "1/2",
+             "--sampler", sampler, "--tau", "1/2", "--out", out]
+        ) == 2
+        assert not out.exists()
+        assert "--tau" in capsys.readouterr().err
+
+    def test_biased_default_tau(self, tmp_path):
+        # d=3: the default tau is 1/(8 d^2) = 1/72
+        gpath = tmp_path / "b.graph"
+        run(["construct", "random-bipartite", "--half", 20, "--d", 3, "--out", gpath])
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        argv = ["pack", "--graph", gpath, "--q", 3, "--delta", "1/4",
+                "--sampler", "biased", "--budget", 50, "--target", 4, "--seed", 2]
+        assert run([*argv, "--out", a]) == 0
+        assert run([*argv, "--tau", "1/72", "--out", b]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestExactF:
     def test_c5(self, tmp_path, capsys):
@@ -246,6 +272,19 @@ class TestRegimeMap:
         assert run(["regime-map", "--config", cfg, "--out", out]) == 2
         assert not out.exists()
         assert named in capsys.readouterr().err
+
+    def test_unknown_config_key_exit_2_before_output(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "q": 3, "delta_grid": ["1/2"], "lambda_grid": ["9/10"],
+            "famillies": [{"kind": "gadget"}], "budgte": 5,
+        }))
+        out = tmp_path / "map.csv"
+        assert run(["regime-map", "--config", cfg, "--out", out]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        for key in ("famillies", "budgte", "families", "budget", "lambda_grid"):
+            assert key in err
 
 
 class TestParsing:

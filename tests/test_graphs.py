@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from chromacode import spectral
+from chromacode import graphs, spectral
 from chromacode.errors import (
     DuplicateEdge,
     NonRegular,
@@ -184,6 +184,33 @@ class TestTwoLift:
             assert (L.n, L.m, L.d) == (2 * G.n, 2 * G.m, G.d)
 
 
+def reference_search(G, restarts, seed):
+    """The search's greedy rule, scoring each candidate by building its lift."""
+
+    def lam_of(signs):
+        return spectral.lambda2(two_lift(G, Signing(G.edges(), signs)))
+
+    best = None
+    for r in range(restarts):
+        child = (*seed, r) if isinstance(seed, tuple) else (seed, r)
+        signs = Signing.random(G, seed=child).signs
+        lam = lam_of(signs)
+        for _ in range(graphs.SEARCH_MAX_PASSES):
+            improved = None
+            for i in range(G.m):
+                cand = signs[:i] + (-signs[i],) + signs[i + 1:]
+                lam_c = lam_of(cand)
+                bar = lam if improved is None else improved[0]
+                if round(lam_c, 9) < round(bar, 9):
+                    improved = (lam_c, cand)
+            if improved is None:
+                break
+            lam, signs = improved
+        if best is None or (round(lam, 9), signs) < (round(best[0], 9), best[1]):
+            best = (lam, signs)
+    return Signing(G.edges(), best[1]), best[0]
+
+
 class TestSigningSearch:
     def test_k4_beats_all_plus(self):
         # the all-plus lift is disconnected, so its lambda2 is 1
@@ -206,6 +233,20 @@ class TestSigningSearch:
         s1, l1 = search_low_lambda_signing(T, restarts=5, seed=2)
         s2, l2 = search_low_lambda_signing(T, restarts=5, seed=2)
         assert s1 == s2 and l1 == l2
+
+    @pytest.mark.parametrize(
+        "make,restarts,seed",
+        [*((lambda: tensor_power(3, 2), 5, seed) for seed in range(5)),
+         (lambda: complete_graph(4), 10, 0),
+         (lambda: cycle_graph(5), 8, 1)],
+    )
+    def test_matches_lift_building_reference(self, make, restarts, seed):
+        G = make()
+        signing, lam = search_low_lambda_signing(G, restarts=restarts, seed=seed)
+        ref_signing, ref_lam = reference_search(G, restarts, seed)
+        assert signing == ref_signing
+        assert round(lam, 9) == round(ref_lam, 9)
+        assert abs(spectral.lambda2(two_lift(G, signing)) - lam) < 1e-9
 
 
 class TestEdgeExpansion:

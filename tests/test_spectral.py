@@ -21,6 +21,7 @@ from chromacode.spectral import (
     full_spectrum,
     lambda2,
     lambda_min,
+    normalized_adjacency,
     rayleigh_quotient,
 )
 
@@ -67,7 +68,7 @@ class TestFullSpectrum:
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
-            full_spectrum(cycle_graph(10), dense_cap=5)
+            full_spectrum(cycle_graph(spectral.DENSE_CAP + 1))
 
 
 class TestLambda2:
@@ -199,3 +200,20 @@ class TestLiftSpectrum:
                 match = min(range(len(lifted)), key=lambda i: abs(lifted[i] - lam))
                 assert abs(lifted[match] - lam) < 1e-8
                 lifted.pop(match)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(("C5", "K4", "prism", "petersen", "tensor32")),
+        data=st.data(),
+    )
+    def test_lift_is_base_union_signed(self, fixture_graphs, name, data):
+        # Bilu-Linial: spec(two_lift(G, s)) = spec(A) U spec(A_s)
+        G = fixture_graphs[name]
+        signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=G.m, max_size=G.m))
+        s = Signing(G.edges(), tuple(signs))
+        lifted = sorted(full_spectrum(two_lift(G, s)).eigenvalues)
+        union = sorted([
+            *np.linalg.eigvalsh(normalized_adjacency(G)),
+            *np.linalg.eigvalsh(normalized_adjacency(G, s.signs)),
+        ])
+        assert np.max(np.abs(np.array(lifted) - union)) < 1e-9
