@@ -3,8 +3,7 @@
 Subcommands: construct, spectrum, distance, pack, exact-f, certify,
 regime-map, verify. Exit codes: 0 ok, 1 a verification check failed,
 2 usage / parse / validation error. The randomized subcommands (construct,
-pack, regime-map) are deterministic given --seed; regime-map's --threads only
-affects speed (CHROMA_THREADS is the environment fallback).
+pack, regime-map) are deterministic given --seed.
 """
 from __future__ import annotations
 
@@ -36,13 +35,6 @@ def _emit(args, payload: str) -> None:
 
 def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("CHROMA_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 NAMED_BASES = {
@@ -211,7 +203,7 @@ def cmd_exact_f(args) -> int:
         "witness_min_dist": witness.min_dist,
     }
     if args.with_witness:
-        payload["witness"] = [list(X.colors) for X in witness.members]
+        payload["witness"] = [X.colors.tolist() for X in witness.members]
     _emit(args, _json(payload))
     return 0
 
@@ -238,6 +230,8 @@ def _load_sweep_config(path: str, cli_seed: int) -> regimes.SweepConfig:
     """Config JSON drives the sweep; its own "seed" key wins over --seed."""
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ChromaError(f"sweep config must be a JSON object, not {type(raw).__name__}")
     allowed = [f.name for f in dataclasses.fields(regimes.SweepConfig)]
     unknown = sorted(set(raw) - set(allowed))
     if unknown:
@@ -245,9 +239,17 @@ def _load_sweep_config(path: str, cli_seed: int) -> regimes.SweepConfig:
             f"unknown sweep config key(s) {', '.join(map(repr, unknown))}; "
             f"allowed: {', '.join(allowed)}"
         )
+    entries = raw.get("families", [])
+    if not isinstance(entries, list):
+        raise ChromaError("sweep config \"families\" must be a list of objects")
+    for i, f in enumerate(entries):
+        if not isinstance(f, dict) or not isinstance(f.get("kind"), str):
+            raise ChromaError(
+                f"sweep config family {i} must be an object with a string \"kind\", got {f!r}"
+            )
     families = tuple(
         codes.SweepFamily(kind=f["kind"], params={k: v for k, v in f.items() if k != "kind"})
-        for f in raw.get("families", [])
+        for f in entries
     )
     return regimes.SweepConfig(
         q=int(raw["q"]),
@@ -277,7 +279,7 @@ def cmd_regime_map(args) -> int:
                     cells = line.split(",")
                     if len(cells) >= 3:
                         skip.add((cells[1], cells[2]))
-    rows = regimes.regime_map_sweep(config, skip=skip, threads=_threads(args))
+    rows = regimes.regime_map_sweep(config, skip=skip)
     if args.out:
         # stream rows so an interrupted sweep can be resumed
         mode = "a" if resuming else "w"
@@ -368,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regime-map", parents=[seeded],
                        help="sweep a (delta, lambda) grid to CSV")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (speed only; CHROMA_THREADS fallback)")
     p.add_argument("--config", required=True)
     p.add_argument("--resume", action="store_true",
                    help="skip grid points already present in --out")

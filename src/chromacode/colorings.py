@@ -1,10 +1,11 @@
 """Proper q-colorings, the permutation-invariant distance, and every sampler.
 
-A coloring is a per-vertex color in [0, q) bound to a specific graph via the
-graph's content hash. Colors are 0-indexed everywhere; the modular gadget
-rule "i+1, i+2 mod q" is applied in 0-indexed arithmetic. Properness is not a
-type invariant (``is_proper`` checks it); the samplers here guarantee it by
-construction.
+A coloring is a read-only int64 array of per-vertex colors in [0, q), bound
+to a specific graph via the graph's content hash. Colors are 0-indexed
+everywhere; the modular gadget rule "i+1, i+2 mod q" is applied in 0-indexed
+arithmetic. Properness is not a type invariant (``is_proper`` checks it); the
+samplers here guarantee it by construction, each with one array pass over the
+vertices or the gadget table.
 """
 from __future__ import annotations
 
@@ -29,34 +30,50 @@ ENUM_CAP = 16         # backtracking enumeration limit on n
 BRUTE_Q_CAP = 8       # brute-force over q! permutations up to this q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coloring:
-    """A vertex -> color map over [0, q), bound to one graph."""
+    """A vertex -> color map over [0, q), bound to one graph.
+
+    ``colors`` is a read-only int64 copy of the values given; equality is by
+    value (q, graph key and colors).
+    """
 
     q: int
-    colors: tuple[int, ...]
+    colors: np.ndarray
     graph_key: str
 
     def __post_init__(self):
         if self.q < 2:
             raise ValueError("need q >= 2")
-        if any(not (0 <= c < self.q) for c in self.colors):
+        try:
+            colors = np.array(self.colors, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("color out of range") from None
+        if colors.ndim != 1:
+            raise ValueError("colors must be a flat sequence")
+        if colors.size and (colors.min() < 0 or colors.max() >= self.q):
             raise ValueError("color out of range")
+        colors.setflags(write=False)
+        object.__setattr__(self, "colors", colors)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Coloring):
+            return NotImplemented
+        return (
+            (self.q, self.graph_key) == (other.q, other.graph_key)
+            and np.array_equal(self.colors, other.colors)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.graph_key, self.colors.tobytes()))
 
     @property
     def n(self) -> int:
         return len(self.colors)
 
-    def as_array(self) -> np.ndarray:
-        cached = self.__dict__.get("_arr")
-        if cached is None:
-            cached = np.array(self.colors, dtype=np.int64)
-            object.__setattr__(self, "_arr", cached)
-        return cached
-
     def relabeled(self, sigma: Sequence[int]) -> "Coloring":
         """Apply a color permutation: vertex color c becomes sigma[c]."""
-        return Coloring(self.q, tuple(int(sigma[c]) for c in self.colors), self.graph_key)
+        return Coloring(self.q, np.asarray(sigma)[self.colors], self.graph_key)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +88,7 @@ class AgreementMatrix:
 def make_coloring(G: RegularGraph, q: int, colors: Sequence[int]) -> Coloring:
     if len(colors) != G.n:
         raise BindingMismatch(f"{len(colors)} colors for a graph on {G.n} vertices")
-    return Coloring(q, tuple(int(c) for c in colors), G.graph_key)
+    return Coloring(q, colors, G.graph_key)
 
 
 def _check_bound(G: RegularGraph, X: Coloring) -> None:
@@ -89,19 +106,17 @@ def _check_pair(X: Coloring, Y: Coloring) -> None:
 def is_proper(G: RegularGraph, X: Coloring) -> tuple[bool, tuple[int, int] | None]:
     """True iff no edge is monochromatic; otherwise also the first violating edge."""
     _check_bound(G, X)
-    cols = X.colors
-    for u in range(G.n):
-        cu = cols[u]
-        for v in G.adjacency[u]:
-            if v > u and cols[v] == cu:
-                return False, (u, v)
+    u, v = G.edge_arrays()
+    bad = np.flatnonzero(X.colors[u] == X.colors[v])
+    if bad.size:
+        return False, (int(u[bad[0]]), int(v[bad[0]]))
     return True, None
 
 
 def agreement_matrix(X: Coloring, Y: Coloring) -> AgreementMatrix:
     _check_pair(X, Y)
     q = X.q
-    flat = np.bincount(X.as_array() * q + Y.as_array(), minlength=q * q)
+    flat = np.bincount(X.colors * q + Y.colors, minlength=q * q)
     return AgreementMatrix(q, X.n, flat.reshape(q, q))
 
 
@@ -137,7 +152,7 @@ def distance(
         # agreement of sigma is sum_b M[sigma(b), b]
         agreements = M.counts[P, np.arange(q)].sum(axis=1)
         best = int(np.argmax(agreements))
-        sigma = tuple(int(c) for c in P[best])
+        sigma = tuple(P[best].tolist())
         return n - int(agreements[best]), sigma
     if method == "assignment":
         # Encode the lexicographic tie-break directly in the weights:
@@ -171,18 +186,13 @@ def sample_gadget_coloring(G: RegularGraph, q: int, seed) -> Coloring:
     base_n = G.meta["base_n"]
     colors = np.empty(G.n, dtype=np.int64)
     colors[:base_n] = rng.integers(0, q, size=base_n)
-    for x, y, xpart, ypart in G.meta["gadgets"]:
-        i = int(colors[x])
-        j = int(colors[y])
-        if i == j:
-            cx, cy = (i + 1) % q, (i + 2) % q
-        else:
-            cx, cy = j, i
-        for a in xpart:
-            colors[a] = cx
-        for b in ypart:
-            colors[b] = cy
-    return Coloring(q, tuple(int(c) for c in colors), G.graph_key)
+    # one row per gadget: x, y, the x-side part, the y-side part
+    table = np.array([(x, y, *xpart, *ypart) for x, y, xpart, ypart in G.meta["gadgets"]])
+    i, j = colors[table[:, 0]], colors[table[:, 1]]
+    equal = i == j
+    colors[table[:, 2:5]] = np.where(equal, (i + 1) % q, j)[:, None]
+    colors[table[:, 5:8]] = np.where(equal, (i + 2) % q, i)[:, None]
+    return Coloring(q, colors, G.graph_key)
 
 
 def sample_bipartite_biased(G: RegularGraph, q: int, tau: float, seed) -> Coloring:
@@ -201,21 +211,18 @@ def sample_bipartite_biased(G: RegularGraph, q: int, tau: float, seed) -> Colori
     if q < 3:
         raise ValueError("biased sampler needs q >= 3")
     rng = np.random.default_rng(seed)
-    labels = np.array(G.part_labels)
-    part0 = np.flatnonzero(labels == 0)
-    part1 = np.flatnonzero(labels == 1)
+    part0 = np.flatnonzero(G.part_labels == 0)
+    part1 = np.flatnonzero(G.part_labels == 1)
     low = q // 2
     colors = np.empty(G.n, dtype=np.int64)
     marked = rng.random(len(part0)) < tau
     uniform0 = rng.integers(0, low, size=len(part0))
     colors[part0] = np.where(marked, q - 1, uniform0)
     uniform1 = rng.integers(low, q, size=len(part1))
-    for idx, v in enumerate(part1):
-        if any(colors[u] == q - 1 for u in G.adjacency[v]):
-            colors[v] = q - 2
-        else:
-            colors[v] = uniform1[idx]
-    return Coloring(q, tuple(int(c) for c in colors), G.graph_key)
+    # every neighbor of a part-1 vertex is in part 0, colored above
+    forced = (colors[G.adjacency[part1]] == q - 1).any(axis=1)
+    colors[part1] = np.where(forced, q - 2, uniform1)
+    return Coloring(q, colors, G.graph_key)
 
 
 def layered_bipartite_pair(G: RegularGraph, q: int) -> tuple[Coloring, Coloring]:
@@ -229,25 +236,20 @@ def layered_bipartite_pair(G: RegularGraph, q: int) -> tuple[Coloring, Coloring]
         raise NotBipartite("layered pair needs part labels")
     if q < 3:
         raise ValueError("layered pair needs q >= 3")
-    part0 = [v for v in range(G.n) if G.part_labels[v] == 0]
-    part1 = [v for v in range(G.n) if G.part_labels[v] == 1]
-    if len(part0) != len(part1) or len(part0) % (q - 1) != 0 or not part0:
+    part0 = np.flatnonzero(G.part_labels == 0)
+    part1 = np.flatnonzero(G.part_labels == 1)
+    if len(part0) != len(part1) or len(part0) % (q - 1) != 0 or not len(part0):
         raise BadPartSize(
             f"parts of {len(part0)} and {len(part1)} are not both (q-1)*m for q={q}"
         )
     m = len(part0) // (q - 1)
-    x = [0] * G.n
-    y = [0] * G.n
-    for rank, v in enumerate(part1):
-        x[v] = 1 + rank // m
-    for v in part1:
-        y[v] = q - 1
-    for rank, v in enumerate(part0):
-        y[v] = rank // m
-    return (
-        Coloring(q, tuple(x), G.graph_key),
-        Coloring(q, tuple(y), G.graph_key),
-    )
+    blocks = np.arange(len(part0)) // m  # rank within the part -> block 0..q-2
+    x = np.zeros(G.n, dtype=np.int64)
+    y = np.zeros(G.n, dtype=np.int64)
+    x[part1] = 1 + blocks
+    y[part1] = q - 1
+    y[part0] = blocks
+    return Coloring(q, x, G.graph_key), Coloring(q, y, G.graph_key)
 
 
 def coordinate_colorings(
@@ -259,11 +261,8 @@ def coordinate_colorings(
     meta = G.meta or {}
     if meta.get("kind") != "tensor" or meta.get("q") != q or meta.get("N") != N:
         raise BindingMismatch("graph is not tensor_power(q, N)")
-    out = []
-    for i in range(N):
-        w = q ** (N - 1 - i)
-        out.append(Coloring(q, tuple((v // w) % q for v in range(G.n)), G.graph_key))
-    return out
+    vertices = np.arange(G.n)
+    return [Coloring(q, (vertices // q ** (N - 1 - i)) % q, G.graph_key) for i in range(N)]
 
 
 def lift_coloring(X: Coloring, lifted: RegularGraph) -> Coloring:
@@ -271,7 +270,7 @@ def lift_coloring(X: Coloring, lifted: RegularGraph) -> Coloring:
     meta = lifted.meta or {}
     if meta.get("kind") != "two_lift" or meta.get("base_key") != X.graph_key:
         raise BindingMismatch("graph is not a 2-lift of the coloring's graph")
-    return Coloring(X.q, X.colors + X.colors, lifted.graph_key)
+    return Coloring(X.q, np.concatenate([X.colors, X.colors]), lifted.graph_key)
 
 
 def enumerate_proper(G: RegularGraph, q: int, cap: int = ENUM_CAP) -> list[Coloring]:
@@ -282,13 +281,13 @@ def enumerate_proper(G: RegularGraph, q: int, cap: int = ENUM_CAP) -> list[Color
     """
     if G.n > cap:
         raise TooLarge(f"n={G.n} exceeds enumeration cap {cap}")
-    lower_nbrs = [tuple(u for u in G.adjacency[v] if u < v) for v in range(G.n)]
+    lower_nbrs = [[u for u in row if u < v] for v, row in enumerate(G.adjacency.tolist())]
     out: list[Coloring] = []
     assigned = [0] * G.n
 
     def backtrack(v: int) -> None:
         if v == G.n:
-            out.append(Coloring(q, tuple(assigned), G.graph_key))
+            out.append(Coloring(q, assigned, G.graph_key))
             return
         blocked = {assigned[u] for u in lower_nbrs[v]}
         for c in range(q):

@@ -23,7 +23,7 @@ from .graphs import RegularGraph, Signing
 def graph_to_text(G: RegularGraph) -> str:
     lines = [f"{G.n} {G.d}"]
     if G.part_labels is not None:
-        lines.append("parts: " + " ".join(str(x) for x in G.part_labels))
+        lines.append("parts: " + " ".join(map(str, G.part_labels.tolist())))
     lines.extend(f"{u} {v}" for u, v in G.edges())
     return "\n".join(lines) + "\n"
 
@@ -96,7 +96,7 @@ def read_graph(path: str, load_sidecar: bool = True) -> RegularGraph:
 def write_coloring(path: str, X: Coloring) -> None:
     with open(path, "w") as fh:
         json.dump(
-            {"q": X.q, "colors": list(X.colors), "graph": X.graph_key},
+            {"q": X.q, "colors": X.colors.tolist(), "graph": X.graph_key},
             fh,
             sort_keys=True,
         )
@@ -142,7 +142,7 @@ def codeset_payload(C: CodeSet, graph_key: str) -> dict:
         "delta": str(Fraction(C.delta)),
         "size": len(C.members),
         "min_dist": C.min_dist,
-        "members": [list(X.colors) for X in C.members],
+        "members": [X.colors.tolist() for X in C.members],
         "provenance": _freeze_meta(dict(C.provenance)),
     }
 

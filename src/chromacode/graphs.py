@@ -1,7 +1,8 @@
 """Construction and exact measurement of regular graphs.
 
-Graphs are immutable once built: vertex count n, uniform degree d, and
-per-vertex sorted neighbor tuples. Bipartite constructions carry part labels
+Graphs are immutable once built: vertex count n, uniform degree d, and the
+(n, d) int64 array of neighbors with each row sorted, read-only like the
+optional array of part labels. Bipartite constructions carry part labels
 (every edge must cross), and composite constructions (edge gadgets, tensor
 powers, 2-lifts) record provenance in ``meta`` so downstream samplers can
 reuse the structure.
@@ -11,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
@@ -34,63 +36,78 @@ TENSOR_SIZE_CAP = 4096   # vertex cap for tensor powers
 SEARCH_MAX_PASSES = 200  # greedy flip passes per signing-search restart
 
 
-@dataclass(frozen=True)
+def _frozen(values, shape) -> np.ndarray:
+    """A read-only int64 copy of ``values`` in the given shape."""
+    arr = np.array(values, dtype=np.int64).reshape(shape)
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class RegularGraph:
-    """Simple d-regular graph with sorted adjacency lists.
+    """Simple d-regular graph: ``adjacency`` is the (n, d) neighbor array, rows sorted.
 
     ``part_labels`` tags a bipartition when the graph was built bipartite.
     ``meta`` holds construction provenance (read-only by convention); it is
-    not part of identity: ``graph_key`` hashes only n, d, edges and parts.
+    not part of identity: equality and ``graph_key`` cover only n, d, edges
+    and parts.
     """
 
     n: int
     d: int
-    adjacency: tuple[tuple[int, ...], ...] = field(repr=False)
-    part_labels: tuple[int, ...] | None = field(default=None, repr=False)
-    meta: Mapping | None = field(default=None, repr=False, compare=False)
-    graph_key: str = field(init=False, compare=False)
+    adjacency: np.ndarray = field(repr=False)
+    part_labels: np.ndarray | None = field(default=None, repr=False)
+    meta: Mapping | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        h = hashlib.sha256()
-        h.update(f"{self.n}|{self.d}|".encode())
+        object.__setattr__(self, "adjacency", _frozen(self.adjacency, (self.n, self.d)))
         if self.part_labels is not None:
-            h.update(",".join(map(str, self.part_labels)).encode())
+            object.__setattr__(self, "part_labels", _frozen(self.part_labels, (self.n,)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RegularGraph):
+            return NotImplemented
+        return (
+            (self.n, self.d) == (other.n, other.d)
+            and np.array_equal(self.adjacency, other.adjacency)
+            and np.array_equal(self.part_labels, other.part_labels)  # None only equals None
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.graph_key)
+
+    @cached_property
+    def graph_key(self) -> str:
+        """Content hash of n, d, part labels and the canonical edge list."""
+        h = hashlib.sha256(f"{self.n}|{self.d}|".encode())
+        if self.part_labels is not None:
+            h.update(",".join(map(str, self.part_labels.tolist())).encode())
         h.update(b"|")
-        for u, v in self.edges():
-            h.update(f"{u},{v};".encode())
-        object.__setattr__(self, "graph_key", h.hexdigest()[:16])
+        h.update("".join(f"{u},{v};" for u, v in self.edges()).encode())
+        return h.hexdigest()[:16]
 
     @property
     def m(self) -> int:
         """Number of edges."""
         return self.n * self.d // 2
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
+    def neighbors(self, v: int) -> np.ndarray:
         return self.adjacency[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
+        return bool((self.adjacency[u] == v).any())
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Canonical edge list: pairs (u, v) with u < v, sorted."""
-        cached = self.__dict__.get("_edges")
-        if cached is None:
-            cached = tuple(
-                (u, v) for u in range(self.n) for v in self.adjacency[u] if u < v
-            )
-            object.__setattr__(self, "_edges", cached)
-        return cached
+        u, v = self.edge_arrays()
+        return tuple(zip(u.tolist(), v.tolist()))
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge endpoints as two int arrays (for vectorized measures)."""
-        cached = self.__dict__.get("_edge_arrays")
-        if cached is None:
-            es = self.edges()
-            u = np.fromiter((e[0] for e in es), dtype=np.int64, count=len(es))
-            v = np.fromiter((e[1] for e in es), dtype=np.int64, count=len(es))
-            cached = (u, v)
-            object.__setattr__(self, "_edge_arrays", cached)
-        return cached
+        """The canonical edges as two int arrays of endpoints u < v."""
+        rows = np.repeat(np.arange(self.n), self.d)
+        cols = self.adjacency.ravel()
+        upper = rows < cols
+        return rows[upper], cols[upper]
 
 
 @dataclass(frozen=True)
@@ -130,8 +147,7 @@ class Signing:
     @classmethod
     def random(cls, G: RegularGraph, seed) -> "Signing":
         rng = np.random.default_rng(seed)
-        signs = tuple(int(s) for s in rng.choice((-1, 1), size=G.m))
-        return cls(G.edges(), signs)
+        return cls(G.edges(), tuple(rng.choice((-1, 1), size=G.m).tolist()))
 
     def sign_of(self, u: int, v: int) -> int:
         e = (u, v) if u < v else (v, u)
@@ -166,43 +182,57 @@ def build_from_edges(
 ) -> RegularGraph:
     """Validate an edge list and return the graph; degree is inferred.
 
-    Raises SelfLoop, DuplicateEdge or NonRegular on malformed input, and
-    NotBipartite if part labels are supplied but some edge stays inside a part.
+    Raises SelfLoop, DuplicateEdge or NonRegular on malformed input (the first
+    bad edge in list order is named), and NotBipartite if part labels are
+    supplied but some edge stays inside a part.
     """
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
-    adj: list[set[int]] = [set() for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
-    for pair in edges:
-        u, v = int(pair[0]), int(pair[1])
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            raise SelfLoop(f"self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise DuplicateEdge(f"edge {key} listed twice")
-        seen.add(key)
-        adj[u].add(v)
-        adj[v].add(u)
-    degrees = {len(a) for a in adj}
-    if len(degrees) > 1:
-        bad = next(v for v in range(n) if len(adj[v]) != len(adj[0]))
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be pairs of vertices")
+    u, v = pairs[:, 0], pairs[:, 1]
+    outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    loop = u == v
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keys = lo * n + hi
+    order = np.argsort(keys, kind="stable")
+    repeat = np.zeros(len(keys), dtype=bool)
+    repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    bad = np.flatnonzero(outside | loop | repeat)
+    if bad.size:
+        i = bad[0]
+        if outside[i]:
+            raise ValueError(f"edge ({u[i]},{v[i]}) out of range for n={n}")
+        if loop[i]:
+            raise SelfLoop(f"self-loop at vertex {u[i]}")
+        raise DuplicateEdge(f"edge {(int(lo[i]), int(hi[i]))} listed twice")
+    ends = np.concatenate([u, v])
+    degree = np.bincount(ends, minlength=n)
+    if (degree != degree[0]).any():
+        bad_v = int(np.flatnonzero(degree != degree[0])[0])
         raise NonRegular(
-            f"vertex 0 has degree {len(adj[0])} but vertex {bad} has {len(adj[bad])}"
+            f"vertex 0 has degree {degree[0]} but vertex {bad_v} has {degree[bad_v]}"
         )
-    d = degrees.pop() if degrees else 0
-    labels = tuple(int(x) for x in part_labels) if part_labels is not None else None
-    if labels is not None:
-        if len(labels) != n:
+    labels = None
+    if part_labels is not None:
+        labels = np.array(part_labels, dtype=np.int64)
+        if labels.shape != (n,):
             raise ValueError("part_labels length must equal n")
-        for u, v in seen:
-            if labels[u] == labels[v]:
-                raise NotBipartite(f"edge ({u},{v}) stays inside part {labels[u]}")
+        inside = np.flatnonzero(labels[u] == labels[v])
+        if inside.size:
+            i = inside[0]
+            raise NotBipartite(
+                f"edge ({lo[i]},{hi[i]}) stays inside part {labels[u[i]]}"
+            )
+    others = np.concatenate([v, u])
+    by_vertex = np.lexsort((others, ends))
     return RegularGraph(
         n=n,
-        d=d,
-        adjacency=tuple(tuple(sorted(a)) for a in adj),
+        d=int(degree[0]),
+        adjacency=others[by_vertex],
         part_labels=labels,
         meta=meta,
     )
@@ -300,71 +330,74 @@ def random_regular_bipartite(
     if d < 0 or d > half:
         raise ValueError(f"need 0 <= d <= half, got d={d}, half={half}")
     rng = np.random.default_rng(seed)
-    used: list[set[int]] = [set() for _ in range(half)]
-    edges: list[tuple[int, int]] = []
+    perms = np.empty((0, half), dtype=np.int64)  # row k: the values of permutation k
     for _ in range(d):
-        perm = None
         for _ in range(retries):
-            cand = rng.permutation(half)
-            if all(int(cand[i]) not in used[i] for i in range(half)):
-                perm = cand
+            perm = rng.permutation(half)
+            clash = (perms == perm).any(axis=0)
+            if not clash.any():
                 break
-            perm = cand
-        assignment: dict[int, int] = {}
-        owner: dict[int, int] = {}
-        pending = []
-        for i in range(half):
-            j = int(perm[i])
-            if j in used[i]:
-                pending.append(i)
-            else:
-                assignment[i] = j
-                owner[j] = i
-
-        def augment(start: int) -> bool:
-            # BFS over alternating paths: positions propose values in random
-            # order; reaching a free value flips the path below it.
-            visited: set[int] = set()
-            came_from: dict[int, int] = {}
-            queue = deque([start])
-            while queue:
-                i = queue.popleft()
-                for j in (int(x) for x in rng.permutation(half)):
-                    if j in used[i] or j in visited:
-                        continue
-                    visited.add(j)
-                    came_from[j] = i
-                    prev = owner.get(j)
-                    if prev is None:
-                        v = j
-                        while True:
-                            pi = came_from[v]
-                            displaced = assignment.get(pi)
-                            assignment[pi] = v
-                            owner[v] = pi
-                            if pi == start:
-                                return True
-                            v = displaced
-                    queue.append(prev)
-            return False
-
-        for i in pending:
-            if not augment(i):
+        else:
+            perm = _complete_permutation(perm, clash, perms, rng)
+            if perm is None:
                 raise GenerationTimeout(
                     f"could not complete a collision-free permutation "
                     f"(half={half}, d={d})"
                 )
-        for i in range(half):
-            j = assignment[i]
-            used[i].add(j)
-            edges.append((i, half + j))
-    labels = [0] * half + [1] * half
+        perms = np.vstack([perms, perm])
+    edges = np.column_stack([np.tile(np.arange(half), d), half + perms.ravel()])
     return build_from_edges(
         2 * half,
         edges,
-        part_labels=labels,
+        part_labels=np.repeat([0, 1], half),
         meta={"kind": "random_bipartite", "half": half, "d": d, "seed": _seed_repr(seed)},
     )
+
+
+def _complete_permutation(
+    perm: np.ndarray, clash: np.ndarray, perms: np.ndarray, rng
+) -> np.ndarray | None:
+    """Repair the clashing positions of ``perm`` by augmenting paths, or None.
+
+    Position i may take any value not in ``perms[:, i]``. Clashing positions
+    are freed and re-placed in increasing order, each by a BFS over
+    alternating paths in which positions propose values in random order.
+    """
+    half = len(perm)
+    assignment = {i: j for i, j in enumerate(perm.tolist()) if not clash[i]}
+    owner = {j: i for i, j in assignment.items()}
+
+    def augment(start: int) -> bool:
+        # reaching a free value flips the path below it
+        visited: set[int] = set()
+        came_from: dict[int, int] = {}
+        queue = deque([start])
+        while queue:
+            i = queue.popleft()
+            used = set(perms[:, i].tolist())
+            for j in rng.permutation(half).tolist():
+                if j in used or j in visited:
+                    continue
+                visited.add(j)
+                came_from[j] = i
+                prev = owner.get(j)
+                if prev is None:
+                    v = j
+                    while True:
+                        pi = came_from[v]
+                        displaced = assignment.get(pi)
+                        assignment[pi] = v
+                        owner[v] = pi
+                        if pi == start:
+                            return True
+                        v = displaced
+                queue.append(prev)
+        return False
+
+    for i in np.flatnonzero(clash).tolist():
+        if not augment(i):
+            return None
+    return np.array([assignment[i] for i in range(half)], dtype=np.int64)
 
 
 def _seed_repr(seed) -> str:
@@ -379,17 +412,13 @@ def two_lift(G: RegularGraph, s: Signing) -> RegularGraph:
     if s.edges != G.edges():
         raise SigningMismatch("signing does not cover exactly E(G)")
     n = G.n
-    edges = []
-    for (u, v), sign in zip(s.edges, s.signs):
-        if sign == 1:
-            edges.append((u, v))
-            edges.append((u + n, v + n))
-        else:
-            edges.append((u, v + n))
-            edges.append((v, u + n))
+    u, v = G.edge_arrays()
+    cross = n * (np.array(s.signs) == -1)
+    # a +1 edge gives (u, v) and (u+n, v+n); a -1 edge gives (u, v+n) and (u+n, v)
+    edges = np.column_stack([np.concatenate([u, u + n]), np.concatenate([v + cross, v + n - cross])])
     labels = None
     if G.part_labels is not None:
-        labels = G.part_labels + G.part_labels
+        labels = np.tile(G.part_labels, 2)
     meta = {"kind": "two_lift", "base_key": G.graph_key, "base_n": n}
     return build_from_edges(2 * n, edges, part_labels=labels, meta=meta)
 
@@ -442,7 +471,7 @@ def search_low_lambda_signing(
                 break
             signs[flip] = -signs[flip]
             lam = lam_flip
-        key = (round(lam, 9), tuple(int(x) for x in signs))
+        key = (round(lam, 9), tuple(signs.tolist()))
         if best is None or key < best[0]:
             best = (key, lam)
     (_, signs), lam = best
@@ -463,10 +492,7 @@ def edge_expansion_exact(
         raise TooLarge(f"n={n} exceeds exhaustive cap {cap}")
     if n < 2:
         raise ValueError("edge expansion needs n >= 2")
-    nbr = [0] * n
-    for v in range(n):
-        for u in G.adjacency[v]:
-            nbr[v] |= 1 << u
+    nbr = [sum(1 << u for u in row) for row in G.adjacency.tolist()]
     d = G.d
     mask = 1
     size = 1
@@ -505,32 +531,31 @@ def subset_measures(
     B: Iterable[int] | None = None,
 ) -> VertexSubsetMeasures:
     """Exact w(A), e(A) and, when B is given, e(A, B). A and B must be disjoint."""
-    set_a = set(int(v) for v in A)
-    if any(not (0 <= v < G.n) for v in set_a):
-        raise ValueError("subset contains out-of-range vertices")
-    set_b: set[int] = set()
-    if B is not None:
-        set_b = set(int(v) for v in B)
-        if any(not (0 <= v < G.n) for v in set_b):
-            raise ValueError("subset contains out-of-range vertices")
-        common = set_a & set_b
-        if common:
-            raise Overlap(f"subsets share vertices, e.g. {min(common)}")
-    inner = 0
-    cross = 0
-    for v in set_a:
-        for u in G.adjacency[v]:
-            if u in set_a:
-                inner += 1
-            elif u in set_b:
-                cross += 1
-    inner //= 2
+    in_a = _vertex_mask(G, A)
+    in_b = _vertex_mask(G, B if B is not None else ())
+    common = np.flatnonzero(in_a & in_b)
+    if common.size:
+        raise Overlap(f"subsets share vertices, e.g. {common[0]}")
+    u, v = G.edge_arrays()
+    size = int(in_a.sum())
+    inner = int((in_a[u] & in_a[v]).sum())
+    cross = int((in_a[u] & in_b[v] | in_b[u] & in_a[v]).sum())
     m = G.m
     return VertexSubsetMeasures(
-        w=len(set_a) / G.n,
+        w=size / G.n,
         e_within=inner / m if m else 0.0,
         e_cross=cross / m if m else 0.0,
-        size=len(set_a),
+        size=size,
         inner_edges=inner,
         cross_edges=cross,
     )
+
+
+def _vertex_mask(G: RegularGraph, vertices: Iterable[int]) -> np.ndarray:
+    """Boolean mask of a vertex subset; raises ValueError on out-of-range ids."""
+    ids = np.fromiter((int(v) for v in vertices), dtype=np.int64)
+    if ((ids < 0) | (ids >= G.n)).any():
+        raise ValueError("subset contains out-of-range vertices")
+    mask = np.zeros(G.n, dtype=bool)
+    mask[ids] = True
+    return mask

@@ -112,7 +112,6 @@ def sigma_profile(
     col._check_pair(X, Y)
     if lam is None:
         lam = spectral.lambda2(G)
-    xarr, yarr = X.as_array(), Y.as_array()
     eu, ev = G.edge_arrays()
     n, m = G.n, G.m
     sigmas = []
@@ -121,7 +120,7 @@ def sigma_profile(
     sizes = {}
     for sigma in permutations(range(q)):
         sig = np.array(sigma, dtype=np.int64)
-        mask = xarr == sig[yarr]
+        mask = X.colors == sig[Y.colors]
         size = int(mask.sum())
         cross = int((mask[eu] != mask[ev]).sum())
         w = size / n
@@ -212,11 +211,10 @@ def near_independent_partition(
     if q**K > class_cap:
         raise TooManyClasses(f"q^K = {q**K} exceeds cap {class_cap}")
     n = G.n
-    arrays = [X.as_array() for X in C.members]
+    vectors = np.stack([X.colors for X in C.members], axis=1).tolist()
     classes: dict[tuple[int, ...], list[int]] = {}
-    for v in range(n):
-        alpha = tuple(int(a[v]) for a in arrays)
-        classes.setdefault(alpha, []).append(v)
+    for v, alpha in enumerate(vectors):
+        classes.setdefault(tuple(alpha), []).append(v)
     heavy = {a: vs for a, vs in classes.items() if len(vs) / n >= gamma}
     light_weight = sum(len(vs) for a, vs in classes.items() if a not in heavy) / n
     keys = sorted(heavy)
@@ -334,29 +332,19 @@ CSV_HEADER = "q,delta,lambda,classification,evidence_kind,n,lambda2_measured,cod
 def regime_map_sweep(
     config: SweepConfig,
     skip: set[tuple[str, str]] | None = None,
-    threads: int = 1,
+    threads: int = 1,  # unused; still passed by perfbench/workloads.py (regime_run)
 ) -> Iterator[RegimePoint]:
     """Classify every grid point, yielding rows in canonical grid order.
 
     ``skip`` holds (delta, lambda) string keys already present in a resumed
-    output. Family instances are built once and reused; greedy packs are
-    cached per (family, delta). Each instance depends only on its own derived
-    seed, so ``threads`` changes speed, never output.
+    output. Family instances are built once, each from its own derived seed,
+    and reused; greedy packs are cached per (family, delta).
     """
     q = config.q
-
-    def build(idx: int):
-        G, sampler = config.families[idx].build(q, (config.seed, idx))
-        return G, sampler, spectral.lambda2(G)
-
-    idxs = range(len(config.families))
-    if threads > 1 and len(idxs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            instances = list(pool.map(build, idxs))
-    else:
-        instances = [build(idx) for idx in idxs]
+    instances = []
+    for idx, fam in enumerate(config.families):
+        G, sampler = fam.build(q, (config.seed, idx))
+        instances.append((G, sampler, spectral.lambda2(G)))
     pack_cache: dict[tuple[int, Fraction], CodeSet] = {}
     lo = 1 - Fraction(1, q - 1)
     hi = 1 - Fraction(1, q)

@@ -8,7 +8,6 @@ Disconnected graphs and 0-regular graphs report lambda2 = 1 by convention.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,22 +53,15 @@ def normalized_adjacency(G: RegularGraph, signs=None) -> np.ndarray:
 
 
 def is_connected(G: RegularGraph) -> bool:
-    if G.n <= 1:
-        return True
-    if G.d == 0:
-        return False
-    seen = bytearray(G.n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for u in G.adjacency[v]:
-            if not seen[u]:
-                seen[u] = 1
-                count += 1
-                queue.append(u)
-    return count == G.n
+    """Breadth-first search from vertex 0, one frontier array per level."""
+    seen = np.zeros(G.n, dtype=bool)
+    seen[0] = True
+    frontier = np.array([0])
+    while frontier.size:
+        reached = G.adjacency[frontier].ravel()
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
+    return bool(seen.all())
 
 
 def full_spectrum(G: RegularGraph) -> Spectrum:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,9 @@ from chromacode import fileio, graphs
 from chromacode.cli import main
 from chromacode.colorings import coordinate_colorings, make_coloring
 from chromacode.graphs import complete_graph, tensor_power
+
+
+EXPECTED = Path(__file__).parent / "expected"
 
 
 def run(args):
@@ -23,7 +27,7 @@ class TestConstruct:
     def test_tensor_roundtrip(self, tensor_file):
         G = fileio.read_graph(tensor_file)
         T = tensor_power(3, 2)
-        assert G.adjacency == T.adjacency
+        assert G.adjacency.tolist() == T.adjacency.tolist()
         assert G.graph_key == T.graph_key
         assert G.meta["kind"] == "tensor"  # restored from the sidecar
 
@@ -243,19 +247,6 @@ class TestRegimeMap:
             assert run(["regime-map", "--config", cfg, "--out", partial, "--resume"]) == 0
             assert partial.read_bytes() == want, cut
 
-    def test_threads_neutral(self, tmp_path):
-        cfg = self.write_config(
-            tmp_path,
-            families=[
-                {"kind": "layered-pair", "d": 6, "m": 10},
-                {"kind": "gadget", "base_half": 4},
-            ],
-        )
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run(["regime-map", "--config", cfg, "--out", a, "--threads", 1]) == 0
-        assert run(["regime-map", "--config", cfg, "--out", b, "--threads", 3]) == 0
-        assert a.read_text() == b.read_text()
-
     def test_bad_config_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -286,6 +277,47 @@ class TestRegimeMap:
         for key in ("famillies", "budgte", "families", "budget", "lambda_grid"):
             assert key in err
 
+    def test_top_level_list_exit_2_before_output(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        out = tmp_path / "map.csv"
+        assert run(["regime-map", "--config", cfg, "--out", out]) == 2
+        assert not out.exists()
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_family_not_object_exit_2_before_output(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, families=["gadget"])
+        out = tmp_path / "map.csv"
+        assert run(["regime-map", "--config", cfg, "--out", out]) == 2
+        assert not out.exists()
+        assert "family 0 must be an object" in capsys.readouterr().err
+
+
+
+class TestPinnedBytes:
+    """Outputs pinned byte for byte; a change to them must be deliberate."""
+
+    def test_random_bipartite_sidecar(self, tmp_path):
+        out = tmp_path / "rb.graph"
+        assert run(["construct", "random-bipartite", "--half", 100, "--d", 4,
+                    "--seed", 3, "--out", out]) == 0
+        want = (EXPECTED / "random_bipartite_h100_d4_s3.graph.json").read_bytes()
+        assert (tmp_path / "rb.graph.json").read_bytes() == want
+
+    def test_pack_biased(self, tmp_path):
+        graph, out = tmp_path / "rb.graph", tmp_path / "code.json"
+        assert run(["construct", "random-bipartite", "--half", 12, "--d", 3,
+                    "--seed", 5, "--out", graph]) == 0
+        assert run(["pack", "--graph", graph, "--q", 3, "--delta", "1/4", "--sampler",
+                    "biased", "--budget", 50, "--target", 4, "--seed", 2, "--out", out]) == 0
+        assert out.read_bytes() == (EXPECTED / "pack_biased.json").read_bytes()
+
+    def test_pack_gadget(self, tmp_path):
+        graph, out = tmp_path / "g.graph", tmp_path / "code.json"
+        assert run(["construct", "gadget", "--base", "k4", "--out", graph]) == 0
+        assert run(["pack", "--graph", graph, "--q", 3, "--delta", "1/2", "--sampler",
+                    "gadget", "--budget", 200, "--target", 4, "--seed", 1, "--out", out]) == 0
+        assert out.read_bytes() == (EXPECTED / "pack_gadget.json").read_bytes()
 
 class TestParsing:
     def test_unknown_command_exits_2(self):

@@ -86,7 +86,7 @@ class TestGreedyPack:
         sampler = lambda s: col.sample_gadget_coloring(G, 3, s)
         a = greedy_pack(G, sampler, Fraction(1, 2), target=5, budget=200, seed=3)
         b = greedy_pack(G, sampler, Fraction(1, 2), target=5, budget=200, seed=3)
-        assert [X.colors for X in a.members] == [X.colors for X in b.members]
+        assert [X.colors.tolist() for X in a.members] == [X.colors.tolist() for X in b.members]
 
 
 class TestExactMaxPacking:

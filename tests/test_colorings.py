@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromacode import graphs
 from chromacode.colorings import (
@@ -40,6 +42,47 @@ def chromatic_polynomial_cycle(n, q):
     return (q - 1) ** n + (-1) ** n * (q - 1)
 
 
+# per-vertex loop references for the array samplers: same draws, same colors
+
+def biased_reference(G, q, tau, seed):
+    rng = np.random.default_rng(seed)
+    labels = G.part_labels.tolist()
+    part0 = [v for v in range(G.n) if labels[v] == 0]
+    part1 = [v for v in range(G.n) if labels[v] == 1]
+    low = q // 2
+    colors = [None] * G.n
+    marked = rng.random(len(part0)) < tau
+    uniform0 = rng.integers(0, low, size=len(part0))
+    for k, v in enumerate(part0):
+        colors[v] = q - 1 if marked[k] else int(uniform0[k])
+    uniform1 = rng.integers(low, q, size=len(part1))
+    adj = G.adjacency.tolist()
+    for k, v in enumerate(part1):
+        colors[v] = q - 2 if any(colors[u] == q - 1 for u in adj[v]) else int(uniform1[k])
+    return colors
+
+
+def gadget_reference(G, q, seed):
+    rng = np.random.default_rng(seed)
+    base_n = G.meta["base_n"]
+    colors = rng.integers(0, q, size=base_n).tolist() + [None] * (G.n - base_n)
+    for x, y, xpart, ypart in G.meta["gadgets"]:
+        i, j = colors[x], colors[y]
+        cx, cy = ((i + 1) % q, (i + 2) % q) if i == j else (j, i)
+        for a in xpart:
+            colors[a] = cx
+        for b in ypart:
+            colors[b] = cy
+    return colors
+
+
+def first_monochromatic_edge(G, colors):
+    for u, v in G.edges():
+        if colors[u] == colors[v]:
+            return u, v
+    return None
+
+
 class TestIsProper:
     def test_k3_proper(self):
         K3 = complete_graph(3)
@@ -59,6 +102,15 @@ class TestIsProper:
         X = make_coloring(K3, 3, [0, 1, 2])
         with pytest.raises(BindingMismatch):
             is_proper(complete_graph(4), X)
+
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(1)
+        for G in (random_regular_bipartite(20, 3, seed=1), tensor_power(3, 2), cycle_graph(9)):
+            for q in (2, 3, 4):
+                for _ in range(30):
+                    colors = rng.integers(0, q, size=G.n).tolist()
+                    edge = first_monochromatic_edge(G, colors)
+                    assert is_proper(G, make_coloring(G, q, colors)) == (edge is None, edge)
 
 
 class TestAgreementMatrix:
@@ -172,6 +224,70 @@ class TestDistance:
             distance(X, Y)
 
 
+
+@st.composite
+def colorings_of_random_graph(draw, count, max_q):
+    """(q, [X_1..X_count]): arbitrary color vectors on a random regular bipartite graph."""
+    q = draw(st.integers(2, max_q))
+    half = draw(st.integers(1, 10))
+    G = random_regular_bipartite(
+        half, draw(st.integers(0, min(half, 3))), seed=draw(st.integers(0, 2**16))
+    )
+    vectors = st.lists(st.integers(0, q - 1), min_size=G.n, max_size=G.n)
+    return q, [make_coloring(G, q, draw(vectors)) for _ in range(count)]
+
+
+def agreements(X, Y):
+    """|V_sigma| = #{v : X(v) = sigma(Y(v))} for every sigma, in lexicographic order."""
+    perms = np.array(list(itertools.permutations(range(X.q))))
+    return perms, (X.colors[None, :] == perms[:, Y.colors]).sum(axis=1)
+
+
+class TestDistanceProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(colorings_of_random_graph(2, max_q=6))
+    def test_symmetric(self, case):
+        _, (X, Y) = case
+        assert distance(X, Y)[0] == distance(Y, X)[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(colorings_of_random_graph(2, max_q=6), st.data())
+    def test_relabel_invariant(self, case, data):
+        q, (X, Y) = case
+        s1 = data.draw(st.permutations(range(q)))
+        s2 = data.draw(st.permutations(range(q)))
+        d = distance(X, Y)[0]
+        assert distance(X.relabeled(s1), Y)[0] == d
+        assert distance(X, Y.relabeled(s2))[0] == d
+
+    @settings(max_examples=60, deadline=None)
+    @given(colorings_of_random_graph(3, max_q=6))
+    def test_triangle_inequality(self, case):
+        _, (X, Y, Z) = case
+        assert distance(X, Z)[0] <= distance(X, Y)[0] + distance(Y, Z)[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(colorings_of_random_graph(2, max_q=6))
+    def test_n_minus_largest_overlap(self, case):
+        _, (X, Y) = case
+        _, sizes = agreements(X, Y)
+        assert distance(X, Y)[0] == X.n - sizes.max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(colorings_of_random_graph(2, max_q=6))
+    def test_sigma_is_smallest_maximizer(self, case):
+        _, (X, Y) = case
+        d, sigma = distance(X, Y)
+        assert int((X.colors != np.asarray(sigma)[Y.colors]).sum()) == d
+        perms, sizes = agreements(X, Y)
+        assert sigma == tuple(perms[np.argmax(sizes)].tolist())  # argmax: first maximum
+
+    @settings(max_examples=40, deadline=None)
+    @given(colorings_of_random_graph(2, max_q=8))
+    def test_brute_equals_assignment(self, case):
+        _, (X, Y) = case
+        assert distance(X, Y, method="brute") == distance(X, Y, method="assignment")
+
 class TestGadgetSampler:
     def test_always_proper(self):
         G = gadget_expand(complete_graph(4))
@@ -202,6 +318,13 @@ class TestGadgetSampler:
     def test_requires_meta(self):
         with pytest.raises(NoGadgetMeta):
             sample_gadget_coloring(complete_graph(4), 3, 0)
+
+    def test_matches_loop_reference(self):
+        G = gadget_expand(random_regular_bipartite(8, 3, seed=3))
+        for q in (3, 4, 5):
+            for seed in range(40):
+                X = sample_gadget_coloring(G, q, (q, seed))
+                assert X.colors.tolist() == gadget_reference(G, q, (q, seed))
 
     def test_deterministic(self):
         G = gadget_expand(complete_graph(4))
@@ -256,6 +379,14 @@ class TestBiasedSampler:
             sample_bipartite_biased(G, 3, 1.5, seed=0)
         with pytest.raises(NotBipartite):
             sample_bipartite_biased(complete_graph(4), 3, 0.1, seed=0)
+
+    def test_matches_loop_reference(self):
+        G = random_regular_bipartite(60, 4, seed=8)
+        for q in (3, 4, 5, 6):
+            for tau in (0.0, 0.05, 0.3, 1.0):
+                for seed in range(10):
+                    X = sample_bipartite_biased(G, q, tau, (q, seed))
+                    assert X.colors.tolist() == biased_reference(G, q, tau, (q, seed))
 
 
 class TestLayeredPair:
@@ -319,7 +450,7 @@ class TestEnumerate:
 
     def test_lexicographic(self):
         got = enumerate_proper(cycle_graph(4), 2)
-        assert [X.colors for X in got] == [(0, 1, 0, 1), (1, 0, 1, 0)]
+        assert [X.colors.tolist() for X in got] == [[0, 1, 0, 1], [1, 0, 1, 0]]
 
     def test_too_large(self):
         with pytest.raises(TooLarge):

@@ -65,6 +65,33 @@ class TestBuildFromEdges:
         G2 = build_from_edges(3, [(0, 1), (1, 2), (2, 0)], meta={"kind": "x"})
         assert G1.graph_key == G2.graph_key
 
+    @pytest.mark.parametrize(
+        "n,edges,error",
+        [(3, [(0, 1), (1, 1), (1, 0)], SelfLoop),
+         (3, [(0, 1), (1, 0), (1, 1)], DuplicateEdge),
+         (3, [(0, 1), (2, 2), (0, 5)], SelfLoop),
+         (3, [(0, 5), (1, 1)], ValueError)],
+    )
+    def test_first_bad_edge_decides(self, n, edges, error):
+        with pytest.raises(error) as exc:
+            build_from_edges(n, edges)
+        assert type(exc.value) is error
+
+    def test_adjacency_array_matches_edge_sets(self):
+        rng = np.random.default_rng(4)
+        for G in (random_regular_bipartite(30, 5, seed=1), tensor_power(3, 2), cycle_graph(7)):
+            edges = list(G.edges())
+            rng.shuffle(edges)
+            H = build_from_edges(G.n, [(v, u) for u, v in edges], part_labels=G.part_labels)
+            nbrs = [set() for _ in range(G.n)]
+            for u, v in edges:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+            assert H.adjacency.shape == (G.n, G.d) and H.adjacency.dtype == np.int64
+            assert H.adjacency.tolist() == [sorted(a) for a in nbrs]
+            assert not H.adjacency.flags.writeable
+            assert H == G and H.graph_key == G.graph_key
+
 
 class TestConstructors:
     def test_complete(self):
@@ -79,7 +106,7 @@ class TestConstructors:
             cycle_graph(2)
 
     def test_tensor_n1_is_complete(self):
-        assert tensor_power(3, 1).adjacency == complete_graph(3).adjacency
+        assert tensor_power(3, 1).adjacency.tolist() == complete_graph(3).adjacency.tolist()
 
     def test_tensor_3_2(self):
         T = tensor_power(3, 2)
@@ -152,8 +179,26 @@ class TestRandomBipartite:
         G = random_regular_bipartite(12, 11, seed=1)
         assert G.d == 11
 
+    @pytest.mark.parametrize(
+        "half,d,seed,key",
+        [(100, 4, 3, "af5687ecb07c7f41"),
+         (10, 10, 3, "0fe76bb3bf9a3b1c"),
+         (30, 29, 4, "62791d78f77815f2"),
+         (50, 50, 1, "78aac400069b92b0")],
+    )
+    def test_draws_pinned(self, half, d, seed, key):
+        # keys of the tuple-based implementation; all four take the repair path
+        assert random_regular_bipartite(half, d, seed=seed).graph_key == key
+
 
 class TestTwoLift:
+    def test_keys_pinned(self):
+        # keys of the tuple-based implementation
+        T = tensor_power(3, 2)
+        R = random_regular_bipartite(10, 3, seed=2)
+        assert two_lift(T, Signing.random(T, 13)).graph_key == "1fd5d65fa042f10d"
+        assert two_lift(R, Signing.random(R, 4)).graph_key == "4085f5bd7c8dfb82"
+
     def test_all_plus_is_disjoint_double(self):
         C3 = cycle_graph(3)
         L = two_lift(C3, Signing.all_plus(C3))
