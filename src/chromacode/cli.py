@@ -251,8 +251,13 @@ def _load_sweep_config(path: str, cli_seed: int) -> regimes.SweepConfig:
         codes.SweepFamily(kind=f["kind"], params={k: v for k, v in f.items() if k != "kind"})
         for f in entries
     )
+    if "q" not in raw:
+        raise ChromaError('sweep config needs "q", the number of colors (at least 3)')
+    q = int(raw["q"])
+    if q < 3:
+        raise ChromaError(f'sweep config "q" must be at least 3, got {q}')
     return regimes.SweepConfig(
-        q=int(raw["q"]),
+        q=q,
         delta_grid=tuple(Fraction(x) for x in raw.get("delta_grid", [])),
         lambda_grid=tuple(Fraction(x) for x in raw.get("lambda_grid", [])),
         families=families,

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from . import colorings as col
 from . import graphs, spectral
 from .colorings import Coloring
@@ -124,34 +126,8 @@ def greedy_pack(
 
 # -- exact maximum packing on tiny graphs ------------------------------------
 
-def _degeneracy_order(adj: list[int], n: int) -> list[int]:
-    order = []
-    alive = (1 << n) - 1
-    deg = [(adj[v] & alive).bit_count() for v in range(n)]
-    for _ in range(n):
-        v = min(
-            (x for x in range(n) if (alive >> x) & 1),
-            key=lambda x: (deg[x], x),
-        )
-        order.append(v)
-        alive &= ~(1 << v)
-        for u in range(n):
-            if (alive >> u) & 1 and (adj[v] >> u) & 1:
-                deg[u] -= 1
-    return order
-
-
 def _max_clique(adj: list[int], n: int) -> list[int]:
     """Exact maximum clique, branch and bound with a greedy coloring bound."""
-    if n == 0:
-        return []
-    order = _degeneracy_order(adj, n)
-    pos = {v: i for i, v in enumerate(order)}
-    radj = [0] * n
-    for i, v in enumerate(order):
-        for u in range(n):
-            if (adj[v] >> u) & 1:
-                radj[i] |= 1 << pos[u]
     best: list[int] = []
 
     def expand(r: list[int], cand: int) -> None:
@@ -173,7 +149,7 @@ def _max_clique(adj: list[int], n: int) -> list[int]:
                 seq.append(v)
                 bound.append(c)
                 rest &= ~(1 << v)
-                avail &= ~(radj[v])
+                avail &= ~(adj[v])
                 avail &= rest
         sub = cand
         for i in range(len(seq) - 1, -1, -1):
@@ -181,52 +157,52 @@ def _max_clique(adj: list[int], n: int) -> list[int]:
                 return
             v = seq[i]
             r.append(v)
-            expand(r, sub & radj[v])
+            expand(r, sub & adj[v])
             r.pop()
             sub &= ~(1 << v)
 
     expand([], (1 << n) - 1)
-    return sorted(order[i] for i in best)
+    return sorted(best)
 
 
-def exact_max_packing(
-    G: RegularGraph,
-    q: int,
-    delta: Fraction,
-    enum_cap: int = col.ENUM_CAP,
-    clique_cap: int = CLIQUE_CAP,
-) -> tuple[int, CodeSet]:
+def exact_max_packing(G: RegularGraph, q: int, delta: Fraction) -> tuple[int, CodeSet]:
     """Exact maximum delta-distinct set over *all* proper q-colorings of G.
 
-    Enumerates the colorings, builds the compatibility graph (edge iff
-    distance >= ceil(delta * n)), and solves maximum clique exactly. Returns
-    0 with an empty witness when G has no proper q-coloring.
+    Distance is invariant under relabeling, so for delta > 0 a code holds at
+    most one coloring per relabeling orbit, and any member may stand for its
+    orbit. The clique search therefore runs on the canonical colorings only
+    (colors first appear in the order 0, 1, 2, ...): compatibility edge iff
+    distance >= ceil(delta * n). When that threshold is 0 every coloring is
+    compatible and the answer is their count k, witnessed by all of them.
+    Returns 0 with an empty witness when G has no proper q-coloring.
     """
     delta = Fraction(delta)
-    all_colorings = col.enumerate_proper(G, q, cap=enum_cap)
-    if not all_colorings:
-        return 0, CodeSet((), delta, None, {"method": "exact", "colorings": 0})
+    all_colorings = col.enumerate_proper(G, q)
     k = len(all_colorings)
-    if k > clique_cap:
-        raise TooLarge(f"{k} colorings exceed the clique cap {clique_cap}")
+    prov = {"method": "exact", "colorings": k}
+    if not all_colorings:
+        return 0, CodeSet((), delta, None, prov)
+    if k > CLIQUE_CAP:
+        raise TooLarge(f"{k} colorings exceed the clique cap {CLIQUE_CAP}")
     thr = distance_threshold(delta, G.n)
-    adj = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            d, _ = col.distance(all_colorings[i], all_colorings[j])
+    if thr <= 0:
+        # every relabeling orbit holds at least two colorings at distance 0
+        return k, CodeSet(tuple(all_colorings), delta, 0 if k > 1 else None, prov)
+    # canonical iff the running maximum of the colors grows by at most 1 per vertex
+    running_max = np.maximum.accumulate(np.array([X.colors for X in all_colorings]), axis=1)
+    canonical = (np.diff(running_max, axis=1, prepend=-1) <= 1).all(axis=1)
+    reps = [X for X, keep in zip(all_colorings, canonical) if keep]
+    r = len(reps)
+    adj = [0] * r
+    for i in range(r):
+        for j in range(i + 1, r):
+            d, _ = col.distance(reps[i], reps[j])
             if d >= thr:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    clique = _max_clique(adj, k)
-    members = tuple(all_colorings[i] for i in clique)
-    res = verify_delta_distinct(CodeSet(members, delta)) if members else None
-    witness = CodeSet(
-        members,
-        delta,
-        res.min_dist if res else None,
-        {"method": "exact", "colorings": k},
-    )
-    return len(clique), witness
+    members = tuple(reps[i] for i in _max_clique(adj, r))
+    res = verify_delta_distinct(CodeSet(members, delta))
+    return len(members), CodeSet(members, delta, res.min_dist, prov)
 
 
 def empirical_rate(C: CodeSet) -> float:

@@ -273,14 +273,14 @@ def lift_coloring(X: Coloring, lifted: RegularGraph) -> Coloring:
     return Coloring(X.q, np.concatenate([X.colors, X.colors]), lifted.graph_key)
 
 
-def enumerate_proper(G: RegularGraph, q: int, cap: int = ENUM_CAP) -> list[Coloring]:
+def enumerate_proper(G: RegularGraph, q: int) -> list[Coloring]:
     """All proper q-colorings as functions (not up to symmetry), lexicographic.
 
     Backtracking over vertices in id order, pruning on already-colored
     neighbors.
     """
-    if G.n > cap:
-        raise TooLarge(f"n={G.n} exceeds enumeration cap {cap}")
+    if G.n > ENUM_CAP:
+        raise TooLarge(f"n={G.n} exceeds enumeration cap {ENUM_CAP}")
     lower_nbrs = [[u for u in row if u < v] for v, row in enumerate(G.adjacency.tolist())]
     out: list[Coloring] = []
     assigned = [0] * G.n

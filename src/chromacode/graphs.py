@@ -91,9 +91,6 @@ class RegularGraph:
         """Number of edges."""
         return self.n * self.d // 2
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.adjacency[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adjacency[u] == v).any())
 
@@ -148,14 +145,6 @@ class Signing:
     def random(cls, G: RegularGraph, seed) -> "Signing":
         rng = np.random.default_rng(seed)
         return cls(G.edges(), tuple(rng.choice((-1, 1), size=G.m).tolist()))
-
-    def sign_of(self, u: int, v: int) -> int:
-        e = (u, v) if u < v else (v, u)
-        idx = self.__dict__.get("_index")
-        if idx is None:
-            idx = {edge: i for i, edge in enumerate(self.edges)}
-            object.__setattr__(self, "_index", idx)
-        return self.signs[idx[e]]
 
 
 @dataclass(frozen=True)

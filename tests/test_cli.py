@@ -292,6 +292,17 @@ class TestRegimeMap:
         assert not out.exists()
         assert "family 0 must be an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("q", [None, 2, 1], ids=["missing", "q2", "q1"])
+    def test_bad_q_exit_2_before_output(self, tmp_path, capsys, q):
+        cfg = {"delta_grid": ["1/2"], "lambda_grid": ["9/10"]}
+        if q is not None:
+            cfg["q"] = q
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "map.csv"
+        assert run(["regime-map", "--config", path, "--out", out]) == 2
+        assert not out.exists()
+        assert '"q"' in capsys.readouterr().err
 
 
 class TestPinnedBytes:

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chromacode import codes
 from chromacode import colorings as col
 from chromacode.codes import (
     CodeSet,
@@ -132,9 +135,84 @@ class TestExactMaxPacking:
         exact, _ = exact_max_packing(G, 3, delta)
         assert exact >= len(greedy)
 
-    def test_clique_cap(self):
+    def test_clique_cap(self, monkeypatch):
+        monkeypatch.setattr(codes, "CLIQUE_CAP", 10)
         with pytest.raises(TooLarge):
-            exact_max_packing(cycle_graph(7), 3, Fraction(0), clique_cap=10)
+            exact_max_packing(cycle_graph(7), 3, Fraction(0))
+
+    def test_size_table(self, fixture_graphs):
+        # q = 3, every delta = k/n below 2/3, then 2/3 itself
+        table = {
+            "C5": [30, 5, 2, 1, 1],
+            "C6": [66, 11, 5, 3, 2],
+            "C7": [126, 21, 10, 4, 2, 1],
+            "prism": [12, 2, 2, 2, 1],
+            "K33": [42, 7, 2, 1, 1],
+            "petersen": [120, 20, 10, 5, 4, 2, 1, 1],
+        }
+        for name, want in table.items():
+            G = fixture_graphs[name]
+            deltas = [Fraction(k, G.n) for k in range(G.n) if Fraction(k, G.n) < Fraction(2, 3)]
+            got = [exact_max_packing(G, 3, d)[0] for d in deltas + [Fraction(2, 3)]]
+            assert got == want, name
+
+    def test_witness_is_canonical(self):
+        _, witness = exact_max_packing(cycle_graph(6), 3, Fraction(1, 3))
+        for X in witness.members:
+            first_seen = list(dict.fromkeys(X.colors.tolist()))
+            assert first_seen == list(range(len(first_seen)))
+
+
+# (graph, q) cases whose full-enumeration reference stays well under a second
+ORACLE_CASES = [
+    ("C4", 3), ("C5", 3), ("C6", 3), ("K4", 3), ("prism", 3), ("K33", 3),
+    ("C4", 4), ("C5", 4), ("K4", 4),
+]
+_FULL_DISTANCES: dict = {}
+
+
+def _full_reference(G, q, delta):
+    """Max clique over all proper colorings, relabeling twins included."""
+    key = (G.graph_key, q)
+    if key not in _FULL_DISTANCES:
+        cols = enumerate_proper(G, q)
+        dist = {(i, j): col.distance(cols[i], cols[j])[0]
+                for i in range(len(cols)) for j in range(i + 1, len(cols))}
+        _FULL_DISTANCES[key] = (len(cols), dist)
+    k, dist = _FULL_DISTANCES[key]
+    thr = distance_threshold(delta, G.n)
+    adj = [0] * k
+    for (i, j), d in dist.items():
+        if d >= thr:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return len(codes._max_clique(adj, k))
+
+
+class TestQuotientOracle:
+    @pytest.fixture(scope="class")
+    def oracle_graphs(self, fixture_graphs):
+        return {**fixture_graphs, "C4": cycle_graph(4)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(ORACLE_CASES), st.data())
+    def test_matches_full_enumeration(self, oracle_graphs, case, data):
+        name, q = case
+        G = oracle_graphs[name]
+        delta = Fraction(data.draw(st.integers(0, G.n)), G.n)
+        size, witness = exact_max_packing(G, q, delta)
+        assert size == _full_reference(G, q, delta) == len(witness)
+        if size:
+            assert verify_delta_distinct(witness).ok
+
+    @pytest.mark.parametrize("name,q", ORACLE_CASES)
+    def test_delta_zero_returns_every_coloring(self, oracle_graphs, name, q):
+        G = oracle_graphs[name]
+        cols = enumerate_proper(G, q)
+        size, witness = exact_max_packing(G, q, Fraction(0))
+        assert size == len(cols) == witness.provenance["colorings"]
+        assert list(witness.members) == cols
+        assert witness.min_dist == (0 if cols else None)
 
 
 class TestRate:
