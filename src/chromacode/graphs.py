@@ -422,12 +422,13 @@ def search_low_lambda_signing(
     the score improves, for at most SEARCH_MAX_PASSES passes. No lift is built:
     by Bilu-Linial 2006, spec(lift) = spec(A) U spec(A_s), so the lift's lambda2
     is max(lambda2(G), top eigenvalue of the signed matrix A_s), and that is
-    the score. Scores are compared rounded to 9 decimals, so candidates that
-    differ only by floating-point noise tie and the tie-breaks decide: within
-    a pass the lowest flip index among the best wins; across restarts the
-    smaller (rounded lambda, sign vector). Returns the best signing and its
-    lift's lambda2; no optimality guarantee. The result depends only on
-    (G, restarts, seed).
+    the score. Each restart builds A_s once, and a flip negates its two
+    entries in place. Scores are compared rounded to 9 decimals, so
+    candidates that differ only by floating-point noise tie and the
+    tie-breaks decide: within a pass the lowest flip index among the best
+    wins; across restarts the smaller (rounded lambda, sign vector). Returns
+    the best signing and its lift's lambda2; no optimality guarantee. The
+    result depends only on (G, restarts, seed).
     """
     from . import spectral  # local import: spectral depends on graphs
 
@@ -438,27 +439,32 @@ def search_low_lambda_signing(
     if restarts < 1:
         raise ValueError("signing search needs restarts >= 1")
     lam_base = spectral.lambda2(G)
+    u, v = G.edge_arrays()
 
-    def score(signs: np.ndarray) -> float:
-        top = np.linalg.eigvalsh(spectral.normalized_adjacency(G, signs))[-1]
-        return max(lam_base, float(top))
+    def score() -> float:
+        return max(lam_base, float(np.linalg.eigvalsh(A)[-1]))
+
+    def flip_edge(i: int) -> None:
+        signs[i] = -signs[i]
+        A[u[i], v[i]] = A[v[i], u[i]] = -A[u[i], v[i]]
 
     best = None  # ((rounded lambda, sign tuple), lambda)
     for r in range(restarts):
         child = (*seed, r) if isinstance(seed, tuple) else (seed, r)
         signs = np.random.default_rng(child).choice((-1, 1), size=G.m)
-        lam = score(signs)
+        A = spectral.normalized_adjacency(G, signs)  # A_s, kept in step with signs
+        lam = score()
         for _ in range(SEARCH_MAX_PASSES):
             flip, bar = None, round(lam, 9)
             for i in range(G.m):
-                signs[i] = -signs[i]
-                lam_c = score(signs)
-                signs[i] = -signs[i]
+                flip_edge(i)
+                lam_c = score()
+                flip_edge(i)
                 if round(lam_c, 9) < bar:
                     flip, lam_flip, bar = i, lam_c, round(lam_c, 9)
             if flip is None:
                 break
-            signs[flip] = -signs[flip]
+            flip_edge(flip)
             lam = lam_flip
         key = (round(lam, 9), tuple(signs.tolist()))
         if best is None or key < best[0]:

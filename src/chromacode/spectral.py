@@ -3,7 +3,8 @@
 full_spectrum is the dense LAPACK solver (all eigenpairs plus a residual) up
 to DENSE_CAP vertices; only the ``spectrum`` command needs it. lambda2 and
 lambda_min read the dense eigenvalues alone up to LANCZOS_MIN_N vertices and
-use sparse Lanczos (scipy's ARPACK eigsh) above that.
+above that run a numpy Lanczos iteration whose only access to the graph is
+the product with the neighbor array, so it needs nothing beyond numpy.
 Disconnected graphs and 0-regular graphs report lambda2 = 1 by convention.
 """
 from __future__ import annotations
@@ -18,6 +19,10 @@ from .graphs import RegularGraph
 
 DENSE_CAP = 4096
 LANCZOS_MIN_N = 256
+LANCZOS_TOL = 1e-10  # residual bound on the returned Ritz value
+LANCZOS_BASIS = 160  # Lanczos vectors kept before an explicit restart
+LANCZOS_CHECK = 16  # steps between convergence checks
+LANCZOS_MAX_STEPS = 10_000  # matrix-vector products before NoConvergence
 
 
 @dataclass(frozen=True)
@@ -84,31 +89,67 @@ def _extreme_eigenvalue(G: RegularGraph, which: str) -> float:
     """lambda2 (``which="LA"``) or lambda_min (``"SA"``) of a graph with d >= 1.
 
     Up to LANCZOS_MIN_N vertices the value is read off the dense eigenvalues
-    (no eigenvectors); above it, ARPACK's implicitly restarted Lanczos runs on
-    the sparse normalized adjacency from a start vector fixed by a constant
-    seed, so the result depends only on G.
+    (no eigenvectors). Above it, a Lanczos iteration with full
+    reorthogonalization (Paige 1972; Parlett, The Symmetric Eigenvalue
+    Problem) finds the top eigenvalue of sA, s = +1 for "LA" and -1 for "SA",
+    from the product A x = x[adjacency].sum(1) / d alone. For "LA" every
+    vector is projected onto the complement of the all-ones vector, so the top
+    Ritz value there is lambda2 itself, with multiplicity (lambda2 has ruled
+    out disconnected graphs). Every LANCZOS_CHECK steps the top eigenpair
+    (theta, y) of the tridiagonal T is taken; theta is returned once the
+    residual |A y - theta y| = beta_j |y_j| is at most LANCZOS_TOL, which by
+    Bauer-Fike also bounds the error of theta, or at once on a breakdown (an
+    invariant subspace). A full basis of LANCZOS_BASIS rows restarts from the
+    top Ritz vector; LANCZOS_MAX_STEPS products without convergence raise
+    NoConvergence with the last residual. The start vector comes from a
+    constant seed, so the result depends only on G.
     """
     if G.n <= LANCZOS_MIN_N:
         vals = np.linalg.eigvalsh(normalized_adjacency(G))  # ascending
         return float(vals[-2] if which == "LA" else vals[0])
-    # imported here, not at module level: scipy.sparse takes about 0.25 s to load
-    # and graphs at or below the cutoff never need it
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+    adj = G.adjacency
+    sign = 1.0 if which == "LA" else -1.0
+    deflate = which == "LA"
 
-    u, v = G.edge_arrays()
-    A = csr_matrix(
-        (np.full(2 * len(u), 1.0 / G.d), (np.concatenate([u, v]), np.concatenate([v, u]))),
-        shape=(G.n, G.n),
-    )
-    v0 = np.random.default_rng(0xC0DE).standard_normal(G.n)
-    try:
-        # the two largest are 1 and lambda2; the smallest alone is lambda_min
-        vals = eigsh(A, k=2 if which == "LA" else 1, which=which, v0=v0,
-                     return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
-        raise NoConvergence(f"Lanczos ({which}) did not converge on n={G.n}") from exc
-    return float(np.min(vals))
+    def unit(x: np.ndarray) -> np.ndarray:
+        if deflate:
+            x -= x.mean()
+        return x / np.linalg.norm(x)
+
+    V = np.empty((LANCZOS_BASIS, G.n))
+    v = unit(np.random.default_rng(0xC0DE).standard_normal(G.n))
+    steps = 0
+    while True:
+        V[0] = v
+        alpha: list[float] = []
+        beta: list[float] = []
+        for j in range(LANCZOS_BASIS):
+            w = V[j][adj].sum(axis=1) * (sign / G.d)
+            if deflate:
+                w -= w.mean()
+            steps += 1
+            alpha.append(float(V[j] @ w))
+            basis = V[: j + 1]
+            for _ in range(2):  # classical Gram-Schmidt, twice
+                w -= (basis @ w) @ basis
+            b = float(np.linalg.norm(w))
+            last = j + 1 == LANCZOS_BASIS
+            if b <= LANCZOS_TOL or last or (j + 1) % LANCZOS_CHECK == 0 \
+                    or steps >= LANCZOS_MAX_STEPS:
+                T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+                theta, S = np.linalg.eigh(T)
+                residual = b * abs(S[-1, -1])
+                if b <= LANCZOS_TOL or residual <= LANCZOS_TOL:
+                    return sign * float(theta[-1])
+                if steps >= LANCZOS_MAX_STEPS:
+                    raise NoConvergence(
+                        f"Lanczos ({which}) did not converge on n={G.n} after "
+                        f"{steps} steps (residual {residual:.3g})"
+                    )
+            if not last:
+                beta.append(b)
+                V[j + 1] = w / b
+        v = unit(S[:, -1] @ V)
 
 
 def lambda2(G: RegularGraph) -> float:

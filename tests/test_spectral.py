@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,14 +102,41 @@ class TestLambda2:
         assert lambda_min(G) == lambda_min(G)
 
     def test_no_convergence(self, monkeypatch):
-        import scipy.sparse.linalg
+        monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 5)
+        n = spectral.LANCZOS_MIN_N + 1
+        with pytest.raises(NoConvergence, match=rf"n={n} after 5 steps"):
+            lambda2(cycle_graph(n))
 
-        def stalled(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("stalled", [], [])
+    def test_restarted_cycle(self):
+        # C1001's gap is too small for one basis: the solver has to restart
+        n = 1001
+        G = cycle_graph(n)
+        assert lambda2(G) == pytest.approx(math.cos(2 * math.pi / n), abs=1e-9)
+        assert lambda_min(G) == pytest.approx(math.cos(1000 * math.pi / n), abs=1e-9)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
-        with pytest.raises(NoConvergence):
-            lambda2(cycle_graph(spectral.LANCZOS_MIN_N + 1))
+    def test_disconnected_above_cutoff(self):
+        two = build_from_edges(
+            400, [(o + i, o + (i + 1) % 200) for o in (0, 200) for i in range(200)]
+        )
+        assert two.n > spectral.LANCZOS_MIN_N
+        assert lambda2(two) == 1.0
+
+    def test_no_scipy_import(self):
+        # the sparse path runs on numpy alone; loading scipy.sparse.linalg costs
+        # about 0.3 s and 19 MB of peak RSS
+        src = str(Path(spectral.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "from chromacode.graphs import random_regular_bipartite\n"
+            "from chromacode.spectral import lambda2, lambda_min\n"
+            "G = random_regular_bipartite(1000, 4, seed=0)\n"
+            "assert G.n > 256 and lambda2(G) < 1 and lambda_min(G) < 0\n"
+            "assert 'scipy' not in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestLambdaMin:
