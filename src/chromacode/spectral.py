@@ -20,9 +20,10 @@ from .graphs import RegularGraph
 DENSE_CAP = 4096
 LANCZOS_MIN_N = 256
 LANCZOS_TOL = 1e-10  # residual bound on the returned Ritz value
-LANCZOS_BASIS = 160  # Lanczos vectors kept before an explicit restart
+LANCZOS_BASIS = 32  # Lanczos vectors held at once
+LANCZOS_KEEP = 16  # Ritz vectors kept across a thick restart
 LANCZOS_CHECK = 16  # steps between convergence checks
-LANCZOS_MAX_STEPS = 10_000  # matrix-vector products before NoConvergence
+LANCZOS_MAX_STEPS = 50_000  # matrix-vector products before NoConvergence
 
 
 @dataclass(frozen=True)
@@ -89,67 +90,77 @@ def _extreme_eigenvalue(G: RegularGraph, which: str) -> float:
     """lambda2 (``which="LA"``) or lambda_min (``"SA"``) of a graph with d >= 1.
 
     Up to LANCZOS_MIN_N vertices the value is read off the dense eigenvalues
-    (no eigenvectors). Above it, a Lanczos iteration with full
-    reorthogonalization (Paige 1972; Parlett, The Symmetric Eigenvalue
-    Problem) finds the top eigenvalue of sA, s = +1 for "LA" and -1 for "SA",
-    from the product A x = x[adjacency].sum(1) / d alone. For "LA" every
+    (no eigenvectors). Above it, a thick-restart Lanczos iteration with full
+    reorthogonalization (Paige 1972; Wu and Simon 2000) finds the top
+    eigenvalue of sA, s = +1 for "LA" and -1 for "SA", from the product
+    A x = (sum of x over each vertex's neighbors) / d alone. For "LA" every
     vector is projected onto the complement of the all-ones vector, so the top
     Ritz value there is lambda2 itself, with multiplicity (lambda2 has ruled
-    out disconnected graphs). Every LANCZOS_CHECK steps the top eigenpair
-    (theta, y) of the tridiagonal T is taken; theta is returned once the
-    residual |A y - theta y| = beta_j |y_j| is at most LANCZOS_TOL, which by
+    out disconnected graphs). Every LANCZOS_CHECK steps, and whenever the
+    LANCZOS_BASIS rows are full, the top eigenpair (theta, y) of the projected
+    matrix T is taken; theta is returned once the residual
+    |A y - theta y| = beta_j |y_j| is at most LANCZOS_TOL, which by
     Bauer-Fike also bounds the error of theta, or at once on a breakdown (an
-    invariant subspace). A full basis of LANCZOS_BASIS rows restarts from the
-    top Ritz vector; LANCZOS_MAX_STEPS products without convergence raise
-    NoConvergence with the last residual. The start vector comes from a
-    constant seed, so the result depends only on G.
+    invariant subspace). A full basis keeps its top LANCZOS_KEEP Ritz
+    vectors, T becomes their Ritz values bordered by their residual
+    couplings, and the iteration goes on from the residual direction, so
+    small spectral gaps (long cycles) still converge. LANCZOS_MAX_STEPS
+    products without convergence raise NoConvergence with the last residual.
+    The start vector comes from a constant seed, so the result depends only
+    on G.
     """
     if G.n <= LANCZOS_MIN_N:
         vals = np.linalg.eigvalsh(normalized_adjacency(G))  # ascending
         return float(vals[-2] if which == "LA" else vals[0])
-    adj = G.adjacency
+    columns = G.adjacency.T  # row i holds the i-th neighbor of every vertex
     sign = 1.0 if which == "LA" else -1.0
     deflate = which == "LA"
-
-    def unit(x: np.ndarray) -> np.ndarray:
-        if deflate:
-            x -= x.mean()
-        return x / np.linalg.norm(x)
-
-    V = np.empty((LANCZOS_BASIS, G.n))
-    v = unit(np.random.default_rng(0xC0DE).standard_normal(G.n))
-    steps = 0
+    m, k = LANCZOS_BASIS, LANCZOS_KEEP
+    V = np.empty((m, G.n))
+    T = np.zeros((m, m))
+    x = np.random.default_rng(0xC0DE).standard_normal(G.n)
+    if deflate:
+        x -= x.mean()
+    V[0] = x / np.linalg.norm(x)
+    j = steps = 0
     while True:
-        V[0] = v
-        alpha: list[float] = []
-        beta: list[float] = []
-        for j in range(LANCZOS_BASIS):
-            w = V[j][adj].sum(axis=1) * (sign / G.d)
-            if deflate:
-                w -= w.mean()
-            steps += 1
-            alpha.append(float(V[j] @ w))
-            basis = V[: j + 1]
-            for _ in range(2):  # classical Gram-Schmidt, twice
-                w -= (basis @ w) @ basis
-            b = float(np.linalg.norm(w))
-            last = j + 1 == LANCZOS_BASIS
-            if b <= LANCZOS_TOL or last or (j + 1) % LANCZOS_CHECK == 0 \
-                    or steps >= LANCZOS_MAX_STEPS:
-                T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-                theta, S = np.linalg.eigh(T)
-                residual = b * abs(S[-1, -1])
-                if b <= LANCZOS_TOL or residual <= LANCZOS_TOL:
-                    return sign * float(theta[-1])
-                if steps >= LANCZOS_MAX_STEPS:
-                    raise NoConvergence(
-                        f"Lanczos ({which}) did not converge on n={G.n} after "
-                        f"{steps} steps (residual {residual:.3g})"
-                    )
-            if not last:
-                beta.append(b)
-                V[j + 1] = w / b
-        v = unit(S[:, -1] @ V)
+        v = V[j]
+        w = v[columns[0]]
+        for col in columns[1:]:
+            w += v[col]
+        w *= sign / G.d
+        if deflate:
+            w -= w.mean()
+        steps += 1
+        T[j, j] = v @ w
+        basis = V[: j + 1]
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            w -= (basis @ w) @ basis
+        b = float(np.linalg.norm(w))
+        full = j + 1 == m
+        if b <= LANCZOS_TOL or full or steps % LANCZOS_CHECK == 0 \
+                or steps >= LANCZOS_MAX_STEPS:
+            theta, S = np.linalg.eigh(T[: j + 1, : j + 1])
+            residual = b * abs(S[-1, -1])
+            if b <= LANCZOS_TOL or residual <= LANCZOS_TOL:
+                return sign * float(theta[-1])
+            if steps >= LANCZOS_MAX_STEPS:
+                raise NoConvergence(
+                    f"Lanczos ({which}) did not converge on n={G.n} after "
+                    f"{steps} steps (residual {residual:.3g})"
+                )
+            if full:  # thick restart (Wu-Simon) from the top k Ritz pairs
+                for c in range(0, G.n, 4096):  # in place, no k x n temporary
+                    V[:k, c : c + 4096] = S[:, -k:].T @ V[:, c : c + 4096]
+                T[:] = 0.0
+                T[:k, :k] = np.diag(theta[-k:])
+                T[k, :k] = T[:k, k] = b * S[-1, -k:]
+                V[k] = w / b
+                j = k
+                continue
+        T[j, j + 1] = T[j + 1, j] = b
+        V[j + 1] = w / b
+        j += 1
 
 
 def lambda2(G: RegularGraph) -> float:

@@ -107,19 +107,14 @@ class TestLambda2:
         with pytest.raises(NoConvergence, match=rf"n={n} after 5 steps"):
             lambda2(cycle_graph(n))
 
-    def test_restarted_cycle(self):
-        # C1001's gap is too small for one basis: the solver has to restart
-        n = 1001
+    @pytest.mark.parametrize("n", [1001, 2001, 3001])
+    def test_restarted_cycle(self, n):
+        # a gap of order 1/n^2: one basis is not enough, so the solver has to
+        # restart, and C3001 needs about 4,000 steps (a restart from the top
+        # Ritz vector alone hit the step cap there)
         G = cycle_graph(n)
         assert lambda2(G) == pytest.approx(math.cos(2 * math.pi / n), abs=1e-9)
-        assert lambda_min(G) == pytest.approx(math.cos(1000 * math.pi / n), abs=1e-9)
-
-    def test_disconnected_above_cutoff(self):
-        two = build_from_edges(
-            400, [(o + i, o + (i + 1) % 200) for o in (0, 200) for i in range(200)]
-        )
-        assert two.n > spectral.LANCZOS_MIN_N
-        assert lambda2(two) == 1.0
+        assert lambda_min(G) == pytest.approx(math.cos((n - 1) * math.pi / n), abs=1e-9)
 
     def test_no_scipy_import(self):
         # the sparse path runs on numpy alone; loading scipy.sparse.linalg costs
@@ -150,6 +145,15 @@ class TestLambdaMin:
         assert lambda_min(cycle_graph(5)) == pytest.approx(
             math.cos(4 * math.pi / 5), abs=1e-9
         )
+
+    def test_disconnected_above_cutoff(self):
+        # C201 + C203: the iteration sees both components and must return the
+        # smaller one's value, -cos(pi/203), not C201's -cos(pi/201)
+        edges = [(i, (i + 1) % 201) for i in range(201)]
+        edges += [(201 + i, 201 + (i + 1) % 203) for i in range(203)]
+        two = build_from_edges(404, edges)
+        assert two.n > spectral.LANCZOS_MIN_N
+        assert lambda_min(two) == pytest.approx(-math.cos(math.pi / 203), abs=1e-9)
 
     def test_iterative_matches_dense(self):
         # non-bipartite graphs above the cutoff, where lambda_min > -1
