@@ -147,12 +147,14 @@ class TestLambdaMin:
         )
 
     def test_disconnected_above_cutoff(self):
-        # C201 + C203: the iteration sees both components and must return the
-        # smaller one's value, -cos(pi/203), not C201's -cos(pi/201)
+        # C201 + C203: lambda2 keeps the disconnected convention; lambda_min
+        # runs the iteration over both components and must return the smaller
+        # one's value, -cos(pi/203), not C201's -cos(pi/201)
         edges = [(i, (i + 1) % 201) for i in range(201)]
         edges += [(201 + i, 201 + (i + 1) % 203) for i in range(203)]
         two = build_from_edges(404, edges)
         assert two.n > spectral.LANCZOS_MIN_N
+        assert lambda2(two) == 1.0
         assert lambda_min(two) == pytest.approx(-math.cos(math.pi / 203), abs=1e-9)
 
     def test_iterative_matches_dense(self):
