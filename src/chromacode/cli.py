@@ -8,6 +8,7 @@ pack, regime-map) are deterministic given --seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -227,7 +228,12 @@ def cmd_certify(args) -> int:
 
 
 def _load_sweep_config(path: str, cli_seed: int) -> regimes.SweepConfig:
-    """Config JSON drives the sweep; its own "seed" key wins over --seed."""
+    """Config JSON drives the sweep; its own "seed" key wins over --seed.
+
+    Every check here runs before the sweep opens its output. Errors that need
+    a built family (a bad tau, d > half, restarts < 1) come later, when the
+    sweep builds it.
+    """
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -256,9 +262,13 @@ def _load_sweep_config(path: str, cli_seed: int) -> regimes.SweepConfig:
     q = int(raw["q"])
     if q < 3:
         raise ChromaError(f'sweep config "q" must be at least 3, got {q}')
+    delta_grid = tuple(Fraction(x) for x in raw.get("delta_grid", []))
+    for delta in delta_grid:
+        if not 0 <= delta <= 1 - Fraction(1, q):
+            raise ChromaError(f'sweep config "delta_grid" value {delta} outside [0, 1 - 1/{q}]')
     return regimes.SweepConfig(
         q=q,
-        delta_grid=tuple(Fraction(x) for x in raw.get("delta_grid", [])),
+        delta_grid=delta_grid,
         lambda_grid=tuple(Fraction(x) for x in raw.get("lambda_grid", [])),
         families=families,
         seed=int(raw["seed"]) if "seed" in raw else cli_seed,
@@ -286,18 +296,16 @@ def cmd_regime_map(args) -> int:
                         skip.add((cells[1], cells[2]))
     rows = regimes.regime_map_sweep(config, skip=skip)
     if args.out:
-        # stream rows so an interrupted sweep can be resumed
-        mode = "a" if resuming else "w"
-        with open(args.out, mode) as fh:
-            if not resuming:
-                fh.write(regimes.CSV_HEADER + "\n")
-            for pt in rows:
-                fh.write(regimes.regime_point_csv(pt) + "\n")
-                fh.flush()
+        out = open(args.out, "a" if resuming else "w")
     else:
-        sys.stdout.write(regimes.CSV_HEADER + "\n")
+        out = contextlib.nullcontext(sys.stdout)  # never closes stdout
+    with out as fh:
+        if not resuming:
+            fh.write(regimes.CSV_HEADER + "\n")
+        # stream rows so an interrupted sweep can be resumed
         for pt in rows:
-            sys.stdout.write(regimes.regime_point_csv(pt) + "\n")
+            fh.write(regimes.regime_point_csv(pt) + "\n")
+            fh.flush()
     return 0
 
 

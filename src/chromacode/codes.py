@@ -16,7 +16,7 @@ import numpy as np
 from . import colorings as col
 from . import graphs, spectral
 from .colorings import Coloring
-from .errors import ChromaError, MixedBinding, TooLarge
+from .errors import BadTau, ChromaError, MixedBinding, TooLarge
 from .graphs import RegularGraph
 
 CLIQUE_CAP = 2000
@@ -231,6 +231,8 @@ def list_sampler(members: Sequence[Coloring]) -> Sampler:
 
 def _biased_sampler(G: RegularGraph, q: int, tau=None) -> Sampler:
     tau = 1.0 / (8 * G.d * G.d) if tau is None else float(Fraction(tau))
+    if not 0.0 <= tau <= 1.0:
+        raise BadTau(f"tau={tau} outside [0, 1]")
     return lambda s: col.sample_bipartite_biased(G, q, tau, s)
 
 
@@ -271,7 +273,7 @@ def _build_tensor_lift(q: int, p: Mapping, seed) -> tuple[RegularGraph, Sampler]
 
 @dataclass(frozen=True)
 class FamilySpec:
-    params: Mapping[str, object]  # allowed keys and defaults; integer defaults coerce
+    params: Mapping[str, object]  # allowed keys and defaults; an integer default demands an int
     size_key: str                 # the param that empirical_f's sizes set
     label: str                    # format string over the params
     build: Callable[[int, Mapping, tuple], tuple[RegularGraph, Sampler]]
@@ -292,7 +294,12 @@ FAMILIES: dict[str, FamilySpec] = {
 
 @dataclass(frozen=True)
 class SweepFamily:
-    """One graph family from FAMILIES; ``params`` override its defaults."""
+    """One graph family from FAMILIES; ``params`` override its defaults.
+
+    Once made, ``params`` holds every param of the family. A param whose
+    default is an integer must be given as an int (not a bool); any other
+    key or value raises ChromaError naming the kind, the param and the value.
+    """
 
     kind: str
     params: Mapping = field(default_factory=dict)
@@ -309,22 +316,19 @@ class SweepFamily:
                 f"family {self.kind!r} has no param {', '.join(map(repr, unknown))}; "
                 f"allowed: {', '.join(spec.params)}"
             )
-
-    def values(self) -> dict:
-        """Every param of the family: the table defaults overridden by ``params``."""
-        defaults = FAMILIES[self.kind].params
-        return {
-            k: int(v) if isinstance(defaults[k], int) else v
-            for k, v in {**defaults, **self.params}.items()
-        }
+        values = {**spec.params, **self.params}
+        for k, v in values.items():
+            if isinstance(spec.params[k], int) and (type(v) is bool or not isinstance(v, int)):
+                raise ChromaError(f"family {self.kind!r} param {k!r} must be an integer, got {v!r}")
+        object.__setattr__(self, "params", values)
 
     def label(self) -> str:
-        return FAMILIES[self.kind].label.format(**self.values())
+        return FAMILIES[self.kind].label.format(**self.params)
 
     def build(self, q: int, seed: tuple) -> tuple[RegularGraph, Sampler]:
         """The family member for ``seed`` (used unchanged for the graph) and
         its sampler."""
-        return FAMILIES[self.kind].build(q, self.values(), seed)
+        return FAMILIES[self.kind].build(q, self.params, seed)
 
 
 @dataclass(frozen=True)

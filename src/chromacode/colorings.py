@@ -5,11 +5,12 @@ to a specific graph via the graph's content hash. Colors are 0-indexed
 everywhere; the modular gadget rule "i+1, i+2 mod q" is applied in 0-indexed
 arithmetic. Properness is not a type invariant (``is_proper`` checks it); the
 samplers here guarantee it by construction, each with one array pass over the
-vertices or the gadget table.
+vertices or the gadget table. ``distance`` picks its method from q alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 from typing import Sequence
 
@@ -76,15 +77,6 @@ class Coloring:
         return Coloring(self.q, np.asarray(sigma)[self.colors], self.graph_key)
 
 
-@dataclass(frozen=True, eq=False)
-class AgreementMatrix:
-    """q x q counts: counts[a, b] = #{v : X(v) = a, Y(v) = b}. Entries sum to n."""
-
-    q: int
-    n: int
-    counts: np.ndarray
-
-
 def make_coloring(G: RegularGraph, q: int, colors: Sequence[int]) -> Coloring:
     if len(colors) != G.n:
         raise BindingMismatch(f"{len(colors)} colors for a graph on {G.n} vertices")
@@ -113,61 +105,57 @@ def is_proper(G: RegularGraph, X: Coloring) -> tuple[bool, tuple[int, int] | Non
     return True, None
 
 
-def agreement_matrix(X: Coloring, Y: Coloring) -> AgreementMatrix:
+def agreement_matrix(X: Coloring, Y: Coloring) -> np.ndarray:
+    """q x q counts: M[a, b] = #{v : X(v) = a, Y(v) = b}. Entries sum to n."""
     _check_pair(X, Y)
     q = X.q
     flat = np.bincount(X.colors * q + Y.colors, minlength=q * q)
-    return AgreementMatrix(q, X.n, flat.reshape(q, q))
+    return flat.reshape(q, q)
 
 
-_PERMS: dict[int, np.ndarray] = {}
-
-
+@cache
 def _all_perms(q: int) -> np.ndarray:
     """All permutations of range(q) in lexicographic order, as an array."""
-    if q not in _PERMS:
-        _PERMS[q] = np.array(list(permutations(range(q))), dtype=np.int64)
-    return _PERMS[q]
+    return np.array(list(permutations(range(q))), dtype=np.int64)
 
 
-def distance(
-    X: Coloring, Y: Coloring, method: str = "auto"
-) -> tuple[int, tuple[int, ...]]:
+def _brute_max(M: np.ndarray) -> tuple[int, tuple[int, ...]]:
+    """Max over all q! sigmas of sum_b M[sigma(b), b], lexicographically first."""
+    q = len(M)
+    P = _all_perms(q)
+    agreements = M[P, np.arange(q)].sum(axis=1)
+    best = int(np.argmax(agreements))
+    return int(agreements[best]), tuple(P[best].tolist())
+
+
+def _assignment_max(M: np.ndarray) -> tuple[int, tuple[int, ...]]:
+    """The same maximum and sigma as ``_brute_max``, by a Hungarian assignment."""
+    q = len(M)
+    # Encode the lexicographic tie-break directly in the weights:
+    # maximize agreement * BASE - (value of sigma as a base-q numeral).
+    base = q**q + 1
+    counts = M.tolist()
+    weight = [
+        [counts[a][b] * base - a * q ** (q - 1 - b) for a in range(q)]
+        for b in range(q)
+    ]
+    _, row_to_col = max_weight_assignment(weight)
+    sigma = tuple(row_to_col)
+    return sum(counts[sigma[b]][b] for b in range(q)), sigma
+
+
+def distance(X: Coloring, Y: Coloring) -> tuple[int, tuple[int, ...]]:
     """Permutation-invariant distance min_sigma |{v : X(v) != sigma(Y(v))}|.
 
     Returns (distance, sigma) where sigma is the lexicographically smallest
-    color permutation (applied to Y) achieving it. ``method`` picks the
-    maximization path over the agreement matrix: "brute" enumerates all q!
-    permutations, "assignment" solves an exact Hungarian assignment, and
-    "auto" uses brute force for q <= 8.
+    color permutation (applied to Y) achieving it. The maximum agreement is
+    found by brute force over all q! permutations for q <= BRUTE_Q_CAP and by
+    an exact Hungarian assignment above that.
     """
     M = agreement_matrix(X, Y)
-    q, n = M.q, M.n
-    if method == "auto":
-        method = "brute" if q <= BRUTE_Q_CAP else "assignment"
-    if method == "brute":
-        if q > BRUTE_Q_CAP:
-            raise TooLarge(f"brute force over {q}! permutations refused")
-        P = _all_perms(q)
-        # agreement of sigma is sum_b M[sigma(b), b]
-        agreements = M.counts[P, np.arange(q)].sum(axis=1)
-        best = int(np.argmax(agreements))
-        sigma = tuple(P[best].tolist())
-        return n - int(agreements[best]), sigma
-    if method == "assignment":
-        # Encode the lexicographic tie-break directly in the weights:
-        # maximize agreement * BASE - (value of sigma as a base-q numeral).
-        base = q**q + 1
-        counts = M.counts.tolist()
-        weight = [
-            [counts[a][b] * base - a * q ** (q - 1 - b) for a in range(q)]
-            for b in range(q)
-        ]
-        _, row_to_col = max_weight_assignment(weight)
-        sigma = tuple(row_to_col)
-        agreement = sum(counts[sigma[b]][b] for b in range(q))
-        return n - agreement, sigma
-    raise ValueError(f"unknown method {method!r}")
+    solve = _brute_max if X.q <= BRUTE_Q_CAP else _assignment_max
+    agreement, sigma = solve(M)
+    return X.n - agreement, sigma
 
 
 def sample_gadget_coloring(G: RegularGraph, q: int, seed) -> Coloring:

@@ -76,7 +76,7 @@ class NoGadgetMeta(ChromaError):
 
 
 class BadTau(ChromaError):
-    """Bias parameter tau outside [0, 1)."""
+    """Bias parameter tau outside [0, 1]."""
 
 
 class BadPartSize(ChromaError):

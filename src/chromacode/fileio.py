@@ -3,8 +3,9 @@
 Graph format: line 1 "n d", optional line 2 "parts: 0 1 0 ...", then one
 "u v" edge per line, 0-indexed with u < v. A JSON sidecar "<path>.json"
 written next to a graph carries construction provenance (gadget blocks,
-tensor parameters, ...) and is restored on load so meta-dependent samplers
-keep working after a round trip.
+tensor parameters, ...); ``read_graph`` always restores it, with JSON lists
+turned back into tuples, so meta-dependent samplers keep working after a
+round trip.
 """
 from __future__ import annotations
 
@@ -51,15 +52,8 @@ def graph_from_text(text: str, meta: Mapping | None = None) -> RegularGraph:
     return G
 
 
-def _freeze_meta(meta) -> object:
-    if isinstance(meta, Mapping):
-        return {k: _freeze_meta(v) for k, v in meta.items()}
-    if isinstance(meta, (list, tuple)):
-        return [_freeze_meta(x) for x in meta]
-    return meta
-
-
 def _thaw_meta(meta) -> object:
+    """JSON lists back to the tuples the constructions store in ``meta``."""
     if isinstance(meta, Mapping):
         return {k: _thaw_meta(v) for k, v in meta.items()}
     if isinstance(meta, list):
@@ -73,20 +67,21 @@ def write_graph(path: str, G: RegularGraph, sidecar: Mapping | None = None) -> N
         fh.write(graph_to_text(G))
     payload = {"graph_key": G.graph_key, "n": G.n, "d": G.d}
     if G.meta is not None:
-        payload["meta"] = _freeze_meta(G.meta)
+        payload["meta"] = G.meta
     if sidecar:
-        payload.update(_freeze_meta(sidecar))
+        payload.update(sidecar)
     with open(path + ".json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def read_graph(path: str, load_sidecar: bool = True) -> RegularGraph:
+def read_graph(path: str) -> RegularGraph:
+    """Read a graph file and restore ``meta`` from its sidecar, if there is one."""
     with open(path) as fh:
         text = fh.read()
     meta = None
     sidecar = path + ".json"
-    if load_sidecar and os.path.exists(sidecar):
+    if os.path.exists(sidecar):
         with open(sidecar) as fh:
             payload = json.load(fh)
         meta = payload.get("meta")
@@ -143,7 +138,7 @@ def codeset_payload(C: CodeSet, graph_key: str) -> dict:
         "size": len(C.members),
         "min_dist": C.min_dist,
         "members": [X.colors.tolist() for X in C.members],
-        "provenance": _freeze_meta(dict(C.provenance)),
+        "provenance": dict(C.provenance),
     }
 
 

@@ -34,6 +34,7 @@ from .errors import (
 EXPANSION_CAP = 24       # exhaustive edge-expansion limit (2^(n-1) subsets)
 TENSOR_SIZE_CAP = 4096   # vertex cap for tensor powers
 SEARCH_MAX_PASSES = 200  # greedy flip passes per signing-search restart
+PERM_REDRAWS = 20        # whole redraws of a colliding permutation before repair
 
 
 def _frozen(values, shape) -> np.ndarray:
@@ -243,7 +244,7 @@ def cycle_graph(n: int) -> RegularGraph:
     )
 
 
-def tensor_power(q: int, N: int, size_cap: int = TENSOR_SIZE_CAP) -> RegularGraph:
+def tensor_power(q: int, N: int) -> RegularGraph:
     """Graph on q-ary N-tuples, adjacent iff the tuples differ in every coordinate.
 
     Vertex id encodes the tuple in base q, most significant digit first, so
@@ -252,8 +253,8 @@ def tensor_power(q: int, N: int, size_cap: int = TENSOR_SIZE_CAP) -> RegularGrap
     if q < 2 or N < 1:
         raise ValueError("tensor power needs q >= 2 and N >= 1")
     n = q**N
-    if n > size_cap:
-        raise SizeCap(f"q^N = {n} exceeds cap {size_cap}")
+    if n > TENSOR_SIZE_CAP:
+        raise SizeCap(f"q^N = {n} exceeds cap {TENSOR_SIZE_CAP}")
     weights = [q ** (N - 1 - i) for i in range(N)]
     edges = []
     for u in range(n):
@@ -300,16 +301,11 @@ def gadget_expand(H: RegularGraph) -> RegularGraph:
     return build_from_edges(n, edges, meta=meta)
 
 
-def random_regular_bipartite(
-    half: int,
-    d: int,
-    seed,
-    retries: int = 20,
-) -> RegularGraph:
+def random_regular_bipartite(half: int, d: int, seed) -> RegularGraph:
     """Random simple d-regular bipartite graph on 2*half vertices.
 
     Sampled as the union of d permutations between the parts. Each new
-    permutation is redrawn whole up to ``retries`` times while it duplicates
+    permutation is redrawn whole up to PERM_REDRAWS times while it duplicates
     an existing edge; a still-colliding draw is then completed into a valid
     permutation by augmenting paths over the not-yet-used values (such a
     completion always exists for d <= half). Deterministic given seed.
@@ -321,7 +317,7 @@ def random_regular_bipartite(
     rng = np.random.default_rng(seed)
     perms = np.empty((0, half), dtype=np.int64)  # row k: the values of permutation k
     for _ in range(d):
-        for _ in range(retries):
+        for _ in range(PERM_REDRAWS):
             perm = rng.permutation(half)
             clash = (perms == perm).any(axis=0)
             if not clash.any():
@@ -473,9 +469,7 @@ def search_low_lambda_signing(
     return Signing(G.edges(), signs), lam
 
 
-def edge_expansion_exact(
-    G: RegularGraph, cap: int = EXPANSION_CAP
-) -> tuple[float, tuple[int, ...]]:
+def edge_expansion_exact(G: RegularGraph) -> tuple[float, tuple[int, ...]]:
     """Exact edge expansion h(G) = min_{0<|S|<=n/2} |E(S, V\\S)| / |S|.
 
     Enumerates subsets containing vertex 0 (complement symmetry halves the
@@ -483,8 +477,8 @@ def edge_expansion_exact(
     minimum ratio and a minimizing set of size <= n/2.
     """
     n = G.n
-    if n > cap:
-        raise TooLarge(f"n={n} exceeds exhaustive cap {cap}")
+    if n > EXPANSION_CAP:
+        raise TooLarge(f"n={n} exceeds exhaustive cap {EXPANSION_CAP}")
     if n < 2:
         raise ValueError("edge expansion needs n >= 2")
     nbr = [sum(1 << u for u in row) for row in G.adjacency.tolist()]

@@ -3,7 +3,9 @@
 Classification is evidence-based and finite: "certified-unique" means the
 exact rational certificate inequality holds, "counterexample-exists" means a
 concrete graph with measured lambda2 <= lambda carries >= 2 colorings at the
-required distance, and "unknown" is an honest third state.
+required distance, and "unknown" is an honest third state. The exhaustive
+checks read their caps, SIGMA_Q_CAP (q! permutations) and CLASS_CAP (q^K
+color classes), from this module at call time.
 """
 from __future__ import annotations
 
@@ -192,24 +194,23 @@ class PartitionReport:
     lambda2: float
 
 
-def near_independent_partition(
-    G: RegularGraph, C: CodeSet, gamma: float, class_cap: int = CLASS_CAP
-) -> PartitionReport:
+def near_independent_partition(G: RegularGraph, C: CodeSet, gamma: float) -> PartitionReport:
     """Partition the heavy color classes of a code into near-independent groups.
 
     Vertices are classed by their color vector alpha under the K = |C|
     colorings; classes with w >= gamma are joined whenever they agree on some
     coordinate, and the connected components S_1..S_t are returned with
-    measured w and e. Checks that classes agreeing on a coordinate have zero
-    crossing edges (forced by properness) and that cross-component classes
-    disagree everywhere. The quantitative (3/gamma)^(q^K) lambda2 bound is
-    reported, not asserted.
+    measured w and e; classes in different components therefore disagree on
+    every coordinate. Checks that classes agreeing on a coordinate have zero
+    crossing edges (forced by properness). The quantitative (3/gamma)^(q^K)
+    lambda2 bound is reported, not asserted. Raises TooManyClasses when q^K
+    exceeds CLASS_CAP.
     """
     codes._check_members(C.members)
     K = len(C.members)
     q = C.members[0].q
-    if q**K > class_cap:
-        raise TooManyClasses(f"q^K = {q**K} exceeds cap {class_cap}")
+    if q**K > CLASS_CAP:
+        raise TooManyClasses(f"q^K = {q**K} exceeds cap {CLASS_CAP}")
     n = G.n
     vectors = np.stack([X.colors for X in C.members], axis=1).tolist()
     classes: dict[tuple[int, ...], list[int]] = {}
@@ -218,6 +219,7 @@ def near_independent_partition(
     heavy = {a: vs for a, vs in classes.items() if len(vs) / n >= gamma}
     light_weight = sum(len(vs) for a, vs in classes.items() if a not in heavy) / n
     keys = sorted(heavy)
+    vertex_sets = {a: set(vs) for a, vs in heavy.items()}
     # union-find over heavy classes; join iff they agree on >= 1 coordinate
     parent = list(range(len(keys)))
 
@@ -230,18 +232,7 @@ def near_independent_partition(
     for i in range(len(keys)):
         for j in range(i + 1, len(keys)):
             if any(keys[i][t] == keys[j][t] for t in range(K)):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(keys)):
-        groups.setdefault(find(i), []).append(i)
-
-    # properness forces zero edges between classes that agree somewhere
-    vertex_sets = {a: set(vs) for a, vs in heavy.items()}
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            if any(keys[i][t] == keys[j][t] for t in range(K)):
+                # properness forces zero edges between classes that agree somewhere
                 cross = graphs.subset_measures(
                     G, vertex_sets[keys[i]], vertex_sets[keys[j]]
                 ).cross_edges
@@ -250,9 +241,15 @@ def near_independent_partition(
                         f"classes {keys[i]} and {keys[j]} agree on a coordinate "
                         f"but share {cross} edges (colorings not proper?)"
                     )
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    groups: dict[int, list[int]] = {}
+    for i in range(len(keys)):
+        groups.setdefault(find(i), []).append(i)
+
     comps = []
-    roots = sorted(groups)
-    for r in roots:
+    for r in sorted(groups):
         idxs = groups[r]
         union = set()
         for i in idxs:
@@ -266,13 +263,6 @@ def near_independent_partition(
                 e_within=meas.e_within,
             )
         )
-    # cross-component classes must disagree on every coordinate
-    for a in range(len(roots)):
-        for b in range(a + 1, len(roots)):
-            for i in groups[roots[a]]:
-                for j in groups[roots[b]]:
-                    if any(keys[i][t] == keys[j][t] for t in range(K)):
-                        raise AssertionError("agreeing classes ended up in different components")
     lam2 = spectral.lambda2(G)
     try:
         edge_bound = (3.0 / gamma) ** (q**K) * lam2 if gamma > 0 else math.inf

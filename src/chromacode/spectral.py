@@ -205,12 +205,13 @@ class CheegerResult:
     ok: bool
 
 
-def cheeger_check(G: RegularGraph, tol: float = 1e-9) -> CheegerResult:
-    """Exact h(G) against the spectral sandwich d(1-l2)/2 <= h <= d sqrt(2(1-l2))."""
+def cheeger_check(G: RegularGraph) -> CheegerResult:
+    """Exact h(G) against the spectral sandwich d(1-l2)/2 <= h <= d sqrt(2(1-l2)),
+    each side with 1e-9 slack for float rounding."""
     h, _ = graphs.edge_expansion_exact(G)
     lam2 = lambda2(G)
     gap = max(0.0, 1.0 - lam2)
     lower = G.d * gap / 2.0
     upper = G.d * (2.0 * gap) ** 0.5
-    ok = (lower <= h + tol) and (h <= upper + tol)
+    ok = (lower <= h + 1e-9) and (h <= upper + 1e-9)
     return CheegerResult(lower, h, upper, ok)

@@ -255,7 +255,10 @@ class TestRegimeMap:
     @pytest.mark.parametrize(
         "family,named",
         [({"kind": "gadget", "base-half": 4}, "base_half"),
-         ({"kind": "random-bipartite"}, "biased")],
+         ({"kind": "random-bipartite"}, "biased"),
+         ({"kind": "layered-pair", "d": 6.9, "m": 10}, "'d' must be an integer, got 6.9"),
+         ({"kind": "layered-pair", "d": True, "m": 10}, "'d' must be an integer, got True"),
+         ({"kind": "tensor-lift", "lifts": "x"}, "'lifts' must be an integer, got 'x'")],
     )
     def test_bad_family_exit_2_before_output(self, tmp_path, capsys, family, named):
         cfg = self.write_config(tmp_path, families=[family])
@@ -291,6 +294,24 @@ class TestRegimeMap:
         assert run(["regime-map", "--config", cfg, "--out", out]) == 2
         assert not out.exists()
         assert "family 0 must be an object" in capsys.readouterr().err
+
+    def test_delta_out_of_range_exit_2_before_output(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q": 3, "delta_grid": ["1/2", "9/10"], "lambda_grid": ["1/5"]}))
+        out = tmp_path / "map.csv"
+        assert run(["regime-map", "--config", cfg, "--out", out]) == 2
+        assert not out.exists()
+        assert "9/10" in capsys.readouterr().err
+
+    def test_tau_out_of_range_exit_2(self, tmp_path, capsys):
+        # the biased graph's lambda2 is above 1/2, so no point ever samples it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "q": 3, "delta_grid": ["1/4"], "lambda_grid": ["1/2"],
+            "families": [{"kind": "biased", "tau": "2"}],
+        }))
+        assert run(["regime-map", "--config", cfg, "--out", tmp_path / "map.csv"]) == 2
+        assert "tau=2.0 outside [0, 1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("q", [None, 2, 1], ids=["missing", "q2", "q1"])
     def test_bad_q_exit_2_before_output(self, tmp_path, capsys, q):

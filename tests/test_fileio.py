@@ -20,7 +20,7 @@ class TestRoundTrip:
         for seed in range(5):
             assert sample_gadget_coloring(H, 3, seed) == sample_gadget_coloring(G, 3, seed)
         with pytest.raises(NoGadgetMeta):
-            sample_gadget_coloring(fileio.read_graph(path, load_sidecar=False), 3, 0)
+            sample_gadget_coloring(fileio.graph_from_text((tmp_path / "g.graph").read_text()), 3, 0)
 
     def test_bipartite_graph_keeps_parts(self, tmp_path):
         G = random_regular_bipartite(6, 2, seed=3)
