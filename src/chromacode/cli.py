@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -230,9 +231,8 @@ def cmd_certify(args) -> int:
 def _load_sweep_config(path: str, cli_seed: int) -> regimes.SweepConfig:
     """Config JSON drives the sweep; its own "seed" key wins over --seed.
 
-    Every check here runs before the sweep opens its output. Errors that need
-    a built family (a bad tau, d > half, restarts < 1) come later, when the
-    sweep builds it.
+    Only the JSON shape is checked here; SweepFamily and SweepConfig check
+    the values.
     """
     with open(path) as fh:
         raw = json.load(fh)
@@ -245,6 +245,8 @@ def _load_sweep_config(path: str, cli_seed: int) -> regimes.SweepConfig:
             f"unknown sweep config key(s) {', '.join(map(repr, unknown))}; "
             f"allowed: {', '.join(allowed)}"
         )
+    if "q" not in raw:
+        raise ChromaError('sweep config needs "q", the number of colors (at least 3)')
     entries = raw.get("families", [])
     if not isinstance(entries, list):
         raise ChromaError("sweep config \"families\" must be a list of objects")
@@ -257,53 +259,34 @@ def _load_sweep_config(path: str, cli_seed: int) -> regimes.SweepConfig:
         codes.SweepFamily(kind=f["kind"], params={k: v for k, v in f.items() if k != "kind"})
         for f in entries
     )
-    if "q" not in raw:
-        raise ChromaError('sweep config needs "q", the number of colors (at least 3)')
-    q = int(raw["q"])
-    if q < 3:
-        raise ChromaError(f'sweep config "q" must be at least 3, got {q}')
-    delta_grid = tuple(Fraction(x) for x in raw.get("delta_grid", []))
-    for delta in delta_grid:
-        if not 0 <= delta <= 1 - Fraction(1, q):
-            raise ChromaError(f'sweep config "delta_grid" value {delta} outside [0, 1 - 1/{q}]')
-    return regimes.SweepConfig(
-        q=q,
-        delta_grid=delta_grid,
-        lambda_grid=tuple(Fraction(x) for x in raw.get("lambda_grid", [])),
-        families=families,
-        seed=int(raw["seed"]) if "seed" in raw else cli_seed,
-        budget=int(raw.get("budget", 400)),
-        target=int(raw.get("target", 8)),
-    )
+    return regimes.SweepConfig(**{"seed": cli_seed, **raw, "families": families})
 
 
 def cmd_regime_map(args) -> int:
     config = _load_sweep_config(args.config, args.seed)
-    skip: set[tuple[str, str]] = set()
-    resuming = False
+    complete = b""
     if args.resume and args.out and os.path.exists(args.out):
-        with open(args.out, "rb+") as fh:
-            # only newline-terminated lines are complete; a cut-off tail is dropped
+        with open(args.out, "rb") as fh:
             data = fh.read()
-            complete = data[: data.rfind(b"\n") + 1]
-            lines = complete.decode().splitlines()
-            resuming = lines[:1] == [regimes.CSV_HEADER]
-            if resuming:
-                fh.truncate(len(complete))
-                for line in lines[1:]:
-                    cells = line.split(",")
-                    if len(cells) >= 3:
-                        skip.add((cells[1], cells[2]))
+        # only newline-terminated lines are complete; a cut-off tail is dropped
+        complete = data[: data.rfind(b"\n") + 1]
+    lines = complete.decode().splitlines()
+    resuming = lines[:1] == [regimes.CSV_HEADER]
+    skip = {tuple(ln.split(",")[1:3]) for ln in lines[1:]} if resuming else set()
     rows = regimes.regime_map_sweep(config, skip=skip)
+    # the first row builds every family, so any error exits before output
+    first = list(itertools.islice(rows, 1))
     if args.out:
         out = open(args.out, "a" if resuming else "w")
     else:
         out = contextlib.nullcontext(sys.stdout)  # never closes stdout
     with out as fh:
-        if not resuming:
+        if resuming:
+            fh.truncate(len(complete))
+        else:
             fh.write(regimes.CSV_HEADER + "\n")
         # stream rows so an interrupted sweep can be resumed
-        for pt in rows:
+        for pt in itertools.chain(first, rows):
             fh.write(regimes.regime_point_csv(pt) + "\n")
             fh.flush()
     return 0
@@ -395,10 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ChromaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (ChromaError, OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

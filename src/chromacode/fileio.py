@@ -3,9 +3,9 @@
 Graph format: line 1 "n d", optional line 2 "parts: 0 1 0 ...", then one
 "u v" edge per line, 0-indexed with u < v. A JSON sidecar "<path>.json"
 written next to a graph carries construction provenance (gadget blocks,
-tensor parameters, ...); ``read_graph`` always restores it, with JSON lists
-turned back into tuples, so meta-dependent samplers keep working after a
-round trip.
+tensor parameters, ...); ``read_graph`` always restores it as ``meta``, so
+meta-dependent samplers keep working after a round trip. The constructions
+store only JSON types there, so a reloaded meta equals the built one.
 """
 from __future__ import annotations
 
@@ -46,19 +46,10 @@ def graph_from_text(text: str, meta: Mapping | None = None) -> RegularGraph:
     for ln in lines[idx:]:
         u, v = ln.split()
         edges.append((int(u), int(v)))
-    G = graphs.build_from_edges(n, edges, part_labels=parts, meta=_thaw_meta(meta))
+    G = graphs.build_from_edges(n, edges, part_labels=parts, meta=meta)
     if G.d != d:
         raise ValueError(f"header says d={d} but edges give d={G.d}")
     return G
-
-
-def _thaw_meta(meta) -> object:
-    """JSON lists back to the tuples the constructions store in ``meta``."""
-    if isinstance(meta, Mapping):
-        return {k: _thaw_meta(v) for k, v in meta.items()}
-    if isinstance(meta, list):
-        return tuple(_thaw_meta(x) for x in meta)
-    return meta
 
 
 def write_graph(path: str, G: RegularGraph, sidecar: Mapping | None = None) -> None:

@@ -291,13 +291,9 @@ def gadget_expand(H: RegularGraph) -> RegularGraph:
             for c in (v, v2, v3):
                 if (a, c) != (u, v):
                     edges.append((a, c))
-        gadgets.append((x, y, (u, u2, u3), (v, v2, v3)))
-    meta = {
-        "kind": "gadget",
-        "base_n": H.n,
-        "base_key": H.graph_key,
-        "gadgets": tuple(gadgets),
-    }
+        gadgets.append([x, y, [u, u2, u3], [v, v2, v3]])
+    # JSON lists, so a meta reloaded from the sidecar equals this one
+    meta = {"kind": "gadget", "base_n": H.n, "base_key": H.graph_key, "gadgets": gadgets}
     return build_from_edges(n, edges, meta=meta)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import codes, colorings as col, graphs, spectral
 from .codes import CodeSet, SweepFamily
 from .colorings import Coloring
-from .errors import OutOfRange, PreconditionFail, QTooLarge, TooManyClasses
+from .errors import ChromaError, OutOfRange, PreconditionFail, QTooLarge, TooManyClasses
 from .graphs import RegularGraph
 
 SIGMA_Q_CAP = 8
@@ -38,13 +38,6 @@ class RegimePoint:
     q: int
     classification: str
     evidence: Mapping = field(default_factory=dict)
-
-    def __post_init__(self):
-        # the nontrivial region: distances are capped at (1 - 1/q) n
-        if not (0 <= self.delta <= 1 - Fraction(1, self.q)):
-            raise OutOfRange(
-                f"delta={self.delta} outside [0, 1 - 1/{self.q}]"
-            )
 
 
 @dataclass(frozen=True)
@@ -307,13 +300,40 @@ def hoffman_bound(G: RegularGraph) -> float:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A (delta, lambda) sweep, checked and normalised when made.
+
+    ``q``, ``seed``, ``budget`` and ``target`` must be ints (not bools), at
+    least 3 for ``q`` and 0 for the rest. Each grid is a list or tuple of
+    rationals, stored as a tuple of Fractions: delta in [0, 1 - 1/q], where
+    distances stop, and lambda in [-1, 1], where normalized eigenvalues lie.
+    """
+
     q: int
-    delta_grid: tuple[Fraction, ...]
-    lambda_grid: tuple[Fraction, ...]
-    families: tuple[SweepFamily, ...]
+    delta_grid: tuple[Fraction, ...] = ()
+    lambda_grid: tuple[Fraction, ...] = ()
+    families: tuple[SweepFamily, ...] = ()
     seed: int = 0
     budget: int = 400
     target: int = 8
+
+    def __post_init__(self):
+        for name, low in (("q", 3), ("seed", 0), ("budget", 0), ("target", 0)):
+            v = getattr(self, name)
+            if type(v) is bool or not isinstance(v, int) or v < low:
+                raise ChromaError(f'sweep config "{name}" must be an integer >= {low}, got {v!r}')
+        for name, lo, hi in (("delta_grid", 0, 1 - Fraction(1, self.q)), ("lambda_grid", -1, 1)):
+            grid = getattr(self, name)
+            if not isinstance(grid, (list, tuple)):
+                raise ChromaError(f'sweep config "{name}" must be a list, got {grid!r}')
+            try:
+                values = tuple(map(Fraction, grid))
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ChromaError(f'sweep config "{name}" holds a non-rational: {exc}') from None
+            for x in values:
+                if not lo <= x <= hi:
+                    raise OutOfRange(f'sweep config "{name}" value {x} outside [{lo}, {hi}]')
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "families", tuple(self.families))
 
 
 CSV_HEADER = "q,delta,lambda,classification,evidence_kind,n,lambda2_measured,code_size,min_dist"
@@ -342,8 +362,6 @@ def regime_map_sweep(
         for lam in config.lambda_grid:
             if skip and (str(delta), str(lam)) in skip:
                 continue
-            delta = Fraction(delta)
-            lam = Fraction(lam)
             if lo <= delta <= hi and 0 < lam < 1:
                 cert = unique_regime_certificate(q, delta, lam)
                 if cert.certified:

@@ -4,12 +4,13 @@ from pathlib import Path
 import pytest
 
 from chromacode import fileio, graphs
-from chromacode.cli import main
-from chromacode.colorings import coordinate_colorings, make_coloring
-from chromacode.graphs import complete_graph, tensor_power
+from chromacode.cli import _load_sweep_config, main
+from chromacode.colorings import coordinate_colorings, is_proper, make_coloring
+from chromacode.graphs import Signing, complete_graph, gadget_expand, tensor_power, two_lift
 
 
 EXPECTED = Path(__file__).parent / "expected"
+ROOT = Path(__file__).parent.parent
 
 
 def run(args):
@@ -57,6 +58,30 @@ class TestConstruct:
         assert (G.n, G.d) == (18, 4)
         sidecar = json.loads((tmp_path / "lift.graph.json").read_text())
         assert "lambda2" in sidecar
+
+    def test_complete_to_stdout(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["construct", "complete", "--q", 4]) == 0
+        assert capsys.readouterr().out == fileio.graph_to_text(complete_graph(4))
+        assert list(tmp_path.iterdir()) == []  # no sidecar without --out
+
+    def test_gadget_base_file(self, tmp_path, fixture_graphs):
+        base, out = tmp_path / "petersen.graph", tmp_path / "g.graph"
+        fileio.write_graph(str(base), fixture_graphs["petersen"])
+        assert run(["construct", "gadget", "--base", base, "--out", out]) == 0
+        G, want = fileio.read_graph(str(out)), gadget_expand(fixture_graphs["petersen"])
+        assert G == want and G.meta == want.meta
+
+    def test_two_lift_signing_file_and_all_plus_default(self, tmp_path, tensor_file):
+        base = fileio.read_graph(tensor_file)
+        signing = Signing.random(base, seed=3)
+        spath, out = tmp_path / "s.txt", tmp_path / "lift.graph"
+        fileio.write_signing(str(spath), signing)
+        assert run(["construct", "two-lift", "--graph", tensor_file, "--signing", spath,
+                    "--out", out]) == 0
+        assert fileio.read_graph(str(out)) == two_lift(base, signing)
+        assert run(["construct", "two-lift", "--graph", tensor_file, "--out", out]) == 0
+        assert fileio.read_graph(str(out)) == two_lift(base, Signing.all_plus(base))
 
     def test_bad_params_exit_2(self, tmp_path):
         assert run(["construct", "tensor", "--q", 3]) == 2  # missing --N
@@ -120,6 +145,21 @@ class TestVerify:
             ["verify", "--graph", tensor_file, xp, yp, "--delta", "7/10"]
         ) == 1
 
+    def test_json_format(self, tmp_path, tensor_file, capsys):
+        G = fileio.read_graph(tensor_file)
+        X, Y = coordinate_colorings(3, 2, G)
+        xp, yp = tmp_path / "x.json", tmp_path / "y.json"
+        fileio.write_coloring(str(xp), X)
+        fileio.write_coloring(str(yp), Y)
+        assert run(["verify", "--graph", tensor_file, xp, yp, "--delta", "2/3",
+                    "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "graph": G.graph_key, "n": 9, "colorings": 2,
+            "proper": [{"index": i, "proper": True, "violating_edge": None} for i in (0, 1)],
+            "distances": [{"pair": [0, 1], "distance": 6}],
+            "delta": "2/3", "threshold": 6, "min_dist": 6, "delta_distinct": True, "ok": True,
+        }
+
     def test_mismatched_n_exit_2(self, tmp_path, tensor_file):
         C5 = graphs.cycle_graph(5)
         X = make_coloring(C5, 3, [0, 1, 0, 1, 2])
@@ -180,6 +220,20 @@ class TestExactF:
         payload = json.loads(capsys.readouterr().out)
         assert payload["size"] == 5
         assert payload["proper_colorings"] == 30
+        assert "witness" not in payload
+
+    def test_with_witness(self, tmp_path, capsys):
+        path = tmp_path / "c5.graph"
+        G = graphs.cycle_graph(5)
+        fileio.write_graph(str(path), G)
+        assert run(["exact-f", "--graph", path, "--q", 3, "--delta", "2/5",
+                    "--with-witness"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        members = [make_coloring(G, 3, colors) for colors in payload["witness"]]
+        assert len(members) == payload["size"] >= 2
+        assert all(is_proper(G, X)[0] for X in members)
+        # canonical representatives: colors first appear as 0, 1, 2
+        assert all(list(dict.fromkeys(X.colors.tolist())) == [0, 1, 2] for X in members)
 
 
 class TestCertify:
@@ -199,7 +253,7 @@ class TestCertify:
 
 
 class TestRegimeMap:
-    def write_config(self, tmp_path, families=()):
+    def write_config(self, tmp_path, families=(), **override):
         cfg = {
             "q": 3,
             "delta_grid": ["1/4", "1/2", "2/3"],
@@ -208,6 +262,7 @@ class TestRegimeMap:
             "seed": 5,
             "budget": 150,
             "target": 4,
+            **override,
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -310,8 +365,51 @@ class TestRegimeMap:
             "q": 3, "delta_grid": ["1/4"], "lambda_grid": ["1/2"],
             "families": [{"kind": "biased", "tau": "2"}],
         }))
-        assert run(["regime-map", "--config", cfg, "--out", tmp_path / "map.csv"]) == 2
+        out = tmp_path / "map.csv"
+        assert run(["regime-map", "--config", cfg, "--out", out]) == 2
+        assert not out.exists()
         assert "tau=2.0 outside [0, 1]" in capsys.readouterr().err
+
+    # every value error exits before any output, whichever check finds it
+    @pytest.mark.parametrize(
+        "override,named",
+        [({"q": 3.7}, '"q"'),
+         ({"budget": True}, '"budget"'),
+         ({"seed": 7.9}, '"seed"'),
+         ({"seed": -1}, '"seed"'),
+         ({"lambda_grid": ["3"]}, '"lambda_grid" value 3 outside [-1, 1]'),
+         ({"delta_grid": "12"}, '"delta_grid" must be a list'),
+         ({"families": [{"kind": "biased", "tau": "2"}]}, "tau=2.0"),
+         ({"families": [{"kind": "layered-pair", "d": 30, "m": 10}]}, "d=30, half=20"),
+         ({"families": [{"kind": "tensor-lift", "restarts": 0}]}, "restarts"),
+         ],
+        ids=["q-float", "budget-bool", "seed-float", "seed-negative", "lambda-3",
+             "delta-grid-string", "tau-2", "d-above-half", "restarts-0"],
+    )
+    def test_bad_value_exit_2_before_output(self, tmp_path, capsys, override, named):
+        cfg = self.write_config(tmp_path, **override)
+        out = tmp_path / "map.csv"
+        assert run(["regime-map", "--config", cfg, "--out", out]) == 2
+        assert not out.exists()
+        assert run(["regime-map", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
+
+    def test_stdout_matches_out_file(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, families=[{"kind": "layered-pair", "d": 6, "m": 10}])
+        out = tmp_path / "map.csv"
+        assert run(["regime-map", "--config", cfg, "--out", out]) == 0
+        assert run(["regime-map", "--config", cfg]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
+    def test_readme_config_is_the_benchmark_config(self, tmp_path):
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("Regime sweep config (JSON):")[1].split("```json\n")[1].split("```")[0]
+        cfg = tmp_path / "readme.json"
+        cfg.write_text(block)
+        want = _load_sweep_config(str(ROOT / "perfbench" / "regime_map.json"), 0)
+        assert _load_sweep_config(str(cfg), 0) == want
 
     @pytest.mark.parametrize("q", [None, 2, 1], ids=["missing", "q2", "q1"])
     def test_bad_q_exit_2_before_output(self, tmp_path, capsys, q):

@@ -309,6 +309,11 @@ class TestEdgeExpansion:
         h, _ = edge_expansion_exact(fixture_graphs["twin_triangles"])
         assert h == 0.0
 
+    def test_witness_is_the_smaller_side(self):
+        # the first zero cut holds vertex 0, so it is C6; the witness is its complement
+        G = build_from_edges(9, [(i, (i + 1) % 6) for i in range(6)] + [(6, 7), (7, 8), (6, 8)])
+        assert edge_expansion_exact(G) == (0.0, (6, 7, 8))
+
     def test_too_large(self):
         with pytest.raises(TooLarge):
             edge_expansion_exact(random_regular_bipartite(16, 3, seed=0))

@@ -268,6 +268,12 @@ class TestSweep:
             line = regime_point_csv(row)
             assert len(line.split(",")) == 9
 
+    def test_config_normalises_grids(self):
+        config = SweepConfig(q=3, delta_grid=["1/2"], lambda_grid=[1, "-1"])
+        assert config.delta_grid == (Fraction(1, 2),) and config.lambda_grid == (1, -1)
+        assert all(type(x) is Fraction for x in config.lambda_grid)
+        assert config.families == ()
+
     def test_skip_resume_keys(self):
         config = SweepConfig(
             q=3,
