@@ -25,6 +25,7 @@ from .errors import (
     NotBipartite,
     NotCubic,
     Overlap,
+    PreconditionFail,
     SelfLoop,
     SigningMismatch,
     SizeCap,
@@ -420,16 +421,17 @@ def search_low_lambda_signing(
     tie-breaks decide: within a pass the lowest flip index among the best
     wins; across restarts the smaller (rounded lambda, sign vector). Returns
     the best signing and its lift's lambda2; no optimality guarantee. The
-    result depends only on (G, restarts, seed).
+    result depends only on (G, restarts, seed). Raises PreconditionFail for
+    d < 2, a disconnected G or restarts < 1.
     """
     from . import spectral  # local import: spectral depends on graphs
 
     if G.d < 2:
-        raise ValueError("signing search needs d >= 2")
+        raise PreconditionFail("signing search needs d >= 2")
     if not spectral.is_connected(G):
-        raise ValueError("signing search needs a connected graph")
+        raise PreconditionFail("signing search needs a connected graph")
     if restarts < 1:
-        raise ValueError("signing search needs restarts >= 1")
+        raise PreconditionFail("signing search needs restarts >= 1")
     lam_base = spectral.lambda2(G)
     u, v = G.edge_arrays()
 
@@ -441,26 +443,27 @@ def search_low_lambda_signing(
         A[u[i], v[i]] = A[v[i], u[i]] = -A[u[i], v[i]]
 
     best = None  # ((rounded lambda, sign tuple), lambda)
-    for r in range(restarts):
-        child = (*seed, r) if isinstance(seed, tuple) else (seed, r)
-        signs = np.random.default_rng(child).choice((-1, 1), size=G.m)
-        A = spectral.normalized_adjacency(G, signs)  # A_s, kept in step with signs
-        lam = score()
-        for _ in range(SEARCH_MAX_PASSES):
-            flip, bar = None, round(lam, 9)
-            for i in range(G.m):
-                flip_edge(i)
-                lam_c = score()
-                flip_edge(i)
-                if round(lam_c, 9) < bar:
-                    flip, lam_flip, bar = i, lam_c, round(lam_c, 9)
-            if flip is None:
-                break
-            flip_edge(flip)
-            lam = lam_flip
-        key = (round(lam, 9), tuple(signs.tolist()))
-        if best is None or key < best[0]:
-            best = (key, lam)
+    with spectral._one_blas_thread():  # n x n eigvalsh calls, one scope for all
+        for r in range(restarts):
+            child = (*seed, r) if isinstance(seed, tuple) else (seed, r)
+            signs = np.random.default_rng(child).choice((-1, 1), size=G.m)
+            A = spectral.normalized_adjacency(G, signs)  # A_s, kept in step with signs
+            lam = score()
+            for _ in range(SEARCH_MAX_PASSES):
+                flip, bar = None, round(lam, 9)
+                for i in range(G.m):
+                    flip_edge(i)
+                    lam_c = score()
+                    flip_edge(i)
+                    if round(lam_c, 9) < bar:
+                        flip, lam_flip, bar = i, lam_c, round(lam_c, 9)
+                if flip is None:
+                    break
+                flip_edge(flip)
+                lam = lam_flip
+            key = (round(lam, 9), tuple(signs.tolist()))
+            if best is None or key < best[0]:
+                best = (key, lam)
     (_, signs), lam = best
     return Signing(G.edges(), signs), lam
 

@@ -304,8 +304,11 @@ class SweepConfig:
 
     ``q``, ``seed``, ``budget`` and ``target`` must be ints (not bools), at
     least 3 for ``q`` and 0 for the rest. Each grid is a list or tuple of
-    rationals, stored as a tuple of Fractions: delta in [0, 1 - 1/q], where
-    distances stop, and lambda in [-1, 1], where normalized eigenvalues lie.
+    rationals, each an int (not a bool), a string such as "2/3" or a
+    Fraction; a float is refused, as its binary value is not the rational
+    meant. The grids are stored as tuples of Fractions: delta in
+    [0, 1 - 1/q], where distances stop, and lambda in [-1, 1], where
+    normalized eigenvalues lie.
     """
 
     q: int
@@ -325,9 +328,15 @@ class SweepConfig:
             grid = getattr(self, name)
             if not isinstance(grid, (list, tuple)):
                 raise ChromaError(f'sweep config "{name}" must be a list, got {grid!r}')
+            for x in grid:
+                if type(x) is bool or not isinstance(x, (int, str, Fraction)):
+                    raise ChromaError(
+                        f'sweep config "{name}" values must be ints, strings or Fractions, '
+                        f'got {x!r}'
+                    )
             try:
                 values = tuple(map(Fraction, grid))
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ChromaError(f'sweep config "{name}" holds a non-rational: {exc}') from None
             for x in values:
                 if not lo <= x <= hi:

@@ -6,9 +6,15 @@ lambda_min read the dense eigenvalues alone up to LANCZOS_MIN_N vertices and
 above that run a numpy Lanczos iteration whose only access to the graph is
 the product with the neighbor array, so it needs nothing beyond numpy.
 Disconnected graphs and 0-regular graphs report lambda2 = 1 by convention.
+The small dense solves (the eigenvalues up to LANCZOS_MIN_N, the projected
+Lanczos eigenproblem and the thick-restart rotation) run on one OpenBLAS
+thread: on them a second thread only costs CPU time.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +92,50 @@ def full_spectrum(G: RegularGraph) -> Spectrum:
     return Spectrum(tuple(float(x) for x in vals), residual)
 
 
+@functools.cache
+def _openblas_thread_calls():
+    """The (get, set) thread-count functions of the OpenBLAS numpy loaded, or
+    None when there is none (MKL, Accelerate, no /proc)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
+    except OSError:
+        return None
+    # numpy's own build first: scipy's wheel ships a 32-bit-int OpenBLAS too
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
+        for lib in libs:
+            try:
+                handle = ctypes.CDLL(lib)
+            except OSError:
+                continue
+            get = getattr(handle, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread and put the previous count back.
+
+    Does nothing without OpenBLAS, or when the count already is 1 (so an
+    inner scope leaves an outer one alone).
+    """
+    calls = _openblas_thread_calls()
+    before = calls[0]() if calls is not None else 1
+    if before == 1:
+        yield
+        return
+    calls[1](1)
+    try:
+        yield
+    finally:
+        calls[1](before)
+
+
 def _extreme_eigenvalue(G: RegularGraph, which: str) -> float:
     """lambda2 (``which="LA"``) or lambda_min (``"SA"``) of a graph with d >= 1.
 
@@ -110,7 +160,9 @@ def _extreme_eigenvalue(G: RegularGraph, which: str) -> float:
     on G.
     """
     if G.n <= LANCZOS_MIN_N:
-        vals = np.linalg.eigvalsh(normalized_adjacency(G))  # ascending
+        A = normalized_adjacency(G)
+        with _one_blas_thread():
+            vals = np.linalg.eigvalsh(A)  # ascending
         return float(vals[-2] if which == "LA" else vals[0])
     columns = G.adjacency.T  # row i holds the i-th neighbor of every vertex
     sign = 1.0 if which == "LA" else -1.0
@@ -140,7 +192,8 @@ def _extreme_eigenvalue(G: RegularGraph, which: str) -> float:
         full = j + 1 == m
         if b <= LANCZOS_TOL or full or steps % LANCZOS_CHECK == 0 \
                 or steps >= LANCZOS_MAX_STEPS:
-            theta, S = np.linalg.eigh(T[: j + 1, : j + 1])
+            with _one_blas_thread():  # LAPACK wakes the pool above 25 rows
+                theta, S = np.linalg.eigh(T[: j + 1, : j + 1])
             residual = b * abs(S[-1, -1])
             if b <= LANCZOS_TOL or residual <= LANCZOS_TOL:
                 return sign * float(theta[-1])
@@ -150,8 +203,9 @@ def _extreme_eigenvalue(G: RegularGraph, which: str) -> float:
                     f"{steps} steps (residual {residual:.3g})"
                 )
             if full:  # thick restart (Wu-Simon) from the top k Ritz pairs
-                for c in range(0, G.n, 4096):  # in place, no k x n temporary
-                    V[:k, c : c + 4096] = S[:, -k:].T @ V[:, c : c + 4096]
+                with _one_blas_thread():
+                    for c in range(0, G.n, 4096):  # in place, no k x n temporary
+                        V[:k, c : c + 4096] = S[:, -k:].T @ V[:, c : c + 4096]
                 T[:] = 0.0
                 T[:k, :k] = np.diag(theta[-k:])
                 T[k, :k] = T[:k, k] = b * S[-1, -k:]

@@ -379,12 +379,13 @@ class TestRegimeMap:
          ({"seed": -1}, '"seed"'),
          ({"lambda_grid": ["3"]}, '"lambda_grid" value 3 outside [-1, 1]'),
          ({"delta_grid": "12"}, '"delta_grid" must be a list'),
+         ({"delta_grid": [0.5, False]}, '"delta_grid" values must be ints, strings or'),
          ({"families": [{"kind": "biased", "tau": "2"}]}, "tau=2.0"),
          ({"families": [{"kind": "layered-pair", "d": 30, "m": 10}]}, "d=30, half=20"),
          ({"families": [{"kind": "tensor-lift", "restarts": 0}]}, "restarts"),
          ],
         ids=["q-float", "budget-bool", "seed-float", "seed-negative", "lambda-3",
-             "delta-grid-string", "tau-2", "d-above-half", "restarts-0"],
+             "delta-grid-string", "delta-grid-float-bool", "tau-2", "d-above-half", "restarts-0"],
     )
     def test_bad_value_exit_2_before_output(self, tmp_path, capsys, override, named):
         cfg = self.write_config(tmp_path, **override)

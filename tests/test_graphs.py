@@ -10,6 +10,7 @@ from chromacode.errors import (
     NotBipartite,
     NotCubic,
     Overlap,
+    PreconditionFail,
     SelfLoop,
     SigningMismatch,
     SizeCap,
@@ -292,6 +293,19 @@ class TestSigningSearch:
         assert signing == ref_signing
         assert round(lam, 9) == round(ref_lam, 9)
         assert abs(spectral.lambda2(two_lift(G, signing)) - lam) < 1e-9
+
+    @pytest.mark.parametrize(
+        "make,restarts,match",
+        [(lambda: build_from_edges(2, [(0, 1)]), 5, "d >= 2"),
+         (lambda: build_from_edges(8, [(a + o, b + o) for o in (0, 4)
+                                      for a, b in itertools.combinations(range(4), 2)]),
+          5, "connected"),
+         (lambda: complete_graph(4), 0, "restarts >= 1")],
+        ids=["d1", "two-k4", "restarts0"],
+    )
+    def test_precondition_fail(self, make, restarts, match):
+        with pytest.raises(PreconditionFail, match=match):
+            search_low_lambda_signing(make(), restarts=restarts, seed=0)
 
 
 class TestEdgeExpansion:

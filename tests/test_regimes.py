@@ -6,7 +6,7 @@ import pytest
 from chromacode import colorings as col
 from chromacode.codes import CodeSet
 from chromacode.colorings import coordinate_colorings, enumerate_proper, make_coloring
-from chromacode.errors import OutOfRange, PreconditionFail, QTooLarge
+from chromacode.errors import ChromaError, OutOfRange, PreconditionFail, QTooLarge
 from chromacode.graphs import complete_graph, cycle_graph, random_regular_bipartite, tensor_power
 from chromacode.regimes import (
     CERTIFIED,
@@ -273,6 +273,46 @@ class TestSweep:
         assert config.delta_grid == (Fraction(1, 2),) and config.lambda_grid == (1, -1)
         assert all(type(x) is Fraction for x in config.lambda_grid)
         assert config.families == ()
+
+    @pytest.mark.parametrize(
+        "value,want",
+        [(0, Fraction(0)), ("1/2", Fraction(1, 2)), (Fraction(2, 5), Fraction(2, 5)),
+         (False, None), (True, None), (0.5, None), (None, None)],
+        ids=["int", "str", "fraction", "false", "true", "float", "none"],
+    )
+    @pytest.mark.parametrize("grid", ["delta_grid", "lambda_grid"])
+    def test_grid_value_types(self, grid, value, want):
+        # a JSON false read as Fraction(False) ran the sweep at delta = 0
+        other = "lambda_grid" if grid == "delta_grid" else "delta_grid"
+        kwargs = {grid: ["1/2", value], other: ["1/2"]}
+        if want is None:
+            with pytest.raises(ChromaError, match=f'"{grid}" values must be ints, strings or'):
+                SweepConfig(q=3, **kwargs)
+        else:
+            assert getattr(SweepConfig(q=3, **kwargs), grid) == (Fraction(1, 2), want)
+
+    # the paper's sharp transition at delta = 1 - 1/q: just below
+    # lambda2(K_q^2) = 1/(q-1)^2 the point is certified unique, at it the
+    # dense eigenvalue (within the 1e-12 slack) backs a counterexample
+    @pytest.mark.parametrize(
+        "q,want",
+        [(3, ["3,2/3,249/1000,certified-unique,certificate,,,,",
+              "3,2/3,1/4,counterexample-exists,tensor-lift(N=2,lifts=0),9,0.25,2,6"]),
+         (4, ["4,3/4,991/9000,certified-unique,certificate,,,,",
+              "4,3/4,1/9,counterexample-exists,tensor-lift(N=2,lifts=0),16,0.1111111111,2,12"]),
+         (5, ["5,4/5,123/2000,certified-unique,certificate,,,,",
+              "5,4/5,1/16,counterexample-exists,tensor-lift(N=2,lifts=0),25,0.0625,2,20"])],
+    )
+    def test_sharp_transition(self, q, want):
+        lam = Fraction(1, (q - 1) ** 2)
+        config = SweepConfig(
+            q=q,
+            delta_grid=(1 - Fraction(1, q),),
+            lambda_grid=(lam - Fraction(1, 1000), lam),
+            families=(SweepFamily("tensor-lift", {"N": 2, "lifts": 0}),),
+            seed=7,
+        )
+        assert [regime_point_csv(pt) for pt in regime_map_sweep(config)] == want
 
     def test_skip_resume_keys(self):
         config = SweepConfig(

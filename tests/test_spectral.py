@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import subprocess
@@ -17,6 +18,7 @@ from chromacode.graphs import (
     complete_graph,
     cycle_graph,
     random_regular_bipartite,
+    search_low_lambda_signing,
     tensor_power,
     two_lift,
 )
@@ -254,3 +256,67 @@ class TestLiftSpectrum:
             *np.linalg.eigvalsh(normalized_adjacency(G, s.signs)),
         ])
         assert np.max(np.abs(np.array(lifted) - union)) < 1e-9
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def get(self):
+        """The OpenBLAS thread count getter, with the count set to 2 meanwhile."""
+        calls = spectral._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy is not linked to OpenBLAS")
+        get, put = calls
+        before = get()
+        put(2)
+        try:
+            if get() != 2:
+                pytest.skip("OpenBLAS would not take 2 threads")
+            yield get
+        finally:
+            put(before)
+
+    def test_restored_after_exit(self, get):
+        with spectral._one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+
+    def test_restored_after_no_convergence(self, get, monkeypatch):
+        monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 5)
+        G = cycle_graph(spectral.LANCZOS_MIN_N + 1)
+        with pytest.raises(NoConvergence):
+            lambda2(G)
+        assert get() == 2
+        with pytest.raises(NoConvergence):
+            with spectral._one_blas_thread():
+                lambda2(G)
+        assert get() == 2
+
+    def test_nesting(self, get):
+        with spectral._one_blas_thread():
+            with spectral._one_blas_thread():
+                assert get() == 1
+            assert get() == 1
+        assert get() == 2
+
+    def test_noop_without_openblas(self, get, monkeypatch):
+        monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: None)
+        with spectral._one_blas_thread():
+            assert get() == 2
+
+    def test_lookup_without_proc(self, monkeypatch):
+        def no_proc(*args, **kwargs):
+            raise FileNotFoundError("/proc/self/maps")
+
+        monkeypatch.setattr(spectral, "open", no_proc, raising=False)
+        assert spectral._openblas_thread_calls.__wrapped__() is None
+
+    def test_same_values_without_scope(self, monkeypatch):
+        G = random_regular_bipartite(1000, 25, seed=0)
+        T = tensor_power(3, 2)
+
+        def values():
+            return lambda2(G), lambda_min(G), search_low_lambda_signing(T, restarts=5, seed=2)
+
+        scoped = values()
+        monkeypatch.setattr(spectral, "_one_blas_thread", contextlib.nullcontext)
+        assert values() == scoped
