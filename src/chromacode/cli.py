@@ -109,8 +109,8 @@ def cmd_spectrum(args) -> int:
     spec = spectral.full_spectrum(G)
     payload = {
         "eigenvalues": list(spec.eigenvalues),
-        "lambda2": spec.eigenvalues[1] if G.n > 1 else None,
-        "lambda_min": spec.eigenvalues[-1],
+        "lambda2": spec.lambda2,
+        "lambda_min": spec.lambda_min,
         "residual": spec.residual,
     }
     _emit(args, _json(payload))
@@ -141,24 +141,23 @@ def cmd_verify(args) -> int:
         if not ok:
             failures.append(f"coloring {idx} improper at edge {edge}")
     report["proper"] = proper
-    if len(members) > 1:
-        pair_dists = []
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                d, _ = colorings.distance(members[i], members[j])
-                pair_dists.append({"pair": [i, j], "distance": d})
-        report["distances"] = pair_dists
+    pairs = [
+        (colorings.distance(members[i], members[j])[0], (i, j))
+        for i, j in itertools.combinations(range(len(members)), 2)
+    ]
+    if pairs:
+        report["distances"] = [{"pair": list(ij), "distance": d} for d, ij in pairs]
     if args.delta is not None:
-        cs = codes.CodeSet(tuple(members), args.delta)
-        res = codes.verify_delta_distinct(cs)
+        # the first closest pair in (i, j) order, as codes.verify_delta_distinct picks it
+        min_dist, worst = min(pairs, key=lambda p: p[0], default=(None, None))
+        threshold = codes.distance_threshold(args.delta, G.n)
+        ok = min_dist is None or min_dist >= threshold
         report["delta"] = str(args.delta)
-        report["threshold"] = codes.distance_threshold(args.delta, G.n)
-        report["min_dist"] = res.min_dist
-        report["delta_distinct"] = res.ok
-        if not res.ok:
-            failures.append(
-                f"min distance {res.min_dist} below threshold at pair {res.worst_pair}"
-            )
+        report["threshold"] = threshold
+        report["min_dist"] = min_dist
+        report["delta_distinct"] = ok
+        if not ok:
+            failures.append(f"min distance {min_dist} below threshold at pair {worst}")
     report["ok"] = not failures
     if args.format == "json":
         _emit(args, _json(report))

@@ -6,7 +6,6 @@ float comparison ever decides membership.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -203,15 +202,6 @@ def exact_max_packing(G: RegularGraph, q: int, delta: Fraction) -> tuple[int, Co
     members = tuple(reps[i] for i in _max_clique(adj, r))
     res = verify_delta_distinct(CodeSet(members, delta))
     return len(members), CodeSet(members, delta, res.min_dist, prov)
-
-
-def empirical_rate(C: CodeSet) -> float:
-    """log_q |C| / n."""
-    if not C.members:
-        raise ValueError("rate of an empty code set")
-    q = C.members[0].q
-    n = C.members[0].n
-    return math.log(len(C.members), q) / n
 
 
 # -- the family table: graph families and their samplers ----------------------

@@ -93,10 +93,6 @@ class MixedBinding(ChromaError):
     """Code set members are bound to different graphs or use different q."""
 
 
-class TooManyClasses(ChromaError):
-    """q^K color-class enumeration exceeds the configured cap."""
-
-
 class OutOfRange(ChromaError):
     """Certificate parameters outside the valid (delta, lambda) range."""
 

@@ -133,12 +133,6 @@ def codeset_payload(C: CodeSet, graph_key: str) -> dict:
     }
 
 
-def write_codeset(path: str, C: CodeSet, graph_key: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(codeset_payload(C, graph_key), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def read_codeset(path: str, G: RegularGraph) -> CodeSet:
     with open(path) as fh:
         payload = json.load(fh)

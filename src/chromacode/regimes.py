@@ -1,15 +1,14 @@
-"""Regime certificates and structural decompositions.
+"""Regime certificates and structural lemma checks.
 
 Classification is evidence-based and finite: "certified-unique" means the
 exact rational certificate inequality holds, "counterexample-exists" means a
 concrete graph with measured lambda2 <= lambda carries >= 2 colorings at the
 required distance, and "unknown" is an honest third state. The exhaustive
-checks read their caps, SIGMA_Q_CAP (q! permutations) and CLASS_CAP (q^K
-color classes), from this module at call time.
+sigma_profile check reads its cap, SIGMA_Q_CAP (q! permutations), from this
+module at call time.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
@@ -20,11 +19,10 @@ import numpy as np
 from . import codes, colorings as col, graphs, spectral
 from .codes import CodeSet, SweepFamily
 from .colorings import Coloring
-from .errors import ChromaError, OutOfRange, PreconditionFail, QTooLarge, TooManyClasses
+from .errors import ChromaError, OutOfRange, PreconditionFail, QTooLarge
 from .graphs import RegularGraph
 
 SIGMA_Q_CAP = 8
-CLASS_CAP = 1 << 16
 
 CERTIFIED = "certified-unique"
 COUNTEREXAMPLE = "counterexample-exists"
@@ -74,7 +72,7 @@ def unique_regime_certificate(q: int, delta, lam) -> CertificateResult:
 def bipartite_threshold(q: int) -> Fraction:
     """1 - (1/floor(q/2) + 1/ceil(q/2)) / 2, the bipartite construction's distance."""
     if q < 3:
-        raise ValueError("threshold defined for q >= 3")
+        raise OutOfRange("threshold defined for q >= 3")
     return 1 - Fraction(1, 2) * (Fraction(1, q // 2) + Fraction(1, (q + 1) // 2))
 
 
@@ -142,136 +140,6 @@ def sigma_profile(
     return SigmaProfile(tuple(sigmas), tuple(ws), tuple(crosses), lam)
 
 
-def near_independent_union_bound(
-    G: RegularGraph,
-    A: Sequence[int],
-    B: Sequence[int],
-    gamma: float,
-    xi: float,
-) -> tuple[float, float, bool]:
-    """Check e(A u B) <= 3 max(lambda2, xi) / gamma for heavy, weakly-joined sets.
-
-    Raises PreconditionFail naming the first violated hypothesis.
-    """
-    measures = graphs.subset_measures(G, A, B)  # raises Overlap if not disjoint
-    wb = len(set(B)) / G.n
-    if measures.w < gamma or wb < gamma:
-        raise PreconditionFail(
-            f"w(A)={measures.w}, w(B)={wb} must both reach gamma={gamma}"
-        )
-    if measures.e_cross > xi + 1e-12:
-        raise PreconditionFail(f"e(A,B)={measures.e_cross} exceeds xi={xi}")
-    lam2 = spectral.lambda2(G)
-    union = graphs.subset_measures(G, set(A) | set(B))
-    bound = 3.0 * max(lam2, xi) / gamma
-    actual = union.e_within
-    return bound, actual, actual <= bound + 1e-12
-
-
-@dataclass(frozen=True)
-class PartitionComponent:
-    classes: tuple[tuple[int, ...], ...]
-    size: int
-    w: float
-    e_within: float
-
-
-@dataclass(frozen=True)
-class PartitionReport:
-    gamma: float
-    components: tuple[PartitionComponent, ...]
-    heavy_classes: int
-    light_weight: float
-    light_weight_bound: float
-    component_edge_bound: float
-    lambda2: float
-
-
-def near_independent_partition(G: RegularGraph, C: CodeSet, gamma: float) -> PartitionReport:
-    """Partition the heavy color classes of a code into near-independent groups.
-
-    Vertices are classed by their color vector alpha under the K = |C|
-    colorings; classes with w >= gamma are joined whenever they agree on some
-    coordinate, and the connected components S_1..S_t are returned with
-    measured w and e; classes in different components therefore disagree on
-    every coordinate. Checks that classes agreeing on a coordinate have zero
-    crossing edges (forced by properness). The quantitative (3/gamma)^(q^K)
-    lambda2 bound is reported, not asserted. Raises TooManyClasses when q^K
-    exceeds CLASS_CAP.
-    """
-    codes._check_members(C.members)
-    K = len(C.members)
-    q = C.members[0].q
-    if q**K > CLASS_CAP:
-        raise TooManyClasses(f"q^K = {q**K} exceeds cap {CLASS_CAP}")
-    n = G.n
-    vectors = np.stack([X.colors for X in C.members], axis=1).tolist()
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for v, alpha in enumerate(vectors):
-        classes.setdefault(tuple(alpha), []).append(v)
-    heavy = {a: vs for a, vs in classes.items() if len(vs) / n >= gamma}
-    light_weight = sum(len(vs) for a, vs in classes.items() if a not in heavy) / n
-    keys = sorted(heavy)
-    vertex_sets = {a: set(vs) for a, vs in heavy.items()}
-    # union-find over heavy classes; join iff they agree on >= 1 coordinate
-    parent = list(range(len(keys)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            if any(keys[i][t] == keys[j][t] for t in range(K)):
-                # properness forces zero edges between classes that agree somewhere
-                cross = graphs.subset_measures(
-                    G, vertex_sets[keys[i]], vertex_sets[keys[j]]
-                ).cross_edges
-                if cross != 0:
-                    raise AssertionError(
-                        f"classes {keys[i]} and {keys[j]} agree on a coordinate "
-                        f"but share {cross} edges (colorings not proper?)"
-                    )
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(keys)):
-        groups.setdefault(find(i), []).append(i)
-
-    comps = []
-    for r in sorted(groups):
-        idxs = groups[r]
-        union = set()
-        for i in idxs:
-            union |= vertex_sets[keys[i]]
-        meas = graphs.subset_measures(G, union)
-        comps.append(
-            PartitionComponent(
-                classes=tuple(keys[i] for i in idxs),
-                size=meas.size,
-                w=meas.w,
-                e_within=meas.e_within,
-            )
-        )
-    lam2 = spectral.lambda2(G)
-    try:
-        edge_bound = (3.0 / gamma) ** (q**K) * lam2 if gamma > 0 else math.inf
-    except OverflowError:
-        edge_bound = math.inf
-    return PartitionReport(
-        gamma=gamma,
-        components=tuple(comps),
-        heavy_classes=len(keys),
-        light_weight=light_weight,
-        light_weight_bound=(q**K) * gamma,
-        component_edge_bound=edge_bound,
-        lambda2=lam2,
-    )
-
-
 def independent_size_bound(
     G: RegularGraph, A: Sequence[int]
 ) -> tuple[float, float, bool]:
@@ -280,7 +148,7 @@ def independent_size_bound(
     Returns (w, e_within, ok).
     """
     if G.d < 1:
-        raise ValueError("bound needs d >= 1")
+        raise PreconditionFail("bound needs d >= 1")
     meas = graphs.subset_measures(G, A)
     # w <= (1 + e)/2  <=>  2 |A| m <= n (m + |E(A)|)
     ok = 2 * meas.size * G.m <= G.n * (G.m + meas.inner_edges)
@@ -290,9 +158,9 @@ def independent_size_bound(
 def hoffman_bound(G: RegularGraph) -> float:
     """Chromatic-number lower bound 1 - 1/lambda_min."""
     if G.d < 1:
-        raise ValueError("Hoffman bound needs d >= 1")
+        raise PreconditionFail("Hoffman bound needs d >= 1")
     if not spectral.is_connected(G):
-        raise ValueError("Hoffman bound needs a connected graph")
+        raise PreconditionFail("Hoffman bound needs a connected graph")
     return 1.0 - 1.0 / spectral.lambda_min(G)
 
 

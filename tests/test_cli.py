@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from chromacode import fileio, graphs
+from chromacode import colorings, fileio, graphs
 from chromacode.cli import _load_sweep_config, main
 from chromacode.colorings import coordinate_colorings, is_proper, make_coloring
 from chromacode.graphs import Signing, complete_graph, gadget_expand, tensor_power, two_lift
@@ -159,6 +159,19 @@ class TestVerify:
             "distances": [{"pair": [0, 1], "distance": 6}],
             "delta": "2/3", "threshold": 6, "min_dist": 6, "delta_distinct": True, "ok": True,
         }
+
+    def test_each_pair_distance_computed_once(self, tmp_path, tensor_file, monkeypatch, capsys):
+        G = fileio.read_graph(tensor_file)
+        X, Y = coordinate_colorings(3, 2, G)
+        paths = [tmp_path / f"c{k}.json" for k in range(3)]
+        for path, Z in zip(paths, (X, Y, X.relabeled((1, 2, 0)))):
+            fileio.write_coloring(str(path), Z)
+        calls = []
+        distance = colorings.distance
+        monkeypatch.setattr(colorings, "distance", lambda A, B: calls.append(1) or distance(A, B))
+        assert run(["verify", "--graph", tensor_file, *paths, "--delta", "2/3"]) == 1
+        assert len(calls) == 3
+        assert "min distance 0 below threshold at pair (0, 2)" in capsys.readouterr().out
 
     def test_mismatched_n_exit_2(self, tmp_path, tensor_file):
         C5 = graphs.cycle_graph(5)

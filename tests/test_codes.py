@@ -11,14 +11,13 @@ from chromacode.codes import (
     SweepFamily,
     distance_threshold,
     empirical_f,
-    empirical_rate,
     exact_max_packing,
     greedy_pack,
     verify_delta_distinct,
 )
 from chromacode.colorings import coordinate_colorings, enumerate_proper, make_coloring
 from chromacode.errors import MixedBinding, TooLarge
-from chromacode.graphs import build_from_edges, complete_graph, cycle_graph, gadget_expand
+from chromacode.graphs import complete_graph, cycle_graph, gadget_expand
 
 
 class TestThreshold:
@@ -213,25 +212,6 @@ class TestQuotientOracle:
         assert size == len(cols) == witness.provenance["colorings"]
         assert list(witness.members) == cols
         assert witness.min_dist == (0 if cols else None)
-
-
-class TestRate:
-    def test_singleton_zero(self):
-        X = coordinate_colorings(3, 2)[0]
-        assert empirical_rate(CodeSet((X,), Fraction(0))) == 0.0
-
-    def test_full_space_is_one(self):
-        # q^n colorings on a 1-vertex edgeless graph normalize to rate 1
-        G = build_from_edges(1, [])
-        members = tuple(make_coloring(G, 3, [c]) for c in range(3))
-        assert empirical_rate(CodeSet(members, Fraction(0))) == pytest.approx(1.0)
-
-    def test_arithmetic(self):
-        G = gadget_expand(complete_graph(4))
-        members = tuple(
-            col.sample_gadget_coloring(G, 3, (1000, i)) for i in range(9)
-        )
-        assert empirical_rate(CodeSet(members, Fraction(0))) == pytest.approx(0.05)
 
 
 class TestEmpiricalF:

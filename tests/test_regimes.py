@@ -7,7 +7,13 @@ from chromacode import colorings as col
 from chromacode.codes import CodeSet
 from chromacode.colorings import coordinate_colorings, enumerate_proper, make_coloring
 from chromacode.errors import ChromaError, OutOfRange, PreconditionFail, QTooLarge
-from chromacode.graphs import complete_graph, cycle_graph, random_regular_bipartite, tensor_power
+from chromacode.graphs import (
+    build_from_edges,
+    complete_graph,
+    cycle_graph,
+    random_regular_bipartite,
+    tensor_power,
+)
 from chromacode.regimes import (
     CERTIFIED,
     COUNTEREXAMPLE,
@@ -17,8 +23,6 @@ from chromacode.regimes import (
     bipartite_threshold,
     hoffman_bound,
     independent_size_bound,
-    near_independent_partition,
-    near_independent_union_bound,
     regime_map_sweep,
     regime_point_csv,
     sigma_profile,
@@ -107,75 +111,6 @@ class TestSigmaProfile:
             sigma_profile(G, X, X)
 
 
-class TestUnionBound:
-    def test_bipartite_parts(self, fixture_graphs):
-        G = fixture_graphs["K33"]
-        A = [v for v in range(G.n) if G.part_labels[v] == 0]
-        B = [v for v in range(G.n) if G.part_labels[v] == 1]
-        bound, actual, ok = near_independent_union_bound(G, A, B, gamma=0.5, xi=1.0)
-        assert ok and actual == pytest.approx(1.0) and bound >= 3.0
-
-    def test_tensor_color_classes(self):
-        # two coordinate-color classes: independent 3-sets with e(A,B) = 1/3
-        T = tensor_power(3, 2)
-        X = coordinate_colorings(3, 2, T)[0]
-        A = [v for v in range(T.n) if X.colors[v] == 0]
-        B = [v for v in range(T.n) if X.colors[v] == 1]
-        bound, actual, ok = near_independent_union_bound(
-            T, A, B, gamma=1 / 3, xi=1 / 3
-        )
-        assert ok
-        assert actual == pytest.approx(1 / 3)
-
-    def test_precondition_failures(self):
-        T = tensor_power(3, 2)
-        with pytest.raises(PreconditionFail):
-            near_independent_union_bound(T, [0], [1], gamma=0.5, xi=1.0)
-        X = coordinate_colorings(3, 2, T)[0]
-        A = [v for v in range(T.n) if X.colors[v] == 0]
-        B = [v for v in range(T.n) if X.colors[v] == 1]
-        with pytest.raises(PreconditionFail):
-            near_independent_union_bound(T, A, B, gamma=1 / 3, xi=0.0)
-
-
-class TestPartition:
-    def test_coordinate_pair_classes(self):
-        T = tensor_power(3, 2)
-        members = tuple(coordinate_colorings(3, 2, T))
-        report = near_independent_partition(T, CodeSet(members, Fraction(2, 3)), 0.05)
-        assert report.heavy_classes == 9
-        assert report.light_weight == 0.0
-        # every class is a single vertex; agreeing classes connect everything
-        assert len(report.components) == 1
-        assert report.components[0].w == pytest.approx(1.0)
-
-    def test_relabeled_pair_gives_color_classes(self):
-        C5 = cycle_graph(5)
-        X = make_coloring(C5, 3, [0, 1, 0, 1, 2])
-        code = CodeSet((X, X.relabeled((1, 2, 0))), Fraction(0))
-        report = near_independent_partition(C5, code, 0.05)
-        assert report.heavy_classes == 3
-        assert len(report.components) == 3
-        for comp in report.components:
-            assert comp.e_within == 0.0  # color classes are independent
-
-    def test_gamma_one_empty(self):
-        T = tensor_power(3, 2)
-        members = tuple(coordinate_colorings(3, 2, T))
-        report = near_independent_partition(T, CodeSet(members, Fraction(0)), 1.0)
-        assert report.components == ()
-        assert report.light_weight <= report.light_weight_bound
-
-    def test_light_weight_bound(self, fixture_graphs):
-        G = fixture_graphs["rb16"]
-        members = tuple(
-            col.sample_bipartite_biased(G, 3, 0.2, seed=(3, i)) for i in range(2)
-        )
-        for gamma in (0.01, 0.1, 0.3):
-            report = near_independent_partition(G, CodeSet(members, Fraction(0)), gamma)
-            assert report.light_weight <= report.light_weight_bound + 1e-12
-
-
 class TestIndependentSizeBound:
     def test_bipartite_part_equality(self, fixture_graphs):
         G = fixture_graphs["K33"]
@@ -212,6 +147,21 @@ class TestHoffman:
 
     def test_c5(self):
         assert hoffman_bound(cycle_graph(5)) == pytest.approx(2.2360679, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda zoo: bipartite_threshold(2), OutOfRange),
+        (lambda zoo: independent_size_bound(build_from_edges(3, []), [0]), PreconditionFail),
+        (lambda zoo: hoffman_bound(build_from_edges(3, [])), PreconditionFail),
+        (lambda zoo: hoffman_bound(zoo["twin_triangles"]), PreconditionFail),
+    ],
+    ids=["threshold-q2", "size-bound-d0", "hoffman-d0", "hoffman-disconnected"],
+)
+def test_bad_input_raises_typed_error(fixture_graphs, call, error):
+    with pytest.raises(error):
+        call(fixture_graphs)
 
 
 class TestSweep:
