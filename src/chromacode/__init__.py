@@ -9,7 +9,6 @@ from .codes import CodeSet, distance_threshold, exact_max_packing, greedy_pack
 from .colorings import Coloring, distance, enumerate_proper, is_proper
 from .graphs import (
     RegularGraph,
-    Signing,
     build_from_edges,
     complete_graph,
     cycle_graph,
@@ -31,7 +30,6 @@ __all__ = [
     "Coloring",
     "RegimePoint",
     "RegularGraph",
-    "Signing",
     "Spectrum",
     "bipartite_threshold",
     "build_from_edges",

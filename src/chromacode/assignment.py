@@ -5,9 +5,10 @@ the caller scales the weights.
 """
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
-_INF = 1 << 200
+_INF = math.inf  # above every reduced cost; Python compares it with ints exactly
 
 
 def min_cost_assignment(cost: Sequence[Sequence[int]]) -> tuple[int, list[int]]:

@@ -16,6 +16,8 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import codes, colorings, fileio, graphs, regimes, spectral
 from .errors import ChromaError
 
@@ -77,14 +79,14 @@ def cmd_construct(args) -> int:
     elif kind == "two-lift":
         base = fileio.read_graph(_require(args, "graph"))
         if args.signing:
-            signing = fileio.read_signing(args.signing, base)
+            signs = fileio.read_signing(args.signing, base)
         elif args.search:
-            signing, _ = graphs.search_low_lambda_signing(
+            signs, _ = graphs.search_low_lambda_signing(
                 base, restarts=args.restarts, seed=seed
             )
         else:
-            signing = graphs.Signing.all_plus(base)
-        G = graphs.two_lift(base, signing)
+            signs = np.ones(base.m, dtype=np.int64)
+        G = graphs.two_lift(base, signs)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown kind {kind}")
     sidecar = {"construct": kind, "seed": seed}

@@ -255,8 +255,8 @@ def _build_tensor_lift(q: int, p: Mapping, seed) -> tuple[RegularGraph, Sampler]
     G = graphs.tensor_power(q, p["N"])
     members = col.coordinate_colorings(q, p["N"], G)
     for k in range(p["lifts"]):
-        signing, _ = graphs.search_low_lambda_signing(G, p["restarts"], seed=(*seed, k))
-        G = graphs.two_lift(G, signing)
+        signs, _ = graphs.search_low_lambda_signing(G, p["restarts"], seed=(*seed, k))
+        G = graphs.two_lift(G, signs)
         members = [col.lift_coloring(X, G) for X in members]
     return G, list_sampler(members)
 

@@ -40,7 +40,7 @@ class GenerationTimeout(ChromaError):
 
 
 class SigningMismatch(ChromaError):
-    """Edge signing does not cover exactly the edge set of the graph."""
+    """A signing is not one +1 or -1 per edge of the graph."""
 
 
 class TooLarge(ChromaError):

@@ -6,6 +6,10 @@ written next to a graph carries construction provenance (gadget blocks,
 tensor parameters, ...); ``read_graph`` always restores it as ``meta``, so
 meta-dependent samplers keep working after a round trip. The constructions
 store only JSON types there, so a reloaded meta equals the built one.
+
+Signing format: one "u v s" line per edge of the graph, u < v and s = +1 or
+-1, each edge once. In memory a signing is the sign vector in the canonical
+edge order of ``RegularGraph.edge_arrays``.
 """
 from __future__ import annotations
 
@@ -14,11 +18,13 @@ import os
 from fractions import Fraction
 from typing import Mapping
 
+import numpy as np
+
 from . import graphs
 from .codes import CodeSet
 from .colorings import Coloring, make_coloring
-from .errors import BindingMismatch
-from .graphs import RegularGraph, Signing
+from .errors import BindingMismatch, SigningMismatch
+from .graphs import RegularGraph
 
 
 def graph_to_text(G: RegularGraph) -> str:
@@ -102,22 +108,38 @@ def read_coloring(path: str, G: RegularGraph, graph_path: str | None = None) -> 
     return make_coloring(G, int(payload["q"]), payload["colors"])
 
 
-def write_signing(path: str, s: Signing) -> None:
+def write_signing(path: str, G: RegularGraph, signs) -> None:
+    """Write a +1/-1 vector in G's canonical edge order as "u v +1" lines."""
+    u, v = G.edge_arrays()
     with open(path, "w") as fh:
-        for (u, v), sign in zip(s.edges, s.signs):
-            fh.write(f"{u} {v} {sign:+d}\n")
+        for a, b, sign in zip(u.tolist(), v.tolist(), signs, strict=True):
+            fh.write(f"{a} {b} {int(sign):+d}\n")
 
 
-def read_signing(path: str, G: RegularGraph) -> Signing:
-    mapping = {}
+def read_signing(path: str, G: RegularGraph) -> np.ndarray:
+    """Read a signing file (format above) into G's sign vector; a line off
+    that format, or a missing edge, raises SigningMismatch naming the edge."""
+    edges = G.edges()
+    index = {e: i for i, e in enumerate(edges)}
+    signs = np.zeros(G.m, dtype=np.int64)  # 0 until the edge's line is read
     with open(path) as fh:
         for ln in fh:
-            ln = ln.strip()
-            if not ln:
+            if not ln.strip():
                 continue
             u, v, sign = ln.split()
-            mapping[(int(u), int(v))] = int(sign)
-    return Signing.from_mapping(G, mapping)
+            e, s = (int(u), int(v)), int(sign)
+            i = index.get(e)
+            if i is None:
+                raise SigningMismatch(f"signing names {e}, not an edge u < v of the graph")
+            if signs[i]:
+                raise SigningMismatch(f"signing lists edge {e} twice")
+            if s not in (-1, 1):
+                raise SigningMismatch(f"signing gives edge {e} sign {s}, not +1 or -1")
+            signs[i] = s
+    missing = np.flatnonzero(signs == 0)
+    if missing.size:
+        raise SigningMismatch(f"signing missing edge {edges[missing[0]]}")
+    return signs
 
 
 def codeset_payload(C: CodeSet, graph_key: str) -> dict:

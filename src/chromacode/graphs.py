@@ -110,46 +110,6 @@ class RegularGraph:
 
 
 @dataclass(frozen=True)
-class Signing:
-    """An assignment of +1/-1 to every edge, keyed by canonical edge order."""
-
-    edges: tuple[tuple[int, int], ...]
-    signs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.edges) != len(self.signs):
-            raise SigningMismatch("signs and edges differ in length")
-        if any(s not in (-1, 1) for s in self.signs):
-            raise SigningMismatch("signs must be -1 or +1")
-        if list(self.edges) != sorted(set(self.edges)) or any(
-            u >= v for u, v in self.edges
-        ):
-            raise SigningMismatch("edges must be canonical (u < v) and sorted")
-
-    @classmethod
-    def all_plus(cls, G: RegularGraph) -> "Signing":
-        return cls(G.edges(), (1,) * G.m)
-
-    @classmethod
-    def all_minus(cls, G: RegularGraph) -> "Signing":
-        return cls(G.edges(), (-1,) * G.m)
-
-    @classmethod
-    def from_mapping(cls, G: RegularGraph, mapping: Mapping) -> "Signing":
-        es = G.edges()
-        try:
-            signs = tuple(int(mapping[e]) for e in es)
-        except KeyError as missing:
-            raise SigningMismatch(f"signing missing edge {missing}") from None
-        return cls(es, signs)
-
-    @classmethod
-    def random(cls, G: RegularGraph, seed) -> "Signing":
-        rng = np.random.default_rng(seed)
-        return cls(G.edges(), tuple(rng.choice((-1, 1), size=G.m).tolist()))
-
-
-@dataclass(frozen=True)
 class VertexSubsetMeasures:
     """Normalized subset measures: w(A) = |A|/n, e(A) = |E(A)|/m, e(A,B) = |E(A,B)|/m.
 
@@ -386,16 +346,18 @@ def _seed_repr(seed) -> str:
     return repr(tuple(seed)) if isinstance(seed, (tuple, list)) else repr(seed)
 
 
-def two_lift(G: RegularGraph, s: Signing) -> RegularGraph:
-    """2-lift of G under signing s: v splits into v and v+n.
+def two_lift(G: RegularGraph, signs) -> RegularGraph:
+    """2-lift of G under ``signs``, one +1 or -1 per edge of G in canonical
+    edge order (the order of ``edge_arrays``): v splits into v and v+n.
 
     A +1 edge uv is duplicated inside each layer; a -1 edge crosses layers.
     """
-    if s.edges != G.edges():
-        raise SigningMismatch("signing does not cover exactly E(G)")
+    signs = np.asarray(signs)
+    if signs.shape != (G.m,) or not np.isin(signs, (-1, 1)).all():
+        raise SigningMismatch(f"a signing of this graph is {G.m} values, each +1 or -1")
     n = G.n
     u, v = G.edge_arrays()
-    cross = n * (np.array(s.signs) == -1)
+    cross = n * (signs == -1)
     # a +1 edge gives (u, v) and (u+n, v+n); a -1 edge gives (u, v+n) and (u+n, v)
     edges = np.column_stack([np.concatenate([u, u + n]), np.concatenate([v + cross, v + n - cross])])
     labels = None
@@ -407,12 +369,14 @@ def two_lift(G: RegularGraph, s: Signing) -> RegularGraph:
 
 def search_low_lambda_signing(
     G: RegularGraph, restarts: int, seed
-) -> tuple[Signing, float]:
+) -> tuple[np.ndarray, float]:
     """Randomized-restart greedy search for a signing whose 2-lift has small lambda2.
 
-    Each restart draws a random signing from its own derived seed (the draw of
-    ``Signing.random``) and greedily applies the best single-edge flip while
-    the score improves, for at most SEARCH_MAX_PASSES passes. No lift is built:
+    A signing is a +1/-1 vector in canonical edge order, as ``two_lift``
+    takes. Each restart draws one from its own derived seed ``child``, as
+    ``default_rng(child).choice((-1, 1), size=m)``, and greedily applies the
+    best single-edge flip while the score improves, for at most
+    SEARCH_MAX_PASSES passes. No lift is built:
     by Bilu-Linial 2006, spec(lift) = spec(A) U spec(A_s), so the lift's lambda2
     is max(lambda2(G), top eigenvalue of the signed matrix A_s), and that is
     the score. Each restart builds A_s once, and a flip negates its two
@@ -465,7 +429,7 @@ def search_low_lambda_signing(
             if best is None or key < best[0]:
                 best = (key, lam)
     (_, signs), lam = best
-    return Signing(G.edges(), signs), lam
+    return np.array(signs), lam
 
 
 def edge_expansion_exact(G: RegularGraph) -> tuple[float, tuple[int, ...]]:

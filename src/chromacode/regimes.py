@@ -273,17 +273,13 @@ def regime_map_sweep(
 
 
 def regime_point_csv(pt: RegimePoint) -> str:
-    ev = pt.evidence
-    if pt.classification == COUNTEREXAMPLE:
-        return ",".join(
-            [
-                str(pt.q), str(pt.delta), str(pt.lam), pt.classification,
-                str(ev.get("kind", "")), str(ev.get("n", "")),
-                f"{ev.get('lambda2'):.10g}" if ev.get("lambda2") is not None else "",
-                str(ev.get("code_size", "")), str(ev.get("min_dist", "")),
-            ]
-        )
-    kind = ev.get("kind", "") if pt.classification == CERTIFIED else ""
+    ev = pt.evidence  # only counterexamples carry n, lambda2, code_size, min_dist
+    lam2 = ev.get("lambda2")
     return ",".join(
-        [str(pt.q), str(pt.delta), str(pt.lam), pt.classification, kind, "", "", "", ""]
+        [
+            str(pt.q), str(pt.delta), str(pt.lam), pt.classification,
+            str(ev.get("kind", "")), str(ev.get("n", "")),
+            "" if lam2 is None else f"{lam2:.10g}",
+            str(ev.get("code_size", "")), str(ev.get("min_dist", "")),
+        ]
     )

@@ -20,7 +20,6 @@ from chromacode.colorings import (
     sample_gadget_coloring,
 )
 from chromacode.graphs import (
-    Signing,
     complete_graph,
     cycle_graph,
     gadget_expand,
@@ -126,7 +125,7 @@ def test_criterion_5_lift_invariants():
     coords = coordinate_colorings(3, 2, T)
     ok = True
     for trial in range(20):
-        L = two_lift(T, Signing.random(T, seed=(500, trial)))
+        L = two_lift(T, np.random.default_rng((500, trial)).choice((-1, 1), size=T.m))
         ok &= (L.n, L.d) == (18, 4)
         lifted_spec = list(full_spectrum(L).eigenvalues)
         for lam in base_spec:

@@ -1,12 +1,14 @@
+import ast
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chromacode import colorings, fileio, graphs
 from chromacode.cli import _load_sweep_config, main
 from chromacode.colorings import coordinate_colorings, is_proper, make_coloring
-from chromacode.graphs import Signing, complete_graph, gadget_expand, tensor_power, two_lift
+from chromacode.graphs import complete_graph, gadget_expand, tensor_power, two_lift
 
 
 EXPECTED = Path(__file__).parent / "expected"
@@ -15,6 +17,15 @@ ROOT = Path(__file__).parent.parent
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def _close(got, want) -> bool:
+    """Equal, floats to 1e-9, tuples item by item."""
+    if isinstance(want, tuple):
+        return isinstance(got, tuple) and len(got) == len(want) and all(map(_close, got, want))
+    if isinstance(want, float):
+        return abs(got - want) <= 1e-9
+    return got == want
 
 
 @pytest.fixture()
@@ -74,14 +85,29 @@ class TestConstruct:
 
     def test_two_lift_signing_file_and_all_plus_default(self, tmp_path, tensor_file):
         base = fileio.read_graph(tensor_file)
-        signing = Signing.random(base, seed=3)
+        signing = np.random.default_rng(3).choice((-1, 1), size=base.m)
         spath, out = tmp_path / "s.txt", tmp_path / "lift.graph"
-        fileio.write_signing(str(spath), signing)
+        fileio.write_signing(str(spath), base, signing)
         assert run(["construct", "two-lift", "--graph", tensor_file, "--signing", spath,
                     "--out", out]) == 0
         assert fileio.read_graph(str(out)) == two_lift(base, signing)
         assert run(["construct", "two-lift", "--graph", tensor_file, "--out", out]) == 0
-        assert fileio.read_graph(str(out)) == two_lift(base, Signing.all_plus(base))
+        assert fileio.read_graph(str(out)) == two_lift(base, np.ones(base.m, dtype=int))
+
+    @pytest.mark.parametrize(
+        "line,named", [("5 9 -1", "(5, 9)"), ("0 1 -1", "(0, 1)")],
+        ids=["not-an-edge", "conflicting-repeat"],
+    )
+    def test_bad_signing_line_exit_2(self, tmp_path, capsys, line, named):
+        K4 = complete_graph(4)
+        base, spath, out = tmp_path / "k4.graph", tmp_path / "s.txt", tmp_path / "lift.graph"
+        fileio.write_graph(str(base), K4)
+        fileio.write_signing(str(spath), K4, np.ones(K4.m, dtype=int))
+        spath.write_text(spath.read_text() + line + "\n")
+        assert run(["construct", "two-lift", "--graph", base, "--signing", spath,
+                    "--out", out]) == 2
+        assert not out.exists()
+        assert named in capsys.readouterr().err
 
     def test_bad_params_exit_2(self, tmp_path):
         assert run(["construct", "tensor", "--q", 3]) == 2  # missing --N
@@ -424,6 +450,21 @@ class TestRegimeMap:
         cfg.write_text(block)
         want = _load_sweep_config(str(ROOT / "perfbench" / "regime_map.json"), 0)
         assert _load_sweep_config(str(cfg), 0) == want
+
+    def test_readme_quick_start_values(self):
+        # each expression line of the quick start ends in "# <its value>"
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("## Library quick start")[1].split("```python\n")[1].split("```")[0]
+        lines, scope, checked = block.splitlines(), {}, 0
+        for stmt in ast.parse(block).body:
+            if not isinstance(stmt, ast.Expr):
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), scope)
+                continue
+            want = ast.literal_eval(lines[stmt.end_lineno - 1].partition("#")[2].strip())
+            got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), scope)
+            assert _close(got, want), f"{ast.unparse(stmt)} gives {got!r}, README says {want!r}"
+            checked += 1
+        assert checked
 
     @pytest.mark.parametrize("q", [None, 2, 1], ids=["missing", "q2", "q1"])
     def test_bad_q_exit_2_before_output(self, tmp_path, capsys, q):

@@ -17,7 +17,6 @@ from chromacode.errors import (
     TooLarge,
 )
 from chromacode.graphs import (
-    Signing,
     build_from_edges,
     complete_graph,
     cycle_graph,
@@ -197,36 +196,40 @@ class TestTwoLift:
         # keys of the tuple-based implementation
         T = tensor_power(3, 2)
         R = random_regular_bipartite(10, 3, seed=2)
-        assert two_lift(T, Signing.random(T, 13)).graph_key == "1fd5d65fa042f10d"
-        assert two_lift(R, Signing.random(R, 4)).graph_key == "4085f5bd7c8dfb82"
+        s_T = np.random.default_rng(13).choice((-1, 1), size=T.m)
+        s_R = np.random.default_rng(4).choice((-1, 1), size=R.m)
+        assert two_lift(T, s_T).graph_key == "1fd5d65fa042f10d"
+        assert two_lift(R, s_R).graph_key == "4085f5bd7c8dfb82"
 
     def test_all_plus_is_disjoint_double(self):
         C3 = cycle_graph(3)
-        L = two_lift(C3, Signing.all_plus(C3))
+        L = two_lift(C3, np.ones(C3.m, dtype=int))
         assert set(L.edges()) == {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)}
 
     def test_all_minus_c3_is_c6(self):
         # hand oracle: crossing every edge of an odd cycle gives one long cycle
         C3 = cycle_graph(3)
-        L = two_lift(C3, Signing.all_minus(C3))
+        L = two_lift(C3, -np.ones(C3.m, dtype=int))
         assert (L.n, L.d) == (6, 2)
         assert spectral.is_connected(L)
 
     def test_k4_lift_regular(self):
         K4 = complete_graph(4)
-        L = two_lift(K4, Signing.random(K4, seed=3))
+        L = two_lift(K4, np.random.default_rng(3).choice((-1, 1), size=K4.m))
         assert (L.n, L.d, L.m) == (8, 3, 12)
 
     def test_signing_mismatch(self):
         K4 = complete_graph(4)
         C3 = cycle_graph(3)
         with pytest.raises(SigningMismatch):
-            two_lift(K4, Signing.all_plus(C3))
+            two_lift(K4, np.ones(C3.m, dtype=int))
+        with pytest.raises(SigningMismatch):
+            two_lift(K4, np.zeros(K4.m, dtype=int))
 
     def test_doubles_counts(self, fixture_graphs):
         for name in ("C5", "prism", "tensor32"):
             G = fixture_graphs[name]
-            L = two_lift(G, Signing.random(G, seed=11))
+            L = two_lift(G, np.random.default_rng(11).choice((-1, 1), size=G.m))
             assert (L.n, L.m, L.d) == (2 * G.n, 2 * G.m, G.d)
 
 
@@ -234,12 +237,12 @@ def reference_search(G, restarts, seed):
     """The search's greedy rule, scoring each candidate by building its lift."""
 
     def lam_of(signs):
-        return spectral.lambda2(two_lift(G, Signing(G.edges(), signs)))
+        return spectral.lambda2(two_lift(G, np.array(signs)))
 
     best = None
     for r in range(restarts):
         child = (*seed, r) if isinstance(seed, tuple) else (seed, r)
-        signs = Signing.random(G, seed=child).signs
+        signs = tuple(np.random.default_rng(child).choice((-1, 1), size=G.m).tolist())
         lam = lam_of(signs)
         for _ in range(graphs.SEARCH_MAX_PASSES):
             improved = None
@@ -254,7 +257,7 @@ def reference_search(G, restarts, seed):
             lam, signs = improved
         if best is None or (round(lam, 9), signs) < (round(best[0], 9), best[1]):
             best = (lam, signs)
-    return Signing(G.edges(), best[1]), best[0]
+    return np.array(best[1]), best[0]
 
 
 class TestSigningSearch:
@@ -267,7 +270,7 @@ class TestSigningSearch:
     def test_c5_matches_exhaustive_oracle(self):
         C5 = cycle_graph(5)
         oracle = min(
-            spectral.lambda2(two_lift(C5, Signing(C5.edges(), signs)))
+            spectral.lambda2(two_lift(C5, np.array(signs)))
             for signs in itertools.product((-1, 1), repeat=5)
         )
         _, lam = search_low_lambda_signing(C5, restarts=8, seed=1)
@@ -278,7 +281,7 @@ class TestSigningSearch:
         T = tensor_power(3, 2)
         s1, l1 = search_low_lambda_signing(T, restarts=5, seed=2)
         s2, l2 = search_low_lambda_signing(T, restarts=5, seed=2)
-        assert s1 == s2 and l1 == l2
+        assert np.array_equal(s1, s2) and l1 == l2
 
     @pytest.mark.parametrize(
         "make,restarts,seed",
@@ -290,7 +293,7 @@ class TestSigningSearch:
         G = make()
         signing, lam = search_low_lambda_signing(G, restarts=restarts, seed=seed)
         ref_signing, ref_lam = reference_search(G, restarts, seed)
-        assert signing == ref_signing
+        assert np.array_equal(signing, ref_signing)
         assert round(lam, 9) == round(ref_lam, 9)
         assert abs(spectral.lambda2(two_lift(G, signing)) - lam) < 1e-9
 
