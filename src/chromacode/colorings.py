@@ -199,17 +199,18 @@ def sample_bipartite_biased(G: RegularGraph, q: int, tau: float, seed) -> Colori
     if q < 3:
         raise ValueError("biased sampler needs q >= 3")
     rng = np.random.default_rng(seed)
-    part0 = np.flatnonzero(G.part_labels == 0)
-    part1 = np.flatnonzero(G.part_labels == 1)
+    part0, part1 = G.parts
     low = q // 2
     colors = np.empty(G.n, dtype=np.int64)
     marked = rng.random(len(part0)) < tau
     uniform0 = rng.integers(0, low, size=len(part0))
     colors[part0] = np.where(marked, q - 1, uniform0)
     uniform1 = rng.integers(low, q, size=len(part1))
-    # every neighbor of a part-1 vertex is in part 0, colored above
-    forced = (colors[G.adjacency[part1]] == q - 1).any(axis=1)
-    colors[part1] = np.where(forced, q - 2, uniform1)
+    # a part-0 vertex has color q-1 only when marked (q-1 >= low), and every
+    # neighbor of a part-1 vertex is in part 0
+    forced = np.zeros(G.n, dtype=bool)
+    forced[G.adjacency[part0[marked]]] = True
+    colors[part1] = np.where(forced[part1], q - 2, uniform1)
     return Coloring(q, colors, G.graph_key)
 
 
@@ -224,8 +225,7 @@ def layered_bipartite_pair(G: RegularGraph, q: int) -> tuple[Coloring, Coloring]
         raise NotBipartite("layered pair needs part labels")
     if q < 3:
         raise ValueError("layered pair needs q >= 3")
-    part0 = np.flatnonzero(G.part_labels == 0)
-    part1 = np.flatnonzero(G.part_labels == 1)
+    part0, part1 = G.parts
     if len(part0) != len(part1) or len(part0) % (q - 1) != 0 or not len(part0):
         raise BadPartSize(
             f"parts of {len(part0)} and {len(part1)} are not both (q-1)*m for q={q}"

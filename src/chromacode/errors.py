@@ -43,6 +43,11 @@ class SigningMismatch(ChromaError):
     """A signing is not one +1 or -1 per edge of the graph."""
 
 
+class MalformedFile(ChromaError):
+    """A graph or signing file line does not parse (wrong field count, or a
+    token that is not an integer); the message names the line."""
+
+
 class TooLarge(ChromaError):
     """Input exceeds the cap of an exhaustive or dense computation."""
 
@@ -94,7 +99,8 @@ class MixedBinding(ChromaError):
 
 
 class OutOfRange(ChromaError):
-    """Certificate parameters outside the valid (delta, lambda) range."""
+    """A parameter or vertex id outside its valid range: certificate (delta,
+    lambda), graph sizes, construction parameters, edge endpoints."""
 
 
 class PreconditionFail(ChromaError):

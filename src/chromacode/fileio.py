@@ -23,7 +23,7 @@ import numpy as np
 from . import graphs
 from .codes import CodeSet
 from .colorings import Coloring, make_coloring
-from .errors import BindingMismatch, SigningMismatch
+from .errors import BindingMismatch, MalformedFile, SigningMismatch
 from .graphs import RegularGraph
 
 
@@ -35,26 +35,34 @@ def graph_to_text(G: RegularGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(line: str, lineno: int, count: int | None = None, start: int = 0) -> list[int]:
+    """The integer fields of ``line[start:]``. Raises MalformedFile naming the
+    line unless every field is an integer and, given ``count``, there are
+    that many."""
+    try:
+        values = [int(x) for x in line[start:].split()]
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        want = "integers" if count is None else f"{count} integers"
+        raise MalformedFile(f"line {lineno}: expected {want}, got {line!r}")
+    return values
+
+
 def graph_from_text(text: str, meta: Mapping | None = None) -> RegularGraph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
-        raise ValueError("empty graph file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"bad header {lines[0]!r}, expected 'n d'")
-    n, d = int(head[0]), int(head[1])
-    idx = 1
+        raise MalformedFile("empty graph file")
+    (no, head), *rest = lines
+    n, d = _ints(head, no, 2)
     parts = None
-    if idx < len(lines) and lines[idx].startswith("parts:"):
-        parts = [int(x) for x in lines[idx].split(":", 1)[1].split()]
-        idx += 1
-    edges = []
-    for ln in lines[idx:]:
-        u, v = ln.split()
-        edges.append((int(u), int(v)))
+    if rest and rest[0][1].startswith("parts:"):
+        (no, ln), *rest = rest
+        parts = _ints(ln, no, start=len("parts:"))
+    edges = [_ints(ln, no, 2) for no, ln in rest]
     G = graphs.build_from_edges(n, edges, part_labels=parts, meta=meta)
     if G.d != d:
-        raise ValueError(f"header says d={d} but edges give d={G.d}")
+        raise MalformedFile(f"header says d={d} but edges give d={G.d}")
     return G
 
 
@@ -117,17 +125,19 @@ def write_signing(path: str, G: RegularGraph, signs) -> None:
 
 
 def read_signing(path: str, G: RegularGraph) -> np.ndarray:
-    """Read a signing file (format above) into G's sign vector; a line off
-    that format, or a missing edge, raises SigningMismatch naming the edge."""
+    """Read a signing file (format above) into G's sign vector. A line that is
+    not three integers raises MalformedFile naming the line; an edge not in G,
+    listed twice or missing, or a sign other than +1 or -1, raises
+    SigningMismatch naming the edge."""
     edges = G.edges()
     index = {e: i for i, e in enumerate(edges)}
     signs = np.zeros(G.m, dtype=np.int64)  # 0 until the edge's line is read
     with open(path) as fh:
-        for ln in fh:
+        for no, ln in enumerate(fh, 1):
             if not ln.strip():
                 continue
-            u, v, sign = ln.split()
-            e, s = (int(u), int(v)), int(sign)
+            u, v, s = _ints(ln.strip(), no, 3)
+            e = (u, v)
             i = index.get(e)
             if i is None:
                 raise SigningMismatch(f"signing names {e}, not an edge u < v of the graph")

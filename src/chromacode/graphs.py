@@ -24,6 +24,7 @@ from .errors import (
     NonRegular,
     NotBipartite,
     NotCubic,
+    OutOfRange,
     Overlap,
     PreconditionFail,
     SelfLoop,
@@ -36,6 +37,7 @@ EXPANSION_CAP = 24       # exhaustive edge-expansion limit (2^(n-1) subsets)
 TENSOR_SIZE_CAP = 4096   # vertex cap for tensor powers
 SEARCH_MAX_PASSES = 200  # greedy flip passes per signing-search restart
 PERM_REDRAWS = 20        # whole redraws of a colliding permutation before repair
+FLIP_BATCH_BYTES = 1 << 20  # flipped signed matrices held at once by the signing search
 
 
 def _frozen(values, shape) -> np.ndarray:
@@ -85,8 +87,14 @@ class RegularGraph:
         if self.part_labels is not None:
             h.update(",".join(map(str, self.part_labels.tolist())).encode())
         h.update(b"|")
-        h.update("".join(f"{u},{v};" for u, v in self.edges()).encode())
+        # the bytes of "".join(f"{u},{v};" for u, v in self.edges())
+        h.update(_decimal_text(np.column_stack(self.edge_arrays()).ravel(), self.n, b",;"))
         return h.hexdigest()[:16]
+
+    @cached_property
+    def parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The vertices labelled part 0 and part 1, ascending (needs part labels)."""
+        return tuple(_frozen(np.flatnonzero(self.part_labels == p), -1) for p in (0, 1))
 
     @property
     def m(self) -> int:
@@ -107,6 +115,23 @@ class RegularGraph:
         cols = self.adjacency.ravel()
         upper = rows < cols
         return rows[upper], cols[upper]
+
+
+def _decimal_text(values: np.ndarray, n: int, seps: bytes) -> bytes:
+    """``"".join(f"{x}{s}")`` over ``values`` in [0, n), the separators s taken
+    from ``seps`` in turn, without per-value Python work: each value's row of
+    a digit table, NUL-padded on the left, and its separator; then every NUL
+    is dropped."""
+    width = len(str(max(n - 1, 0)))
+    ids = np.arange(n)
+    table = np.zeros((n, width + 1), dtype=np.uint8)  # the last column takes the separator
+    for k in range(width):
+        has = ids >= 10**k
+        table[has, width - 1 - k] = ord("0") + ids[has] // 10**k % 10
+    table[0, width - 1] = ord("0")
+    text = table[values]
+    text[:, width] = np.resize(np.frombuffer(seps, dtype=np.uint8), len(values))
+    return text[text != 0].tobytes()
 
 
 @dataclass(frozen=True)
@@ -138,12 +163,12 @@ def build_from_edges(
     supplied but some edge stays inside a part.
     """
     if n < 1:
-        raise ValueError(f"need at least one vertex, got n={n}")
+        raise OutOfRange(f"need at least one vertex, got n={n}")
     pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("edges must be pairs of vertices")
+        raise PreconditionFail("edges must be pairs of vertices")
     u, v = pairs[:, 0], pairs[:, 1]
     outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
     loop = u == v
@@ -156,7 +181,7 @@ def build_from_edges(
     if bad.size:
         i = bad[0]
         if outside[i]:
-            raise ValueError(f"edge ({u[i]},{v[i]}) out of range for n={n}")
+            raise OutOfRange(f"edge ({u[i]},{v[i]}) out of range for n={n}")
         if loop[i]:
             raise SelfLoop(f"self-loop at vertex {u[i]}")
         raise DuplicateEdge(f"edge {(int(lo[i]), int(hi[i]))} listed twice")
@@ -171,7 +196,7 @@ def build_from_edges(
     if part_labels is not None:
         labels = np.array(part_labels, dtype=np.int64)
         if labels.shape != (n,):
-            raise ValueError("part_labels length must equal n")
+            raise PreconditionFail("part_labels length must equal n")
         inside = np.flatnonzero(labels[u] == labels[v])
         if inside.size:
             i = inside[0]
@@ -192,14 +217,14 @@ def build_from_edges(
 def complete_graph(q: int) -> RegularGraph:
     """K_q, (q-1)-regular."""
     if q < 2:
-        raise ValueError("complete graph needs q >= 2")
+        raise OutOfRange("complete graph needs q >= 2")
     return build_from_edges(q, combinations(range(q), 2), meta={"kind": "complete", "q": q})
 
 
 def cycle_graph(n: int) -> RegularGraph:
     """C_n, 2-regular. n=2 fails with DuplicateEdge (parallel edges)."""
     if n < 1:
-        raise ValueError("cycle needs n >= 1")
+        raise OutOfRange("cycle needs n >= 1")
     return build_from_edges(
         n, [(i, (i + 1) % n) for i in range(n)], meta={"kind": "cycle", "n": n}
     )
@@ -212,7 +237,7 @@ def tensor_power(q: int, N: int) -> RegularGraph:
     digit i of a vertex id is coordinate i. The result is (q-1)^N-regular.
     """
     if q < 2 or N < 1:
-        raise ValueError("tensor power needs q >= 2 and N >= 1")
+        raise OutOfRange("tensor power needs q >= 2 and N >= 1")
     n = q**N
     if n > TENSOR_SIZE_CAP:
         raise SizeCap(f"q^N = {n} exceeds cap {TENSOR_SIZE_CAP}")
@@ -263,30 +288,31 @@ def random_regular_bipartite(half: int, d: int, seed) -> RegularGraph:
 
     Sampled as the union of d permutations between the parts. Each new
     permutation is redrawn whole up to PERM_REDRAWS times while it duplicates
-    an existing edge; a still-colliding draw is then completed into a valid
+    an existing edge (a draw is dropped at the first earlier permutation it
+    meets); a still-colliding draw is then completed into a valid
     permutation by augmenting paths over the not-yet-used values (such a
     completion always exists for d <= half). Deterministic given seed.
     """
     if half < 1:
-        raise ValueError("half must be positive")
+        raise OutOfRange("half must be positive")
     if d < 0 or d > half:
-        raise ValueError(f"need 0 <= d <= half, got d={d}, half={half}")
+        raise OutOfRange(f"need 0 <= d <= half, got d={d}, half={half}")
     rng = np.random.default_rng(seed)
-    perms = np.empty((0, half), dtype=np.int64)  # row k: the values of permutation k
-    for _ in range(d):
+    perms = np.empty((d, half), dtype=np.int64)  # row k: the values of permutation k
+    for k in range(d):
         for _ in range(PERM_REDRAWS):
             perm = rng.permutation(half)
-            clash = (perms == perm).any(axis=0)
-            if not clash.any():
+            if not any((row == perm).any() for row in perms[:k]):
                 break
         else:
-            perm = _complete_permutation(perm, clash, perms, rng)
+            clash = (perms[:k] == perm).any(axis=0)
+            perm = _complete_permutation(perm, clash, perms[:k], rng)
             if perm is None:
                 raise GenerationTimeout(
                     f"could not complete a collision-free permutation "
                     f"(half={half}, d={d})"
                 )
-        perms = np.vstack([perms, perm])
+        perms[k] = perm
     edges = np.column_stack([np.tile(np.arange(half), d), half + perms.ravel()])
     return build_from_edges(
         2 * half,
@@ -303,43 +329,48 @@ def _complete_permutation(
 
     Position i may take any value not in ``perms[:, i]``. Clashing positions
     are freed and re-placed in increasing order, each by a BFS over
-    alternating paths in which positions propose values in random order.
+    alternating paths. Every popped position draws one ``rng.permutation``
+    and proposes its allowed, unvisited values in that order: the first free
+    one ends the search, else all are visited and their owners queued in
+    that order. The state is int and bool arrays over positions or values,
+    so one pop costs O(half) time and memory.
     """
     half = len(perm)
-    assignment = {i: j for i, j in enumerate(perm.tolist()) if not clash[i]}
-    owner = {j: i for i, j in assignment.items()}
+    assignment = np.where(clash, -1, perm)  # position -> value, -1 while freed
+    owner = np.full(half, -1, dtype=np.int64)  # value -> position, -1 while free
+    owner[assignment[~clash]] = np.flatnonzero(~clash)
 
     def augment(start: int) -> bool:
         # reaching a free value flips the path below it
-        visited: set[int] = set()
-        came_from: dict[int, int] = {}
+        visited = np.zeros(half, dtype=bool)
+        came_from = np.empty(half, dtype=np.int64)  # value -> position that proposed it
         queue = deque([start])
         while queue:
             i = queue.popleft()
-            used = set(perms[:, i].tolist())
-            for j in rng.permutation(half).tolist():
-                if j in used or j in visited:
-                    continue
-                visited.add(j)
-                came_from[j] = i
-                prev = owner.get(j)
-                if prev is None:
-                    v = j
-                    while True:
-                        pi = came_from[v]
-                        displaced = assignment.get(pi)
-                        assignment[pi] = v
-                        owner[v] = pi
-                        if pi == start:
-                            return True
-                        v = displaced
-                queue.append(prev)
+            blocked = visited.copy()
+            blocked[perms[:, i]] = True
+            order = rng.permutation(half)
+            order = order[~blocked[order]]  # i's proposals, in draw order
+            came_from[order] = i  # past the first free value it is never read
+            free = order[owner[order] < 0]
+            if free.size:
+                v = int(free[0])
+                while True:
+                    pi = int(came_from[v])
+                    displaced = int(assignment[pi])
+                    assignment[pi] = v
+                    owner[v] = pi
+                    if pi == start:
+                        return True
+                    v = displaced
+            visited[order] = True
+            queue.extend(owner[order].tolist())
         return False
 
     for i in np.flatnonzero(clash).tolist():
         if not augment(i):
             return None
-    return np.array([assignment[i] for i in range(half)], dtype=np.int64)
+    return assignment
 
 
 def _seed_repr(seed) -> str:
@@ -380,8 +411,10 @@ def search_low_lambda_signing(
     by Bilu-Linial 2006, spec(lift) = spec(A) U spec(A_s), so the lift's lambda2
     is max(lambda2(G), top eigenvalue of the signed matrix A_s), and that is
     the score. Each restart builds A_s once, and a flip negates its two
-    entries in place. Scores are compared rounded to 9 decimals, so
-    candidates that differ only by floating-point noise tie and the
+    entries in place. A pass scores all m flips by batched ``eigvalsh`` calls
+    on flipped copies of A_s, in one reused buffer of at most
+    FLIP_BATCH_BYTES (or one matrix). Scores are compared rounded to 9
+    decimals, so candidates that differ only by floating-point noise tie and the
     tie-breaks decide: within a pass the lowest flip index among the best
     wins; across restarts the smaller (rounded lambda, sign vector). Returns
     the best signing and its lift's lambda2; no optimality guarantee. The
@@ -398,13 +431,27 @@ def search_low_lambda_signing(
         raise PreconditionFail("signing search needs restarts >= 1")
     lam_base = spectral.lambda2(G)
     u, v = G.edge_arrays()
+    per_batch = min(G.m, max(1, FLIP_BATCH_BYTES // (8 * G.n * G.n)))
+    batch = np.empty((per_batch, G.n, G.n))  # flipped copies of A_s, reused by every pass
 
-    def score() -> float:
-        return max(lam_base, float(np.linalg.eigvalsh(A)[-1]))
+    def scores(mats: np.ndarray) -> list[float]:
+        # max(lambda2(G), top eigenvalue) of each matrix, by one batched eigvalsh
+        return [max(lam_base, t) for t in np.linalg.eigvalsh(mats)[:, -1].tolist()]
 
     def flip_edge(i: int) -> None:
         signs[i] = -signs[i]
         A[u[i], v[i]] = A[v[i], u[i]] = -A[u[i], v[i]]
+
+    def flip_scores() -> list[float]:
+        # the score after each single-edge flip, in edge order, a batch at a time
+        out = []
+        for c in range(0, G.m, per_batch):
+            e = np.arange(c, min(c + per_batch, G.m))
+            flipped = batch[: len(e)]
+            flipped[:] = A
+            flipped[e - c, u[e], v[e]] = flipped[e - c, v[e], u[e]] = -A[u[e], v[e]]
+            out += scores(flipped)
+        return out
 
     best = None  # ((rounded lambda, sign tuple), lambda)
     with spectral._one_blas_thread():  # n x n eigvalsh calls, one scope for all
@@ -412,19 +459,14 @@ def search_low_lambda_signing(
             child = (*seed, r) if isinstance(seed, tuple) else (seed, r)
             signs = np.random.default_rng(child).choice((-1, 1), size=G.m)
             A = spectral.normalized_adjacency(G, signs)  # A_s, kept in step with signs
-            lam = score()
+            (lam,) = scores(A[None])
             for _ in range(SEARCH_MAX_PASSES):
-                flip, bar = None, round(lam, 9)
-                for i in range(G.m):
-                    flip_edge(i)
-                    lam_c = score()
-                    flip_edge(i)
-                    if round(lam_c, 9) < bar:
-                        flip, lam_flip, bar = i, lam_c, round(lam_c, 9)
-                if flip is None:
+                flips = flip_scores()
+                flip = min(range(G.m), key=lambda i: round(flips[i], 9))  # lowest index
+                if round(flips[flip], 9) >= round(lam, 9):
                     break
                 flip_edge(flip)
-                lam = lam_flip
+                lam = flips[flip]
             key = (round(lam, 9), tuple(signs.tolist()))
             if best is None or key < best[0]:
                 best = (key, lam)
@@ -443,7 +485,7 @@ def edge_expansion_exact(G: RegularGraph) -> tuple[float, tuple[int, ...]]:
     if n > EXPANSION_CAP:
         raise TooLarge(f"n={n} exceeds exhaustive cap {EXPANSION_CAP}")
     if n < 2:
-        raise ValueError("edge expansion needs n >= 2")
+        raise PreconditionFail("edge expansion needs n >= 2")
     nbr = [sum(1 << u for u in row) for row in G.adjacency.tolist()]
     d = G.d
     mask = 1
@@ -504,10 +546,10 @@ def subset_measures(
 
 
 def _vertex_mask(G: RegularGraph, vertices: Iterable[int]) -> np.ndarray:
-    """Boolean mask of a vertex subset; raises ValueError on out-of-range ids."""
+    """Boolean mask of a vertex subset; raises OutOfRange on out-of-range ids."""
     ids = np.fromiter((int(v) for v in vertices), dtype=np.int64)
     if ((ids < 0) | (ids >= G.n)).any():
-        raise ValueError("subset contains out-of-range vertices")
+        raise OutOfRange("subset contains out-of-range vertices")
     mask = np.zeros(G.n, dtype=bool)
     mask[ids] = True
     return mask

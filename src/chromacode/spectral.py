@@ -136,6 +136,15 @@ def _one_blas_thread():
         calls[1](before)
 
 
+def _neighbor_sum(v: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Sum of v over each vertex's neighbors, given the (d, n) neighbor rows.
+
+    Reducing the gathered rows along axis 0 adds them one row after another,
+    so the bits equal those of a loop over the rows.
+    """
+    return v[columns].sum(axis=0)
+
+
 def _extreme_eigenvalue(G: RegularGraph, which: str) -> float:
     """lambda2 (``which="LA"``) or lambda_min (``"SA"``) of a graph with d >= 1.
 
@@ -164,7 +173,7 @@ def _extreme_eigenvalue(G: RegularGraph, which: str) -> float:
         with _one_blas_thread():
             vals = np.linalg.eigvalsh(A)  # ascending
         return float(vals[-2] if which == "LA" else vals[0])
-    columns = G.adjacency.T  # row i holds the i-th neighbor of every vertex
+    columns = np.ascontiguousarray(G.adjacency.T)  # row i: the i-th neighbor of every vertex
     sign = 1.0 if which == "LA" else -1.0
     deflate = which == "LA"
     m, k = LANCZOS_BASIS, LANCZOS_KEEP
@@ -177,9 +186,7 @@ def _extreme_eigenvalue(G: RegularGraph, which: str) -> float:
     j = steps = 0
     while True:
         v = V[j]
-        w = v[columns[0]]
-        for col in columns[1:]:
-            w += v[col]
+        w = _neighbor_sum(v, columns)
         w *= sign / G.d
         if deflate:
             w -= w.mean()

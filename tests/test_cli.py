@@ -109,6 +109,34 @@ class TestConstruct:
         assert not out.exists()
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["0 1", "0 1 x", "0 1 -1 1"],
+                             ids=["two-fields", "not-an-integer", "four-fields"])
+    def test_malformed_signing_line_exit_2(self, tmp_path, capsys, line):
+        K4 = complete_graph(4)
+        base, spath, out = tmp_path / "k4.graph", tmp_path / "s.txt", tmp_path / "lift.graph"
+        fileio.write_graph(str(base), K4)
+        fileio.write_signing(str(spath), K4, np.ones(K4.m, dtype=int))
+        spath.write_text(spath.read_text() + "\n" + line + "\n")  # a blank line 7 counts
+        assert run(["construct", "two-lift", "--graph", base, "--signing", spath,
+                    "--out", out]) == 2
+        assert not out.exists()
+        assert f"error: line 8: expected 3 integers, got {line!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "lineno,line,want",
+        [(1, "4", "2 integers"), (1, "4 x", "2 integers"),
+         (2, "parts: 0 1 z 1", "integers"),
+         (4, "0 2 7", "2 integers"), (5, "1 y", "2 integers")],
+        ids=["short-header", "bad-header", "bad-parts", "three-fields", "not-an-integer"],
+    )
+    def test_malformed_graph_line_exit_2(self, tmp_path, capsys, lineno, line, want):
+        lines = ["4 2", "parts: 0 1 0 1", "0 1", "1 2", "2 3", "0 3"]
+        lines[lineno - 1] = line
+        path = tmp_path / "c4.graph"
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["spectrum", "--graph", path]) == 2
+        assert f"error: line {lineno}: expected {want}, got {line!r}" in capsys.readouterr().err
+
     def test_bad_params_exit_2(self, tmp_path):
         assert run(["construct", "tensor", "--q", 3]) == 2  # missing --N
         assert run(

@@ -9,6 +9,7 @@ from chromacode.errors import (
     NonRegular,
     NotBipartite,
     NotCubic,
+    OutOfRange,
     Overlap,
     PreconditionFail,
     SelfLoop,
@@ -70,7 +71,7 @@ class TestBuildFromEdges:
         [(3, [(0, 1), (1, 1), (1, 0)], SelfLoop),
          (3, [(0, 1), (1, 0), (1, 1)], DuplicateEdge),
          (3, [(0, 1), (2, 2), (0, 5)], SelfLoop),
-         (3, [(0, 5), (1, 1)], ValueError)],
+         (3, [(0, 5), (1, 1)], OutOfRange)],
     )
     def test_first_bad_edge_decides(self, n, edges, error):
         with pytest.raises(error) as exc:
@@ -91,6 +92,28 @@ class TestBuildFromEdges:
             assert H.adjacency.tolist() == [sorted(a) for a in nbrs]
             assert not H.adjacency.flags.writeable
             assert H == G and H.graph_key == G.graph_key
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize(
+        "call,error",
+        [(lambda: build_from_edges(0, []), OutOfRange),
+         (lambda: build_from_edges(3, [(0, 1, 2)]), PreconditionFail),
+         (lambda: build_from_edges(2, [(0, 1)], part_labels=[0]), PreconditionFail),
+         (lambda: complete_graph(1), OutOfRange),
+         (lambda: cycle_graph(0), OutOfRange),
+         (lambda: tensor_power(1, 2), OutOfRange),
+         (lambda: tensor_power(3, 0), OutOfRange),
+         (lambda: random_regular_bipartite(0, 0, seed=0), OutOfRange),
+         (lambda: random_regular_bipartite(3, -1, seed=0), OutOfRange),
+         (lambda: edge_expansion_exact(build_from_edges(1, [])), PreconditionFail),
+         (lambda: subset_measures(complete_graph(4), [0, 4]), OutOfRange),
+         (lambda: subset_measures(complete_graph(4), [0], [-1]), OutOfRange)],
+    )
+    def test_error_class(self, call, error):
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error
 
 
 class TestConstructors:
@@ -164,7 +187,7 @@ class TestRandomBipartite:
         )
 
     def test_degree_exceeds_half(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange):
             random_regular_bipartite(2, 3, seed=0)
 
     def test_seed_determinism(self):

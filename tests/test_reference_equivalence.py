@@ -1,0 +1,293 @@
+"""The array-native graph build, signing search, biased sampler, graph key and
+Lanczos product against reference copies of their per-element forms.
+
+Each reference below keeps the earlier loop as it was: its RNG calls, float
+operations and tie-breaks. The library must match it exactly (equal arrays,
+equal floats, equal reprs), since every seeded output rests on those bits.
+"""
+import hashlib
+from collections import deque
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from chromacode import graphs, spectral
+from chromacode.colorings import Coloring, sample_bipartite_biased
+from chromacode.graphs import (
+    build_from_edges,
+    cycle_graph,
+    random_regular_bipartite,
+    tensor_power,
+    two_lift,
+)
+
+
+# -- random_regular_bipartite: the dict/set augmenting-path repair -------------
+
+def reference_complete_permutation(perm, clash, perms, rng):
+    half = len(perm)
+    assignment = {i: j for i, j in enumerate(perm.tolist()) if not clash[i]}
+    owner = {j: i for i, j in assignment.items()}
+
+    def augment(start):
+        visited = set()
+        came_from = {}
+        queue = deque([start])
+        while queue:
+            i = queue.popleft()
+            used = set(perms[:, i].tolist())
+            for j in rng.permutation(half).tolist():
+                if j in used or j in visited:
+                    continue
+                visited.add(j)
+                came_from[j] = i
+                prev = owner.get(j)
+                if prev is None:
+                    v = j
+                    while True:
+                        pi = came_from[v]
+                        displaced = assignment.get(pi)
+                        assignment[pi] = v
+                        owner[v] = pi
+                        if pi == start:
+                            return True
+                        v = displaced
+                queue.append(prev)
+        return False
+
+    for i in np.flatnonzero(clash).tolist():
+        if not augment(i):
+            return None
+    return np.array([assignment[i] for i in range(half)], dtype=np.int64)
+
+
+def reference_permutations(half, d, seed):
+    """The d permutation rows, drawn and repaired as the per-element code did."""
+    rng = np.random.default_rng(seed)
+    perms = np.empty((0, half), dtype=np.int64)
+    for _ in range(d):
+        for _ in range(graphs.PERM_REDRAWS):
+            perm = rng.permutation(half)
+            clash = (perms == perm).any(axis=0)
+            if not clash.any():
+                break
+        else:
+            perm = reference_complete_permutation(perm, clash, perms, rng)
+        perms = np.vstack([perms, perm])
+    return perms
+
+
+def reference_adjacency(half, d, seed):
+    perms = reference_permutations(half, d, seed)
+    edges = np.column_stack([np.tile(np.arange(half), d), half + perms.ravel()])
+    return build_from_edges(2 * half, edges).adjacency
+
+
+@st.composite
+def sizes(draw):
+    half = draw(st.integers(1, 60))
+    return half, draw(st.integers(0, half))
+
+
+class TestRepair:
+    @settings(max_examples=60, deadline=None)
+    @given(size=sizes(), seed=st.integers(0, 2**32 - 1))
+    @example(size=(40, 40), seed=0)
+    @example(size=(60, 59), seed=3)
+    @example(size=(1, 1), seed=0)
+    def test_same_adjacency(self, size, seed):
+        half, d = size
+        G = random_regular_bipartite(half, d, seed)
+        assert np.array_equal(G.adjacency, reference_adjacency(half, d, seed))
+
+    @pytest.mark.parametrize("half,d,seed", [(1000, 25, (7, 0)), (300, 30, 5)])
+    def test_same_adjacency_at_sweep_size(self, half, d, seed):
+        # the README layered-pair graph: 22 of its 25 rows take the repair
+        G = random_regular_bipartite(half, d, seed)
+        assert np.array_equal(G.adjacency, reference_adjacency(half, d, seed))
+
+    def test_repair_runs(self, monkeypatch):
+        calls = []
+        real = graphs._complete_permutation
+        monkeypatch.setattr(graphs, "_complete_permutation",
+                            lambda *a: calls.append(1) or real(*a))
+        random_regular_bipartite(40, 40, 0)
+        assert len(calls) >= 30  # a uniform draw rarely avoids 30 earlier rows
+
+
+# -- search_low_lambda_signing: one eigvalsh call per flip -----------------------
+
+def reference_search(G, restarts, seed):
+    lam_base = spectral.lambda2(G)
+    u, v = G.edge_arrays()
+
+    def score():
+        return max(lam_base, float(np.linalg.eigvalsh(A)[-1]))
+
+    def flip_edge(i):
+        signs[i] = -signs[i]
+        A[u[i], v[i]] = A[v[i], u[i]] = -A[u[i], v[i]]
+
+    best = None
+    with spectral._one_blas_thread():
+        for r in range(restarts):
+            child = (*seed, r) if isinstance(seed, tuple) else (seed, r)
+            signs = np.random.default_rng(child).choice((-1, 1), size=G.m)
+            A = spectral.normalized_adjacency(G, signs)
+            lam = score()
+            for _ in range(graphs.SEARCH_MAX_PASSES):
+                flip, bar = None, round(lam, 9)
+                for i in range(G.m):
+                    flip_edge(i)
+                    lam_c = score()
+                    flip_edge(i)
+                    if round(lam_c, 9) < bar:
+                        flip, lam_flip, bar = i, lam_c, round(lam_c, 9)
+                if flip is None:
+                    break
+                flip_edge(flip)
+                lam = lam_flip
+            key = (round(lam, 9), tuple(signs.tolist()))
+            if best is None or key < best[0]:
+                best = (key, lam)
+    (_, signs), lam = best
+    return np.array(signs), lam
+
+
+def k32_lift():
+    T = tensor_power(3, 2)
+    return two_lift(T, np.random.default_rng(5).choice((-1, 1), size=T.m))
+
+
+class TestBatchedSigningSearch:
+    @pytest.mark.parametrize(
+        "make,restarts,seed",
+        [(lambda: tensor_power(4, 2), 2, 0),
+         (lambda: tensor_power(4, 2), 2, (7, 3)),
+         (k32_lift, 3, 1),
+         (k32_lift, 3, (7, 3, 0)),
+         (lambda: tensor_power(3, 2), 30, (7, 3, 0))],
+        ids=["K4^2-0", "K4^2-tuple", "K3^2-lift-1", "K3^2-lift-tuple", "K3^2-sweep"],
+    )
+    def test_same_signing_and_float(self, make, restarts, seed):
+        G = make()
+        signs, lam = graphs.search_low_lambda_signing(G, restarts, seed)
+        ref_signs, ref_lam = reference_search(G, restarts, seed)
+        assert np.array_equal(signs, ref_signs)
+        assert repr(lam) == repr(ref_lam)
+
+    def test_small_batches(self, monkeypatch):
+        # one matrix per batch, and a batch that does not divide m
+        G = k32_lift()
+        ref = reference_search(G, 2, 4)
+        for size in (1, 5 * 8 * G.n * G.n):
+            monkeypatch.setattr(graphs, "FLIP_BATCH_BYTES", size)
+            signs, lam = graphs.search_low_lambda_signing(G, 2, 4)
+            assert np.array_equal(signs, ref[0]) and repr(lam) == repr(ref[1])
+
+
+# -- sample_bipartite_biased: the full part-1 neighbor gather --------------------
+
+def reference_biased(G, q, tau, seed):
+    rng = np.random.default_rng(seed)
+    part0 = np.flatnonzero(G.part_labels == 0)
+    part1 = np.flatnonzero(G.part_labels == 1)
+    low = q // 2
+    colors = np.empty(G.n, dtype=np.int64)
+    marked = rng.random(len(part0)) < tau
+    uniform0 = rng.integers(0, low, size=len(part0))
+    colors[part0] = np.where(marked, q - 1, uniform0)
+    uniform1 = rng.integers(low, q, size=len(part1))
+    forced = (colors[G.adjacency[part1]] == q - 1).any(axis=1)
+    colors[part1] = np.where(forced, q - 2, uniform1)
+    return Coloring(q, colors, G.graph_key)
+
+
+def interleaved_lift():
+    """A 2-lift of a bipartite graph whose part labels alternate along the ids."""
+    H = random_regular_bipartite(30, 4, seed=9)
+    ids = np.empty(H.n, dtype=np.int64)
+    ids[H.part_labels == 0] = np.arange(0, H.n, 2)
+    ids[H.part_labels == 1] = np.arange(1, H.n, 2)
+    u, v = H.edge_arrays()
+    labels = np.empty(H.n, dtype=np.int64)
+    labels[ids] = H.part_labels
+    B = build_from_edges(H.n, np.column_stack([ids[u], ids[v]]), part_labels=labels)
+    return two_lift(B, np.random.default_rng(2).choice((-1, 1), size=B.m))
+
+
+class TestBiasedSampler:
+    @pytest.mark.parametrize("tau", [0.0, 1 / 128, 0.5, 1.0])
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_same_coloring(self, q, tau):
+        G = interleaved_lift()
+        assert G.part_labels[:4].tolist() == [0, 1, 0, 1]
+        for seed in range(20):
+            assert sample_bipartite_biased(G, q, tau, (3, seed)) == reference_biased(
+                G, q, tau, (3, seed)
+            )
+
+
+# -- graph_key: the per-edge f-string -------------------------------------------
+
+def reference_key(G):
+    h = hashlib.sha256(f"{G.n}|{G.d}|".encode())
+    if G.part_labels is not None:
+        h.update(",".join(map(str, G.part_labels.tolist())).encode())
+    h.update(b"|")
+    h.update("".join(f"{u},{v};" for u, v in G.edges()).encode())
+    return h.hexdigest()[:16]
+
+
+class TestGraphKey:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: build_from_edges(1, []),
+         lambda: build_from_edges(2, [(0, 1)]),
+         *(lambda n=n: cycle_graph(n) for n in (3, 10, 11, 100, 101, 1001)),
+         lambda: random_regular_bipartite(600, 3, seed=1),
+         lambda: random_regular_bipartite(5, 5, seed=2),
+         interleaved_lift,
+         lambda: tensor_power(3, 3)],
+        ids=["n1-d0", "K2", "C3", "C10", "C11", "C100", "C101", "C1001",
+             "bipartite-1200", "K5,5", "interleaved-lift", "K3^3"],
+    )
+    def test_same_key(self, make):
+        G = make()
+        assert G.graph_key == reference_key(G)
+
+
+# -- Lanczos: the product as a loop over the neighbor rows -----------------------
+
+def reference_neighbor_sum(v, columns):
+    w = v[columns[0]]
+    for col in columns[1:]:
+        w += v[col]
+    return w
+
+
+class TestNeighborSum:
+    @pytest.mark.parametrize("d", [1, 3, 25])
+    def test_same_bits(self, d):
+        G = random_regular_bipartite(300, d, seed=d)
+        columns = np.ascontiguousarray(G.adjacency.T)
+        v = np.random.default_rng(d).standard_normal(G.n)
+        assert np.array_equal(spectral._neighbor_sum(v, columns),
+                              reference_neighbor_sum(v, columns))
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: random_regular_bipartite(200, 1, seed=3),
+         lambda: random_regular_bipartite(200, 3, seed=3),
+         lambda: random_regular_bipartite(1000, 25, seed=(7, 0)),
+         lambda: cycle_graph(1001)],
+        ids=["d1", "d3", "d25", "C1001"],
+    )
+    def test_same_reprs(self, make, monkeypatch):
+        G = make()
+        assert G.n > spectral.LANCZOS_MIN_N
+        got = repr(spectral.lambda2(G)), repr(spectral.lambda_min(G))
+        monkeypatch.setattr(spectral, "_neighbor_sum", reference_neighbor_sum)
+        assert got == (repr(spectral.lambda2(G)), repr(spectral.lambda_min(G)))
