@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from .errors import PreconditionFail
+
 _INF = math.inf  # above every reduced cost; Python compares it with ints exactly
 
 
@@ -18,7 +20,7 @@ def min_cost_assignment(cost: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
     """
     n = len(cost)
     if any(len(row) != n for row in cost):
-        raise ValueError("cost matrix must be square")
+        raise PreconditionFail("cost matrix must be square")
     u = [0] * (n + 1)
     v = [0] * (n + 1)
     p = [0] * (n + 1)  # p[j] = row matched to column j (1-indexed; 0 = free)

@@ -2,8 +2,10 @@
 
 Subcommands: construct, spectrum, distance, pack, exact-f, certify,
 regime-map, verify. Exit codes: 0 ok, 1 a verification check failed,
-2 usage / parse / validation error. The randomized subcommands (construct,
-pack, regime-map) are deterministic given --seed.
+2 a ChromaError (bad input; see ``errors``) or an OSError (a file that
+cannot be opened or written). Any other exception is a bug and shows as a
+traceback. The randomized subcommands (construct, pack, regime-map) are
+deterministic given --seed.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import codes, colorings, fileio, graphs, regimes, spectral
-from .errors import ChromaError
+from .errors import ChromaError, MalformedFile
 
 
 def _fraction(text: str) -> Fraction:
@@ -87,8 +89,6 @@ def cmd_construct(args) -> int:
         else:
             signs = np.ones(base.m, dtype=np.int64)
         G = graphs.two_lift(base, signs)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown kind {kind}")
     sidecar = {"construct": kind, "seed": seed}
     if args.with_spectrum:
         sidecar["lambda2"] = spectral.lambda2(G)
@@ -235,10 +235,7 @@ def _load_sweep_config(path: str, cli_seed: int) -> regimes.SweepConfig:
     Only the JSON shape is checked here; SweepFamily and SweepConfig check
     the values.
     """
-    with open(path) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ChromaError(f"sweep config must be a JSON object, not {type(raw).__name__}")
+    raw = fileio.read_input(path, as_json=True)
     allowed = [f.name for f in dataclasses.fields(regimes.SweepConfig)]
     unknown = sorted(set(raw) - set(allowed))
     if unknown:
@@ -271,7 +268,10 @@ def cmd_regime_map(args) -> int:
             data = fh.read()
         # only newline-terminated lines are complete; a cut-off tail is dropped
         complete = data[: data.rfind(b"\n") + 1]
-    lines = complete.decode().splitlines()
+    try:
+        lines = complete.decode().splitlines()
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{args.out}: {exc}") from None
     resuming = lines[:1] == [regimes.CSV_HEADER]
     skip = {tuple(ln.split(",")[1:3]) for ln in lines[1:]} if resuming else set()
     rows = regimes.regime_map_sweep(config, skip=skip)
@@ -379,7 +379,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ChromaError, OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
+    except (ChromaError, OSError) as exc:  # anything else is a bug: let it show
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import colorings as col
 from . import graphs, spectral
 from .colorings import Coloring
-from .errors import BadTau, ChromaError, MixedBinding, TooLarge
+from .errors import BindingMismatch, ChromaError, OutOfRange, PreconditionFail, TooLarge
 from .graphs import RegularGraph
 
 CLIQUE_CAP = 2000
@@ -49,11 +49,11 @@ class VerifyResult:
 
 def _check_members(members: Sequence[Coloring]) -> None:
     if not members:
-        raise ValueError("code set needs at least one member")
+        raise PreconditionFail("code set needs at least one member")
     key, q = members[0].graph_key, members[0].q
     for X in members[1:]:
         if X.graph_key != key or X.q != q:
-            raise MixedBinding("members bound to different graphs or q values")
+            raise BindingMismatch("members bound to different graphs or q values")
 
 
 def verify_delta_distinct(C: CodeSet) -> VerifyResult:
@@ -102,7 +102,7 @@ def greedy_pack(
             break
         draws += 1
         if X.graph_key != G.graph_key:
-            raise MixedBinding("sampler returned a coloring of a different graph")
+            raise BindingMismatch("sampler returned a coloring of a different graph")
         dists = [col.distance(X, Y)[0] for Y in kept]
         if all(d >= thr for d in dists):
             kept.append(X)
@@ -220,9 +220,15 @@ def list_sampler(members: Sequence[Coloring]) -> Sampler:
 
 
 def _biased_sampler(G: RegularGraph, q: int, tau=None) -> Sampler:
-    tau = 1.0 / (8 * G.d * G.d) if tau is None else float(Fraction(tau))
+    if tau is None:
+        tau = 1.0 / (8 * G.d * G.d)
+    else:
+        try:
+            tau = float(Fraction(tau))
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ChromaError(f"tau={tau!r} is not a rational") from None
     if not 0.0 <= tau <= 1.0:
-        raise BadTau(f"tau={tau} outside [0, 1]")
+        raise OutOfRange(f"tau={tau} outside [0, 1]")
     return lambda s: col.sample_bipartite_biased(G, q, tau, s)
 
 

@@ -17,14 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .assignment import max_weight_assignment
-from .errors import (
-    BadPartSize,
-    BadTau,
-    BindingMismatch,
-    NoGadgetMeta,
-    NotBipartite,
-    TooLarge,
-)
+from .errors import BindingMismatch, OutOfRange, PreconditionFail, TooLarge
 from .graphs import RegularGraph, tensor_power
 
 ENUM_CAP = 16         # backtracking enumeration limit on n
@@ -45,15 +38,15 @@ class Coloring:
 
     def __post_init__(self):
         if self.q < 2:
-            raise ValueError("need q >= 2")
+            raise OutOfRange("need q >= 2")
         try:
             colors = np.array(self.colors, dtype=np.int64)
         except OverflowError:
-            raise ValueError("color out of range") from None
+            raise OutOfRange("color out of range") from None
         if colors.ndim != 1:
-            raise ValueError("colors must be a flat sequence")
+            raise PreconditionFail("colors must be a flat sequence")
         if colors.size and (colors.min() < 0 or colors.max() >= self.q):
-            raise ValueError("color out of range")
+            raise OutOfRange("color out of range")
         colors.setflags(write=False)
         object.__setattr__(self, "colors", colors)
 
@@ -166,16 +159,17 @@ def sample_gadget_coloring(G: RegularGraph, q: int, seed) -> Coloring:
     (i+2) mod q; distinct colors i at x and j at y give the x-side part j and
     the y-side part i. Always proper for q >= 3.
     """
-    if G.meta is None or G.meta.get("kind") != "gadget":
-        raise NoGadgetMeta("graph was not built by gadget_expand (no gadget meta)")
+    meta = G.meta or {}
+    if meta.get("kind") != "gadget" or not {"base_n", "gadgets"} <= meta.keys():
+        raise PreconditionFail("graph was not built by gadget_expand (no gadget meta)")
     if q < 3:
-        raise ValueError("gadget coloring needs q >= 3")
+        raise OutOfRange("gadget coloring needs q >= 3")
     rng = np.random.default_rng(seed)
-    base_n = G.meta["base_n"]
+    base_n = meta["base_n"]
     colors = np.empty(G.n, dtype=np.int64)
     colors[:base_n] = rng.integers(0, q, size=base_n)
     # one row per gadget: x, y, the x-side part, the y-side part
-    table = np.array([(x, y, *xpart, *ypart) for x, y, xpart, ypart in G.meta["gadgets"]])
+    table = np.array([(x, y, *xpart, *ypart) for x, y, xpart, ypart in meta["gadgets"]])
     i, j = colors[table[:, 0]], colors[table[:, 1]]
     equal = i == j
     colors[table[:, 2:5]] = np.where(equal, (i + 1) % q, j)[:, None]
@@ -193,11 +187,11 @@ def sample_bipartite_biased(G: RegularGraph, q: int, tau: float, seed) -> Colori
     a part-1 vertex keeps it only when no neighbor has it.
     """
     if G.part_labels is None:
-        raise NotBipartite("biased sampler needs part labels")
+        raise PreconditionFail("biased sampler needs part labels")
     if not (0.0 <= tau <= 1.0):
-        raise BadTau(f"tau={tau} outside [0, 1]")
+        raise OutOfRange(f"tau={tau} outside [0, 1]")
     if q < 3:
-        raise ValueError("biased sampler needs q >= 3")
+        raise OutOfRange("biased sampler needs q >= 3")
     rng = np.random.default_rng(seed)
     part0, part1 = G.parts
     low = q // 2
@@ -222,12 +216,12 @@ def layered_bipartite_pair(G: RegularGraph, q: int) -> tuple[Coloring, Coloring]
     Parts must both have size (q-1) * m.
     """
     if G.part_labels is None:
-        raise NotBipartite("layered pair needs part labels")
+        raise PreconditionFail("layered pair needs part labels")
     if q < 3:
-        raise ValueError("layered pair needs q >= 3")
+        raise OutOfRange("layered pair needs q >= 3")
     part0, part1 = G.parts
     if len(part0) != len(part1) or len(part0) % (q - 1) != 0 or not len(part0):
-        raise BadPartSize(
+        raise PreconditionFail(
             f"parts of {len(part0)} and {len(part1)} are not both (q-1)*m for q={q}"
         )
     m = len(part0) // (q - 1)

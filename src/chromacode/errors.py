@@ -1,107 +1,52 @@
-"""Exception types shared across the package.
+"""The package's error contract: seven kinds of exception a caller can act on.
 
-Every structural or contract violation raises one of these instead of a bare
-ValueError so callers (and the CLI) can tell user error from solver failure.
+Every refusal of bad input, by the library or the CLI, raises one of these;
+the message names the offending value, edge, vertex, line or field. The CLI
+maps them (and an OSError) to exit 2. Any other exception is a bug and
+surfaces as a traceback.
+
+- ``ChromaError``: the base of the other six; raised itself for usage and
+  config errors (a missing or misplaced flag, an unknown key or kind, a
+  value of the wrong type).
+- ``OutOfRange``: a number outside its valid range: a size, degree, q, color,
+  part label, vertex id, tau, or a (delta, lambda) point.
+- ``PreconditionFail``: an input lacks a structure the operation needs:
+  regular, simple (no self-loop or repeated edge), cubic, bipartite,
+  connected, disjoint subsets, nonzero degree or vector, gadget meta, part
+  sizes, a square matrix, a non-empty code set.
+- ``TooLarge``: an input above the cap of an exhaustive or dense computation.
+- ``MalformedFile``: a graph, signing, coloring, code set, sidecar or config
+  file that does not parse; the message names the path, line or field.
+- ``BindingMismatch``: objects that must belong together do not: a coloring,
+  code set, signing or vector and its graph, or two colorings' q.
+- ``NoConvergence``: an iterative solver or randomized construction ran out
+  of its step or repair budget.
 """
 
 
 class ChromaError(Exception):
-    """Base class for all package-specific errors."""
+    """Base of every package error; also usage and config errors."""
 
 
-# graph construction / validation
-
-class NonRegular(ChromaError):
-    """Vertex degrees are not all equal."""
+class OutOfRange(ChromaError):
+    """A parameter, color, label or vertex id outside its valid range."""
 
 
-class DuplicateEdge(ChromaError):
-    """The same unordered pair appears twice in an edge list."""
-
-
-class SelfLoop(ChromaError):
-    """An edge joins a vertex to itself."""
-
-
-class SizeCap(ChromaError):
-    """Requested construction exceeds the configured vertex cap."""
-
-
-class NotCubic(ChromaError):
-    """Operation requires a 3-regular input graph."""
-
-
-class NotBipartite(ChromaError):
-    """Operation requires part labels with every edge crossing parts."""
-
-
-class GenerationTimeout(ChromaError):
-    """Random graph generation exhausted its rejection/repair budget."""
-
-
-class SigningMismatch(ChromaError):
-    """A signing is not one +1 or -1 per edge of the graph."""
-
-
-class MalformedFile(ChromaError):
-    """A graph or signing file line does not parse (wrong field count, or a
-    token that is not an integer); the message names the line."""
+class PreconditionFail(ChromaError):
+    """An input lacks a structural property the operation needs."""
 
 
 class TooLarge(ChromaError):
     """Input exceeds the cap of an exhaustive or dense computation."""
 
 
-class Overlap(ChromaError):
-    """Vertex subsets required to be disjoint overlap."""
+class MalformedFile(ChromaError):
+    """An input file does not parse; the message names the path, line or field."""
 
 
-# spectral
-
-class ZeroDegree(ChromaError):
-    """Spectral operation on a 0-regular graph (lambda2 = 1 by convention)."""
+class BindingMismatch(ChromaError):
+    """Objects bound to different graphs, q values or edge counts."""
 
 
 class NoConvergence(ChromaError):
-    """Iterative eigensolver hit its iteration cap."""
-
-
-class ZeroVector(ChromaError):
-    """Rayleigh quotient of the zero vector is undefined."""
-
-
-# colorings
-
-class BindingMismatch(ChromaError):
-    """Coloring is not bound to the expected graph (or q values differ)."""
-
-
-class NoGadgetMeta(ChromaError):
-    """Graph lacks the gadget construction metadata the sampler needs."""
-
-
-class BadTau(ChromaError):
-    """Bias parameter tau outside [0, 1]."""
-
-
-class BadPartSize(ChromaError):
-    """Bipartition sizes incompatible with the requested coloring layout."""
-
-
-class QTooLarge(ChromaError):
-    """Operation enumerates all q! permutations and q exceeds its cap."""
-
-
-# codes / regimes
-
-class MixedBinding(ChromaError):
-    """Code set members are bound to different graphs or use different q."""
-
-
-class OutOfRange(ChromaError):
-    """A parameter or vertex id outside its valid range: certificate (delta,
-    lambda), graph sizes, construction parameters, edge endpoints."""
-
-
-class PreconditionFail(ChromaError):
-    """A measured hypothesis of a structural inequality check does not hold."""
+    """An iterative solver or randomized construction exhausted its budget."""

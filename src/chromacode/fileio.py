@@ -23,8 +23,25 @@ import numpy as np
 from . import graphs
 from .codes import CodeSet
 from .colorings import Coloring, make_coloring
-from .errors import BindingMismatch, MalformedFile, SigningMismatch
+from .errors import BindingMismatch, MalformedFile
 from .graphs import RegularGraph
+
+
+def read_input(path: str, as_json: bool = False):
+    """The text of a file from outside the program, or with ``as_json`` the
+    JSON object it holds. Raises MalformedFile naming the path when the file
+    is not text, not JSON, or not a JSON object."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        if not as_json:
+            return text
+        value = json.loads(text)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MalformedFile(f"{path}: {exc}") from None
+    if not isinstance(value, dict):
+        raise MalformedFile(f"{path}: must be a JSON object, not {type(value).__name__}")
+    return value
 
 
 def graph_to_text(G: RegularGraph) -> str:
@@ -82,14 +99,9 @@ def write_graph(path: str, G: RegularGraph, sidecar: Mapping | None = None) -> N
 
 def read_graph(path: str) -> RegularGraph:
     """Read a graph file and restore ``meta`` from its sidecar, if there is one."""
-    with open(path) as fh:
-        text = fh.read()
-    meta = None
+    text = read_input(path)
     sidecar = path + ".json"
-    if os.path.exists(sidecar):
-        with open(sidecar) as fh:
-            payload = json.load(fh)
-        meta = payload.get("meta")
+    meta = read_input(sidecar, as_json=True).get("meta") if os.path.exists(sidecar) else None
     return graph_from_text(text, meta=meta)
 
 
@@ -105,15 +117,21 @@ def write_coloring(path: str, X: Coloring) -> None:
 
 def read_coloring(path: str, G: RegularGraph, graph_path: str | None = None) -> Coloring:
     """Load a coloring and bind it to G; the file's "graph" field must match
-    either the graph's content hash or the path it was loaded from."""
-    with open(path) as fh:
-        payload = json.load(fh)
+    either the graph's content hash or the path it was loaded from. "q" must
+    be an integer and "colors" a list of integers (not bools, floats, strings
+    or null), else MalformedFile names the field."""
+    payload = read_input(path, as_json=True)
     ref = payload.get("graph")
     if ref not in (G.graph_key, graph_path, None):
         raise BindingMismatch(
             f"coloring file references graph {ref!r}, loaded graph is {G.graph_key}"
         )
-    return make_coloring(G, int(payload["q"]), payload["colors"])
+    q, colors = payload.get("q"), payload.get("colors")
+    if type(q) is not int:
+        raise MalformedFile(f'{path}: "q" must be an integer, got {q!r}')
+    if type(colors) is not list or any(type(c) is not int for c in colors):
+        raise MalformedFile(f'{path}: "colors" must be a list of integers')
+    return make_coloring(G, q, colors)
 
 
 def write_signing(path: str, G: RegularGraph, signs) -> None:
@@ -128,27 +146,26 @@ def read_signing(path: str, G: RegularGraph) -> np.ndarray:
     """Read a signing file (format above) into G's sign vector. A line that is
     not three integers raises MalformedFile naming the line; an edge not in G,
     listed twice or missing, or a sign other than +1 or -1, raises
-    SigningMismatch naming the edge."""
+    BindingMismatch naming the edge."""
     edges = G.edges()
     index = {e: i for i, e in enumerate(edges)}
     signs = np.zeros(G.m, dtype=np.int64)  # 0 until the edge's line is read
-    with open(path) as fh:
-        for no, ln in enumerate(fh, 1):
-            if not ln.strip():
-                continue
-            u, v, s = _ints(ln.strip(), no, 3)
-            e = (u, v)
-            i = index.get(e)
-            if i is None:
-                raise SigningMismatch(f"signing names {e}, not an edge u < v of the graph")
-            if signs[i]:
-                raise SigningMismatch(f"signing lists edge {e} twice")
-            if s not in (-1, 1):
-                raise SigningMismatch(f"signing gives edge {e} sign {s}, not +1 or -1")
-            signs[i] = s
+    for no, ln in enumerate(read_input(path).splitlines(), 1):
+        if not ln.strip():
+            continue
+        u, v, s = _ints(ln.strip(), no, 3)
+        e = (u, v)
+        i = index.get(e)
+        if i is None:
+            raise BindingMismatch(f"signing names {e}, not an edge u < v of the graph")
+        if signs[i]:
+            raise BindingMismatch(f"signing lists edge {e} twice")
+        if s not in (-1, 1):
+            raise BindingMismatch(f"signing gives edge {e} sign {s}, not +1 or -1")
+        signs[i] = s
     missing = np.flatnonzero(signs == 0)
     if missing.size:
-        raise SigningMismatch(f"signing missing edge {edges[missing[0]]}")
+        raise BindingMismatch(f"signing missing edge {edges[missing[0]]}")
     return signs
 
 
@@ -166,8 +183,7 @@ def codeset_payload(C: CodeSet, graph_key: str) -> dict:
 
 
 def read_codeset(path: str, G: RegularGraph) -> CodeSet:
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = read_input(path, as_json=True)
     if payload.get("graph") not in (None, G.graph_key):
         raise BindingMismatch("code set references a different graph")
     members = tuple(

@@ -18,20 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DuplicateEdge,
-    GenerationTimeout,
-    NonRegular,
-    NotBipartite,
-    NotCubic,
-    OutOfRange,
-    Overlap,
-    PreconditionFail,
-    SelfLoop,
-    SigningMismatch,
-    SizeCap,
-    TooLarge,
-)
+from .errors import BindingMismatch, NoConvergence, OutOfRange, PreconditionFail, TooLarge
 
 EXPANSION_CAP = 24       # exhaustive edge-expansion limit (2^(n-1) subsets)
 TENSOR_SIZE_CAP = 4096   # vertex cap for tensor powers
@@ -158,9 +145,10 @@ def build_from_edges(
 ) -> RegularGraph:
     """Validate an edge list and return the graph; degree is inferred.
 
-    Raises SelfLoop, DuplicateEdge or NonRegular on malformed input (the first
-    bad edge in list order is named), and NotBipartite if part labels are
-    supplied but some edge stays inside a part.
+    Raises OutOfRange for an endpoint outside [0, n) and PreconditionFail for
+    a self-loop, a repeated edge or unequal degrees (the first bad edge in list
+    order is named). Part labels must be 0 or 1 (OutOfRange names the first
+    vertex that is not), and every edge must cross parts (PreconditionFail).
     """
     if n < 1:
         raise OutOfRange(f"need at least one vertex, got n={n}")
@@ -183,13 +171,13 @@ def build_from_edges(
         if outside[i]:
             raise OutOfRange(f"edge ({u[i]},{v[i]}) out of range for n={n}")
         if loop[i]:
-            raise SelfLoop(f"self-loop at vertex {u[i]}")
-        raise DuplicateEdge(f"edge {(int(lo[i]), int(hi[i]))} listed twice")
+            raise PreconditionFail(f"self-loop at vertex {u[i]}")
+        raise PreconditionFail(f"edge {(int(lo[i]), int(hi[i]))} listed twice")
     ends = np.concatenate([u, v])
     degree = np.bincount(ends, minlength=n)
     if (degree != degree[0]).any():
         bad_v = int(np.flatnonzero(degree != degree[0])[0])
-        raise NonRegular(
+        raise PreconditionFail(
             f"vertex 0 has degree {degree[0]} but vertex {bad_v} has {degree[bad_v]}"
         )
     labels = None
@@ -197,10 +185,14 @@ def build_from_edges(
         labels = np.array(part_labels, dtype=np.int64)
         if labels.shape != (n,):
             raise PreconditionFail("part_labels length must equal n")
+        stray = np.flatnonzero((labels != 0) & (labels != 1))
+        if stray.size:
+            i = stray[0]
+            raise OutOfRange(f"vertex {i} has part label {labels[i]}, not 0 or 1")
         inside = np.flatnonzero(labels[u] == labels[v])
         if inside.size:
             i = inside[0]
-            raise NotBipartite(
+            raise PreconditionFail(
                 f"edge ({lo[i]},{hi[i]}) stays inside part {labels[u[i]]}"
             )
     others = np.concatenate([v, u])
@@ -222,7 +214,7 @@ def complete_graph(q: int) -> RegularGraph:
 
 
 def cycle_graph(n: int) -> RegularGraph:
-    """C_n, 2-regular. n=2 fails with DuplicateEdge (parallel edges)."""
+    """C_n, 2-regular. n=2 fails with PreconditionFail (parallel edges)."""
     if n < 1:
         raise OutOfRange("cycle needs n >= 1")
     return build_from_edges(
@@ -240,7 +232,7 @@ def tensor_power(q: int, N: int) -> RegularGraph:
         raise OutOfRange("tensor power needs q >= 2 and N >= 1")
     n = q**N
     if n > TENSOR_SIZE_CAP:
-        raise SizeCap(f"q^N = {n} exceeds cap {TENSOR_SIZE_CAP}")
+        raise TooLarge(f"q^N = {n} exceeds cap {TENSOR_SIZE_CAP}")
     weights = [q ** (N - 1 - i) for i in range(N)]
     edges = []
     for u in range(n):
@@ -262,7 +254,7 @@ def gadget_expand(H: RegularGraph) -> RegularGraph:
     10 |V(H)| vertices; ``meta['gadgets']`` records every block.
     """
     if H.d != 3:
-        raise NotCubic(f"gadget expansion needs a 3-regular base, got d={H.d}")
+        raise PreconditionFail(f"gadget expansion needs a 3-regular base, got d={H.d}")
     base_edges = H.edges()
     n = H.n + 6 * len(base_edges)
     edges: list[tuple[int, int]] = []
@@ -308,7 +300,7 @@ def random_regular_bipartite(half: int, d: int, seed) -> RegularGraph:
             clash = (perms[:k] == perm).any(axis=0)
             perm = _complete_permutation(perm, clash, perms[:k], rng)
             if perm is None:
-                raise GenerationTimeout(
+                raise NoConvergence(
                     f"could not complete a collision-free permutation "
                     f"(half={half}, d={d})"
                 )
@@ -385,7 +377,7 @@ def two_lift(G: RegularGraph, signs) -> RegularGraph:
     """
     signs = np.asarray(signs)
     if signs.shape != (G.m,) or not np.isin(signs, (-1, 1)).all():
-        raise SigningMismatch(f"a signing of this graph is {G.m} values, each +1 or -1")
+        raise BindingMismatch(f"a signing of this graph is {G.m} values, each +1 or -1")
     n = G.n
     u, v = G.edge_arrays()
     cross = n * (signs == -1)
@@ -529,7 +521,7 @@ def subset_measures(
     in_b = _vertex_mask(G, B if B is not None else ())
     common = np.flatnonzero(in_a & in_b)
     if common.size:
-        raise Overlap(f"subsets share vertices, e.g. {common[0]}")
+        raise PreconditionFail(f"subsets share vertices, e.g. {common[0]}")
     u, v = G.edge_arrays()
     size = int(in_a.sum())
     inner = int((in_a[u] & in_a[v]).sum())

@@ -19,7 +19,7 @@ import numpy as np
 from . import codes, colorings as col, graphs, spectral
 from .codes import CodeSet, SweepFamily
 from .colorings import Coloring
-from .errors import ChromaError, OutOfRange, PreconditionFail, QTooLarge
+from .errors import ChromaError, OutOfRange, PreconditionFail, TooLarge
 from .graphs import RegularGraph
 
 SIGMA_Q_CAP = 8
@@ -101,7 +101,7 @@ def sigma_profile(
     """
     q = X.q
     if q > SIGMA_Q_CAP:
-        raise QTooLarge(f"q={q} enumerates {q}! permutations; cap is {SIGMA_Q_CAP}")
+        raise TooLarge(f"q={q} enumerates {q}! permutations; cap is {SIGMA_Q_CAP}")
     col._check_pair(X, Y)
     if lam is None:
         lam = spectral.lambda2(G)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graphs
-from .errors import NoConvergence, TooLarge, ZeroDegree, ZeroVector
+from .errors import BindingMismatch, NoConvergence, PreconditionFail, TooLarge
 from .graphs import RegularGraph
 
 DENSE_CAP = 4096
@@ -55,7 +55,7 @@ def normalized_adjacency(G: RegularGraph, signs=None) -> np.ndarray:
     matrix A_s instead: sign/d on each edge.
     """
     if G.d == 0:
-        raise ZeroDegree("0-regular graph has no normalized adjacency")
+        raise PreconditionFail("0-regular graph has no normalized adjacency")
     A = np.zeros((G.n, G.n))
     u, v = G.edge_arrays()
     w = 1.0 / G.d if signs is None else np.asarray(signs) / G.d
@@ -80,7 +80,7 @@ def full_spectrum(G: RegularGraph) -> Spectrum:
     """All n eigenvalues via the dense symmetric solver, plus the max residual
     |A x - lambda x|_inf over the reported eigenpairs."""
     if G.d == 0:
-        raise ZeroDegree("use lambda2() for the d=0 convention")
+        raise PreconditionFail("use lambda2() for the d=0 convention")
     if G.n > DENSE_CAP:
         raise TooLarge(f"n={G.n} exceeds dense cap {DENSE_CAP}")
     A = normalized_adjacency(G)
@@ -239,20 +239,20 @@ def lambda2(G: RegularGraph) -> float:
 def lambda_min(G: RegularGraph) -> float:
     """Smallest normalized eigenvalue."""
     if G.d == 0:
-        raise ZeroDegree("lambda_min undefined for 0-regular graphs")
+        raise PreconditionFail("lambda_min undefined for 0-regular graphs")
     return _extreme_eigenvalue(G, "SA")
 
 
 def rayleigh_quotient(G: RegularGraph, x) -> float:
     """<x, Ax> / <x, x> for the normalized adjacency."""
     if G.d == 0:
-        raise ZeroDegree("Rayleigh quotient undefined for 0-regular graphs")
+        raise PreconditionFail("Rayleigh quotient undefined for 0-regular graphs")
     vec = np.asarray(x, dtype=float)
     if vec.shape != (G.n,):
-        raise ValueError(f"vector length {vec.shape} does not match n={G.n}")
+        raise BindingMismatch(f"vector length {vec.shape} does not match n={G.n}")
     denom = float(vec @ vec)
     if denom == 0.0:
-        raise ZeroVector("Rayleigh quotient of the zero vector")
+        raise PreconditionFail("Rayleigh quotient of the zero vector")
     u, v = G.edge_arrays()
     num = 2.0 * float(vec[u] @ vec[v]) / G.d
     return num / denom

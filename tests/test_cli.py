@@ -448,11 +448,13 @@ class TestRegimeMap:
          ({"delta_grid": "12"}, '"delta_grid" must be a list'),
          ({"delta_grid": [0.5, False]}, '"delta_grid" values must be ints, strings or'),
          ({"families": [{"kind": "biased", "tau": "2"}]}, "tau=2.0"),
+         ({"families": [{"kind": "biased", "tau": "abc"}]}, "tau='abc' is not a rational"),
          ({"families": [{"kind": "layered-pair", "d": 30, "m": 10}]}, "d=30, half=20"),
          ({"families": [{"kind": "tensor-lift", "restarts": 0}]}, "restarts"),
          ],
         ids=["q-float", "budget-bool", "seed-float", "seed-negative", "lambda-3",
-             "delta-grid-string", "delta-grid-float-bool", "tau-2", "d-above-half", "restarts-0"],
+             "delta-grid-string", "delta-grid-float-bool", "tau-2", "tau-not-rational",
+             "d-above-half", "restarts-0"],
     )
     def test_bad_value_exit_2_before_output(self, tmp_path, capsys, override, named):
         cfg = self.write_config(tmp_path, **override)
@@ -556,3 +558,96 @@ class TestParsing:
         with pytest.raises(SystemExit) as err:
             run(["certify", "--q", 3, "--delta", "abc", "--lambda", "1/4"])
         assert err.value.code == 2
+
+
+def _c4(tmp_path) -> Path:
+    path = tmp_path / "c4.graph"
+    fileio.write_graph(str(path), graphs.cycle_graph(4))
+    return path
+
+
+def _distance_to(text):
+    """argv for `distance` on C4 between a coloring file holding ``text`` and a good one."""
+    def argv(tmp_path):
+        bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+        bad.write_text(text)
+        good.write_text(json.dumps({"q": 3, "colors": [0, 1, 0, 1]}))
+        return ["distance", "--graph", _c4(tmp_path), bad, good]
+    return argv
+
+
+def _binary_graph(tmp_path):
+    path = tmp_path / "bin.graph"
+    path.write_bytes(b"\xff\xfe4 2\n")
+    return ["spectrum", "--graph", path]
+
+
+def _sidecar_not_json(tmp_path):
+    path = _c4(tmp_path)
+    (tmp_path / "c4.graph.json").write_text("{not json")
+    return ["spectrum", "--graph", path]
+
+
+def _parts_0_2(tmp_path):
+    path = tmp_path / "m.graph"
+    path.write_text("4 1\nparts: 0 2 0 2\n0 1\n2 3\n")
+    return ["pack", "--graph", path, "--q", 3, "--delta", "1/4", "--sampler", "biased"]
+
+
+def _resume_binary_out(tmp_path):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "map.csv"
+    cfg.write_text(json.dumps({"q": 3, "delta_grid": ["1/2"], "lambda_grid": ["9/10"]}))
+    out.write_bytes(b"\xff\xfe\n")
+    return ["regime-map", "--config", cfg, "--out", out, "--resume"]
+
+
+def _gadget_pack(tmp_path, q=3) -> list:
+    path = tmp_path / "g.graph"
+    assert run(["construct", "gadget", "--base", "k4", "--out", path]) == 0
+    return ["pack", "--graph", path, "--q", q, "--delta", "1/2", "--sampler", "gadget"]
+
+
+def _gadget_meta_without_table(tmp_path):
+    argv = _gadget_pack(tmp_path)
+    (tmp_path / "g.graph.json").write_text('{"meta": {"kind": "gadget"}}')
+    return argv
+
+
+class TestErrorContract:
+    """Bad input exits 2 naming what is wrong; anything else is a bug and raises."""
+
+    @pytest.mark.parametrize(
+        "make_argv,named",
+        [(_distance_to("{not json"), "bad.json: Expecting"),
+         (_distance_to("[0, 1, 0, 1]"), "bad.json: must be a JSON object, not list"),
+         (_distance_to('{"colors": [0, 1, 0, 1]}'), '"q" must be an integer, got None'),
+         (_distance_to('{"q": 3.9, "colors": [0, 1, 0, 1]}'), '"q" must be an integer, got 3.9'),
+         (_distance_to('{"q": 3, "colors": [0.7, 1.2, 0.1, 1.9]}'),
+          '"colors" must be a list of integers'),
+         (_distance_to('{"q": 3, "colors": null}'), '"colors" must be a list of integers'),
+         (_binary_graph, "bin.graph: 'utf-8' codec can't decode"),
+         (_sidecar_not_json, "c4.graph.json: Expecting"),
+         (_parts_0_2, "vertex 1 has part label 2, not 0 or 1"),
+         (_resume_binary_out, "map.csv: 'utf-8' codec can't decode"),
+         (_gadget_meta_without_table, "no gadget meta"),
+         (lambda tmp_path: _gadget_pack(tmp_path, q=2), "gadget coloring needs q >= 3")],
+        ids=["coloring-not-json", "coloring-list", "coloring-no-q", "coloring-float-q",
+             "coloring-float-colors", "coloring-null-colors", "binary-graph",
+             "sidecar-not-json", "parts-0-2-biased", "resume-binary-out",
+             "gadget-meta-without-table", "gadget-q2"],
+    )
+    def test_bad_input_exit_2(self, tmp_path, capsys, make_argv, named):
+        argv = make_argv(tmp_path)
+        capsys.readouterr()
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
+
+    def test_bug_is_not_masked(self, monkeypatch):
+        def broken(n):
+            raise ValueError("a bug inside the library")
+
+        monkeypatch.setattr(graphs, "cycle_graph", broken)
+        with pytest.raises(ValueError, match="a bug inside the library"):
+            main(["construct", "cycle", "--n", "5"])

@@ -16,7 +16,7 @@ from chromacode.codes import (
     verify_delta_distinct,
 )
 from chromacode.colorings import coordinate_colorings, enumerate_proper, make_coloring
-from chromacode.errors import MixedBinding, TooLarge
+from chromacode.errors import BindingMismatch, TooLarge
 from chromacode.graphs import complete_graph, cycle_graph, gadget_expand
 
 
@@ -55,7 +55,7 @@ class TestVerify:
         X = coordinate_colorings(3, 2)[0]
         C5 = cycle_graph(5)
         Y = make_coloring(C5, 3, [0, 1, 0, 1, 2])
-        with pytest.raises(MixedBinding):
+        with pytest.raises(BindingMismatch, match="members bound to different graphs or q values"):
             verify_delta_distinct(CodeSet((X, Y), Fraction(0)))
 
 

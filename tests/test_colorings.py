@@ -20,14 +20,7 @@ from chromacode.colorings import (
     sample_bipartite_biased,
     sample_gadget_coloring,
 )
-from chromacode.errors import (
-    BadPartSize,
-    BadTau,
-    BindingMismatch,
-    NoGadgetMeta,
-    NotBipartite,
-    TooLarge,
-)
+from chromacode.errors import BindingMismatch, OutOfRange, PreconditionFail, TooLarge
 from chromacode.graphs import (
     complete_graph,
     cycle_graph,
@@ -328,7 +321,7 @@ class TestGadgetSampler:
         assert seen_equal and seen_diff
 
     def test_requires_meta(self):
-        with pytest.raises(NoGadgetMeta):
+        with pytest.raises(PreconditionFail, match="no gadget meta"):
             sample_gadget_coloring(complete_graph(4), 3, 0)
 
     def test_matches_loop_reference(self):
@@ -387,9 +380,9 @@ class TestBiasedSampler:
 
     def test_errors(self):
         G = random_regular_bipartite(5, 2, seed=0)
-        with pytest.raises(BadTau):
+        with pytest.raises(OutOfRange, match=r"tau=1.5 outside \[0, 1\]"):
             sample_bipartite_biased(G, 3, 1.5, seed=0)
-        with pytest.raises(NotBipartite):
+        with pytest.raises(PreconditionFail, match="biased sampler needs part labels"):
             sample_bipartite_biased(complete_graph(4), 3, 0.1, seed=0)
 
     def test_matches_loop_reference(self):
@@ -415,7 +408,7 @@ class TestLayeredPair:
 
     def test_bad_part_size(self):
         G = random_regular_bipartite(7, 2, seed=2)
-        with pytest.raises(BadPartSize):
+        with pytest.raises(PreconditionFail, match="parts of 7 and 7 are not both"):
             layered_bipartite_pair(G, 3)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from chromacode import codes, fileio
 from chromacode.colorings import make_coloring, sample_bipartite_biased, sample_gadget_coloring
-from chromacode.errors import NoGadgetMeta
+from chromacode.errors import OutOfRange, PreconditionFail
 from chromacode.graphs import gadget_expand, random_regular_bipartite
 
 
@@ -20,7 +20,7 @@ class TestRoundTrip:
         assert H.part_labels is None and H.meta["gadgets"] == G.meta["gadgets"]
         for seed in range(5):
             assert sample_gadget_coloring(H, 3, seed) == sample_gadget_coloring(G, 3, seed)
-        with pytest.raises(NoGadgetMeta):
+        with pytest.raises(PreconditionFail, match="no gadget meta"):
             sample_gadget_coloring(fileio.graph_from_text((tmp_path / "g.graph").read_text()), 3, 0)
 
     def test_bipartite_graph_keeps_parts(self, tmp_path):
@@ -44,7 +44,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("colors", [[0, 3], [0, -1], [0, 10**30]])
     def test_coloring_out_of_range_rejected(self, colors):
         G = random_regular_bipartite(1, 1, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange, match="color out of range"):
             make_coloring(G, 3, colors)
 
     def test_signing(self, tmp_path):

@@ -4,19 +4,7 @@ import numpy as np
 import pytest
 
 from chromacode import graphs, spectral
-from chromacode.errors import (
-    DuplicateEdge,
-    NonRegular,
-    NotBipartite,
-    NotCubic,
-    OutOfRange,
-    Overlap,
-    PreconditionFail,
-    SelfLoop,
-    SigningMismatch,
-    SizeCap,
-    TooLarge,
-)
+from chromacode.errors import BindingMismatch, OutOfRange, PreconditionFail, TooLarge
 from chromacode.graphs import (
     build_from_edges,
     complete_graph,
@@ -42,15 +30,15 @@ class TestBuildFromEdges:
         assert (G.n, G.d, G.m) == (4, 3, 6)
 
     def test_path_is_non_regular(self):
-        with pytest.raises(NonRegular):
+        with pytest.raises(PreconditionFail, match="vertex 0 has degree 1 but vertex 1 has 2"):
             build_from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
     def test_self_loop(self):
-        with pytest.raises(SelfLoop):
+        with pytest.raises(PreconditionFail, match="self-loop at vertex 0"):
             build_from_edges(2, [(0, 0)])
 
     def test_duplicate_edge(self):
-        with pytest.raises(DuplicateEdge):
+        with pytest.raises(PreconditionFail, match=r"edge \(0, 1\) listed twice"):
             build_from_edges(3, [(0, 1), (1, 0), (1, 2), (0, 2)])
 
     def test_empty_graph_is_zero_regular(self):
@@ -58,8 +46,13 @@ class TestBuildFromEdges:
         assert G.d == 0 and G.m == 0
 
     def test_part_labels_must_cross(self):
-        with pytest.raises(NotBipartite):
+        with pytest.raises(PreconditionFail, match=r"edge \(0,1\) stays inside part 0"):
             build_from_edges(2, [(0, 1)], part_labels=[0, 0])
+
+    @pytest.mark.parametrize("labels,vertex", [([0, 2, 0, 2], 1), ([0, 1, -1, 1], 2)])
+    def test_part_labels_must_be_0_or_1(self, labels, vertex):
+        with pytest.raises(OutOfRange, match=f"vertex {vertex} has part label"):
+            build_from_edges(4, [(0, 1), (2, 3)], part_labels=labels)
 
     def test_graph_key_ignores_meta(self):
         G1 = build_from_edges(3, [(0, 1), (1, 2), (2, 0)])
@@ -67,14 +60,17 @@ class TestBuildFromEdges:
         assert G1.graph_key == G2.graph_key
 
     @pytest.mark.parametrize(
-        "n,edges,error",
-        [(3, [(0, 1), (1, 1), (1, 0)], SelfLoop),
-         (3, [(0, 1), (1, 0), (1, 1)], DuplicateEdge),
-         (3, [(0, 1), (2, 2), (0, 5)], SelfLoop),
-         (3, [(0, 5), (1, 1)], OutOfRange)],
+        "n,edges,error,match",
+        [(3, [(0, 1), (1, 1), (1, 0)], PreconditionFail, "self-loop at vertex 1"),
+         (3, [(0, 1), (1, 0), (1, 1)], PreconditionFail, r"edge \(0, 1\) listed twice"),
+         (3, [(0, 1), (2, 2), (0, 5)], PreconditionFail, "self-loop at vertex 2"),
+         (3, [(0, 5), (1, 1)], OutOfRange, r"edge \(0,5\) out of range")],
+        # the ids name the case each list hits first
+        ids=["3-edges0-SelfLoop", "3-edges1-DuplicateEdge", "3-edges2-SelfLoop",
+             "3-edges3-OutOfRange"],
     )
-    def test_first_bad_edge_decides(self, n, edges, error):
-        with pytest.raises(error) as exc:
+    def test_first_bad_edge_decides(self, n, edges, error, match):
+        with pytest.raises(error, match=match) as exc:
             build_from_edges(n, edges)
         assert type(exc.value) is error
 
@@ -125,7 +121,7 @@ class TestConstructors:
     def test_cycle(self):
         assert cycle_graph(3).m == 3
         assert (cycle_graph(5).n, cycle_graph(5).d) == (5, 2)
-        with pytest.raises(DuplicateEdge):
+        with pytest.raises(PreconditionFail, match="listed twice"):
             cycle_graph(2)
 
     def test_tensor_n1_is_complete(self):
@@ -142,7 +138,7 @@ class TestConstructors:
         assert T.edges() == ((0, 3), (1, 2))
 
     def test_tensor_size_cap(self):
-        with pytest.raises(SizeCap):
+        with pytest.raises(TooLarge, match=r"q\^N = 19683 exceeds cap"):
             tensor_power(3, 9)
 
 
@@ -157,7 +153,7 @@ class TestGadget:
         assert (G.n, G.d) == (60, 3)
 
     def test_not_cubic(self):
-        with pytest.raises(NotCubic):
+        with pytest.raises(PreconditionFail, match="needs a 3-regular base, got d=2"):
             gadget_expand(cycle_graph(3))
 
     def test_gadget_wiring(self):
@@ -244,9 +240,9 @@ class TestTwoLift:
     def test_signing_mismatch(self):
         K4 = complete_graph(4)
         C3 = cycle_graph(3)
-        with pytest.raises(SigningMismatch):
+        with pytest.raises(BindingMismatch, match="a signing of this graph is 6 values"):
             two_lift(K4, np.ones(C3.m, dtype=int))
-        with pytest.raises(SigningMismatch):
+        with pytest.raises(BindingMismatch, match=r"each \+1 or -1"):
             two_lift(K4, np.zeros(K4.m, dtype=int))
 
     def test_doubles_counts(self, fixture_graphs):
@@ -381,7 +377,7 @@ class TestSubsetMeasures:
         assert (empty.w, empty.e_within, empty.e_cross) == (0.0, 0.0, 0.0)
 
     def test_overlap(self):
-        with pytest.raises(Overlap):
+        with pytest.raises(PreconditionFail, match="subsets share vertices, e.g. 1"):
             subset_measures(complete_graph(4), [0, 1], [1, 2])
 
     def test_degree_conservation(self, fixture_graphs):

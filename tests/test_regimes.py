@@ -6,7 +6,7 @@ import pytest
 from chromacode import colorings as col
 from chromacode.codes import CodeSet
 from chromacode.colorings import coordinate_colorings, enumerate_proper, make_coloring
-from chromacode.errors import ChromaError, OutOfRange, PreconditionFail, QTooLarge
+from chromacode.errors import ChromaError, OutOfRange, PreconditionFail, TooLarge
 from chromacode.graphs import (
     build_from_edges,
     complete_graph,
@@ -107,7 +107,7 @@ class TestSigmaProfile:
     def test_q_cap(self):
         G = random_regular_bipartite(9, 2, seed=0)
         X = col.sample_bipartite_biased(G, 9, 0.0, seed=1)
-        with pytest.raises(QTooLarge):
+        with pytest.raises(TooLarge, match="q=9 enumerates 9! permutations"):
             sigma_profile(G, X, X)
 
 
