@@ -6,6 +6,7 @@ float comparison ever decides membership.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -170,38 +171,34 @@ def exact_max_packing(G: RegularGraph, q: int, delta: Fraction) -> tuple[int, Co
     Distance is invariant under relabeling, so for delta > 0 a code holds at
     most one coloring per relabeling orbit, and any member may stand for its
     orbit. The clique search therefore runs on the canonical colorings only
-    (colors first appear in the order 0, 1, 2, ...): compatibility edge iff
-    distance >= ceil(delta * n). When that threshold is 0 every coloring is
-    compatible and the answer is their count k, witnessed by all of them.
-    Returns 0 with an empty witness when G has no proper q-coloring.
+    (colors first appear in the order 0, 1, 2, ...), which are the only ones
+    enumerated: compatibility edge iff distance >= ceil(delta * n). When that
+    threshold is 0 every coloring is compatible and the answer is their count
+    k, witnessed by all of them. Returns 0 with an empty witness when G has no
+    proper q-coloring.
     """
     delta = Fraction(delta)
-    all_colorings = col.enumerate_proper(G, q)
-    k = len(all_colorings)
+    reps = col._proper_rows(G, q, canonical=True)
+    # used[c]: representatives using c colors; each stands for q!/(q-c)! colorings
+    used = np.bincount(reps.max(axis=1) + 1)
+    k = sum(math.perm(q, c) * count for c, count in enumerate(used.tolist()))
     prov = {"method": "exact", "colorings": k}
-    if not all_colorings:
+    if not k:
         return 0, CodeSet((), delta, None, prov)
     if k > CLIQUE_CAP:
         raise TooLarge(f"{k} colorings exceed the clique cap {CLIQUE_CAP}")
     thr = distance_threshold(delta, G.n)
     if thr <= 0:
         # every relabeling orbit holds at least two colorings at distance 0
-        return k, CodeSet(tuple(all_colorings), delta, 0 if k > 1 else None, prov)
-    # canonical iff the running maximum of the colors grows by at most 1 per vertex
-    running_max = np.maximum.accumulate(np.array([X.colors for X in all_colorings]), axis=1)
-    canonical = (np.diff(running_max, axis=1, prepend=-1) <= 1).all(axis=1)
-    reps = [X for X, keep in zip(all_colorings, canonical) if keep]
-    r = len(reps)
-    adj = [0] * r
-    for i in range(r):
-        for j in range(i + 1, r):
-            d, _ = col.distance(reps[i], reps[j])
-            if d >= thr:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    members = tuple(reps[i] for i in _max_clique(adj, r))
-    res = verify_delta_distinct(CodeSet(members, delta))
-    return len(members), CodeSet(members, delta, res.min_dist, prov)
+        return k, CodeSet(tuple(col.enumerate_proper(G, q)), delta, 0 if k > 1 else None, prov)
+    dist = col._distance_matrix(reps, q)
+    bits = np.packbits(dist >= thr, axis=1, bitorder="little")
+    adj = [int.from_bytes(row.tobytes(), "little") for row in bits]
+    clique = _max_clique(adj, len(reps))
+    members = tuple(Coloring(q, reps[i], G.graph_key) for i in clique)
+    pair_dists = dist[np.ix_(clique, clique)][np.triu_indices(len(clique), 1)]
+    min_dist = int(pair_dists.min()) if pair_dists.size else None
+    return len(members), CodeSet(members, delta, min_dist, prov)
 
 
 # -- the family table: graph families and their samplers ----------------------
@@ -221,6 +218,8 @@ def list_sampler(members: Sequence[Coloring]) -> Sampler:
 
 def _biased_sampler(G: RegularGraph, q: int, tau=None) -> Sampler:
     if tau is None:
+        if G.d == 0:
+            raise PreconditionFail("the default tau 1/(8 d^2) needs d >= 1")
         tau = 1.0 / (8 * G.d * G.d)
     else:
         try:

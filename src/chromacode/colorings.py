@@ -9,6 +9,7 @@ vertices or the gadget table. ``distance`` picks its method from q alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
@@ -20,7 +21,7 @@ from .assignment import max_weight_assignment
 from .errors import BindingMismatch, OutOfRange, PreconditionFail, TooLarge
 from .graphs import RegularGraph, tensor_power
 
-ENUM_CAP = 16         # backtracking enumeration limit on n
+ENUM_CAP = 16         # enumeration limit on n
 BRUTE_Q_CAP = 8       # brute-force over q! permutations up to this q
 
 
@@ -164,12 +165,20 @@ def sample_gadget_coloring(G: RegularGraph, q: int, seed) -> Coloring:
         raise PreconditionFail("graph was not built by gadget_expand (no gadget meta)")
     if q < 3:
         raise OutOfRange("gadget coloring needs q >= 3")
-    rng = np.random.default_rng(seed)
     base_n = meta["base_n"]
+    if type(base_n) is not int or not 0 <= base_n <= G.n:
+        raise PreconditionFail(f"gadget meta base_n={base_n!r} is not a vertex count")
+    # one row per gadget: x, y, the x-side part, the y-side part
+    try:
+        table = np.array([(x, y, *xpart, *ypart) for x, y, xpart, ypart in meta["gadgets"]])
+    except (TypeError, ValueError):
+        table = None
+    if (table is None or table.dtype.kind != "i" or table.shape[1:] != (8,)
+            or table.min(initial=0) < 0 or table.max(initial=0) >= G.n):
+        raise PreconditionFail("gadget table needs rows of 8 vertex ids in [0, n)")
+    rng = np.random.default_rng(seed)
     colors = np.empty(G.n, dtype=np.int64)
     colors[:base_n] = rng.integers(0, q, size=base_n)
-    # one row per gadget: x, y, the x-side part, the y-side part
-    table = np.array([(x, y, *xpart, *ypart) for x, y, xpart, ypart in meta["gadgets"]])
     i, j = colors[table[:, 0]], colors[table[:, 1]]
     equal = i == j
     colors[table[:, 2:5]] = np.where(equal, (i + 1) % q, j)[:, None]
@@ -255,27 +264,61 @@ def lift_coloring(X: Coloring, lifted: RegularGraph) -> Coloring:
     return Coloring(X.q, np.concatenate([X.colors, X.colors]), lifted.graph_key)
 
 
-def enumerate_proper(G: RegularGraph, q: int) -> list[Coloring]:
-    """All proper q-colorings as functions (not up to symmetry), lexicographic.
+def _proper_rows(G: RegularGraph, q: int, canonical: bool = False) -> np.ndarray:
+    """The proper q-colorings of G as the rows of an (r, n) int64 array, in
+    lexicographic order; with ``canonical``, only those whose colors first
+    appear in the order 0, 1, 2, ... (one per relabeling orbit).
 
-    Backtracking over vertices in id order, pruning on already-colored
-    neighbors.
+    Level v holds every proper coloring of vertices 0..v-1 (in order), and
+    each row is extended by every color that no lower neighbor of v has, so a
+    level's rows are exactly the nodes a backtracking search visits at depth v.
     """
     if G.n > ENUM_CAP:
         raise TooLarge(f"n={G.n} exceeds enumeration cap {ENUM_CAP}")
-    lower_nbrs = [[u for u in row if u < v] for v, row in enumerate(G.adjacency.tolist())]
-    out: list[Coloring] = []
-    assigned = [0] * G.n
+    rows = np.zeros((1, 0), dtype=np.int64)
+    running_max = np.full(1, -1, dtype=np.int64)
+    palette = np.arange(q)
+    for v, nbrs in enumerate(G.adjacency):
+        allowed = np.ones((len(rows), q), dtype=bool)
+        for u in nbrs[nbrs < v]:
+            allowed &= rows[:, u, None] != palette
+        if canonical:
+            allowed &= palette <= running_max[:, None] + 1
+        parent, color = np.nonzero(allowed)  # row-major: parents in order, colors ascending
+        rows = np.column_stack([rows[parent], color])
+        running_max = np.maximum(running_max[parent], color)
+    return rows
 
-    def backtrack(v: int) -> None:
-        if v == G.n:
-            out.append(Coloring(q, assigned, G.graph_key))
-            return
-        blocked = {assigned[u] for u in lower_nbrs[v]}
-        for c in range(q):
-            if c not in blocked:
-                assigned[v] = c
-                backtrack(v + 1)
 
-    backtrack(0)
-    return out
+def _distance_matrix(rows: np.ndarray, q: int) -> np.ndarray:
+    """(r, r) exact permutation-invariant distances between the colorings in
+    the rows of an (r, n) array: entry (i, j) equals ``distance`` of rows i, j.
+
+    With at least q! pairs (and q <= BRUTE_Q_CAP), one integer product of
+    the 0/1 one-hot rows against their relabeled copy counts the agreements
+    of every pair for one sigma, and the running maximum over all q! sigmas
+    is the best agreement. With fewer pairs than sigmas, each pair is solved
+    on its own, by the method ``distance`` picks.
+    """
+    r, n = rows.shape
+    if q > BRUTE_Q_CAP or math.factorial(q) > r * (r - 1) // 2:
+        solve = _brute_max if q <= BRUTE_Q_CAP else _assignment_max
+        best = np.full((r, r), n, dtype=np.int64)
+        for i in range(r):
+            for j in range(i + 1, r):
+                M = np.bincount(rows[i] * q + rows[j], minlength=q * q).reshape(q, q)
+                best[i, j] = best[j, i] = solve(M)[0]
+        return n - best
+    onehot = (rows[:, :, None] == np.arange(q)).astype(np.int64)  # (r, n, q)
+    flat = onehot.reshape(r, n * q)
+    best = np.zeros((r, r), dtype=np.int64)
+    # sigma and its inverse range over the same set, so permuting the one-hot
+    # columns by sigma covers every relabeling
+    for sigma in _all_perms(q):
+        np.maximum(best, flat @ onehot[:, :, sigma].reshape(r, n * q).T, out=best)
+    return n - best
+
+
+def enumerate_proper(G: RegularGraph, q: int) -> list[Coloring]:
+    """All proper q-colorings as functions (not up to symmetry), lexicographic."""
+    return [Coloring(q, row, G.graph_key) for row in _proper_rows(G, q)]

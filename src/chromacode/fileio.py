@@ -52,10 +52,13 @@ def graph_to_text(G: RegularGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def _ints(line: str, lineno: int, count: int | None = None, start: int = 0) -> list[int]:
     """The integer fields of ``line[start:]``. Raises MalformedFile naming the
-    line unless every field is an integer and, given ``count``, there are
-    that many."""
+    line unless every field is an int64 integer and, given ``count``, there
+    are that many."""
     try:
         values = [int(x) for x in line[start:].split()]
     except ValueError:
@@ -63,6 +66,8 @@ def _ints(line: str, lineno: int, count: int | None = None, start: int = 0) -> l
     if values is None or count not in (None, len(values)):
         want = "integers" if count is None else f"{count} integers"
         raise MalformedFile(f"line {lineno}: expected {want}, got {line!r}")
+    if any(not _INT64.min <= x <= _INT64.max for x in values):
+        raise MalformedFile(f"line {lineno}: integer outside int64 in {line!r}")
     return values
 
 
@@ -102,6 +107,8 @@ def read_graph(path: str) -> RegularGraph:
     text = read_input(path)
     sidecar = path + ".json"
     meta = read_input(sidecar, as_json=True).get("meta") if os.path.exists(sidecar) else None
+    if meta is not None and not isinstance(meta, dict):
+        raise MalformedFile(f'{sidecar}: "meta" must be a JSON object, not {type(meta).__name__}')
     return graph_from_text(text, meta=meta)
 
 

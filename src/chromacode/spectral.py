@@ -67,11 +67,12 @@ def normalized_adjacency(G: RegularGraph, signs=None) -> np.ndarray:
 def is_connected(G: RegularGraph) -> bool:
     """Breadth-first search from vertex 0, one frontier array per level."""
     seen = np.zeros(G.n, dtype=bool)
+    reached = np.zeros(G.n, dtype=bool)
     seen[0] = True
     frontier = np.array([0])
     while frontier.size:
-        reached = G.adjacency[frontier].ravel()
-        frontier = np.unique(reached[~seen[reached]])
+        reached[G.adjacency[frontier]] = True
+        frontier = np.flatnonzero(reached & ~seen)
         seen[frontier] = True
     return bool(seen.all())
 

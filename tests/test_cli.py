@@ -613,6 +613,50 @@ def _gadget_meta_without_table(tmp_path):
     return argv
 
 
+def _gadget_meta_not_object(tmp_path):
+    argv = _gadget_pack(tmp_path)
+    (tmp_path / "g.graph.json").write_text('{"meta": 5}')
+    return argv
+
+
+def _gadget_table_short_row(tmp_path):
+    argv = _gadget_pack(tmp_path)
+    meta = {"kind": "gadget", "base_n": 4, "gadgets": [[0]]}
+    (tmp_path / "g.graph.json").write_text(json.dumps({"meta": meta}))
+    return argv
+
+
+def _gadget_base_n_too_large(tmp_path):
+    argv = _gadget_pack(tmp_path)
+    sidecar = tmp_path / "g.graph.json"
+    payload = json.loads(sidecar.read_text())
+    payload["meta"]["base_n"] = 1000
+    sidecar.write_text(json.dumps(payload))
+    return argv
+
+
+def _graph_above_int64(tmp_path):
+    path = tmp_path / "big.graph"
+    path.write_text("2 1\n0 99999999999999999999\n")
+    return ["spectrum", "--graph", path]
+
+
+def _signing_above_int64(tmp_path):
+    K4 = complete_graph(4)
+    base, spath = tmp_path / "k4.graph", tmp_path / "s.txt"
+    fileio.write_graph(str(base), K4)
+    fileio.write_signing(str(spath), K4, np.ones(K4.m, dtype=int))
+    spath.write_text(spath.read_text() + "0 99999999999999999999 1\n")
+    return ["construct", "two-lift", "--graph", base, "--signing", spath,
+            "--out", tmp_path / "lift.graph"]
+
+
+def _biased_default_tau_d0(tmp_path):
+    path = tmp_path / "empty.graph"
+    path.write_text("2 0\nparts: 0 1\n")
+    return ["pack", "--graph", path, "--q", 3, "--delta", "1/2", "--sampler", "biased"]
+
+
 class TestErrorContract:
     """Bad input exits 2 naming what is wrong; anything else is a bug and raises."""
 
@@ -630,11 +674,19 @@ class TestErrorContract:
          (_parts_0_2, "vertex 1 has part label 2, not 0 or 1"),
          (_resume_binary_out, "map.csv: 'utf-8' codec can't decode"),
          (_gadget_meta_without_table, "no gadget meta"),
-         (lambda tmp_path: _gadget_pack(tmp_path, q=2), "gadget coloring needs q >= 3")],
+         (lambda tmp_path: _gadget_pack(tmp_path, q=2), "gadget coloring needs q >= 3"),
+         (_gadget_meta_not_object, 'g.graph.json: "meta" must be a JSON object, not int'),
+         (_gadget_table_short_row, "gadget table needs rows of 8 vertex ids in [0, n)"),
+         (_gadget_base_n_too_large, "gadget meta base_n=1000 is not a vertex count"),
+         (_graph_above_int64, "line 2: integer outside int64"),
+         (_signing_above_int64, "line 7: integer outside int64"),
+         (_biased_default_tau_d0, "default tau 1/(8 d^2) needs d >= 1")],
         ids=["coloring-not-json", "coloring-list", "coloring-no-q", "coloring-float-q",
              "coloring-float-colors", "coloring-null-colors", "binary-graph",
              "sidecar-not-json", "parts-0-2-biased", "resume-binary-out",
-             "gadget-meta-without-table", "gadget-q2"],
+             "gadget-meta-without-table", "gadget-q2", "gadget-meta-not-object",
+             "gadget-table-short-row", "gadget-base-n-too-large", "graph-above-int64", "signing-above-int64",
+             "biased-default-tau-d0"],
     )
     def test_bad_input_exit_2(self, tmp_path, capsys, make_argv, named):
         argv = make_argv(tmp_path)

@@ -1,5 +1,6 @@
-"""The array-native graph build, signing search, biased sampler, graph key and
-Lanczos product against reference copies of their per-element forms.
+"""The array-native graph build, signing search, biased sampler, graph key,
+Lanczos product and exact oracle against reference copies of their
+per-element forms.
 
 Each reference below keeps the earlier loop as it was: its RNG calls, float
 operations and tie-breaks. The library must match it exactly (equal arrays,
@@ -7,16 +8,20 @@ equal floats, equal reprs), since every seeded output rests on those bits.
 """
 import hashlib
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chromacode import graphs, spectral
-from chromacode.colorings import Coloring, sample_bipartite_biased
+from chromacode import codes, colorings, graphs, spectral
+from chromacode.codes import CodeSet, distance_threshold, exact_max_packing, verify_delta_distinct
+from chromacode.colorings import Coloring, enumerate_proper, sample_bipartite_biased
+from chromacode.errors import TooLarge
 from chromacode.graphs import (
     build_from_edges,
+    complete_graph,
     cycle_graph,
     random_regular_bipartite,
     tensor_power,
@@ -291,3 +296,143 @@ class TestNeighborSum:
         got = repr(spectral.lambda2(G)), repr(spectral.lambda_min(G))
         monkeypatch.setattr(spectral, "_neighbor_sum", reference_neighbor_sum)
         assert got == (repr(spectral.lambda2(G)), repr(spectral.lambda_min(G)))
+
+
+# -- the exact oracle: backtracking enumeration and one distance per pair --------
+
+def reference_enumerate_proper(G, q):
+    """Every proper q-coloring, by backtracking over vertices in id order."""
+    if G.n > colorings.ENUM_CAP:
+        raise TooLarge(f"n={G.n} exceeds enumeration cap {colorings.ENUM_CAP}")
+    lower_nbrs = [[u for u in row if u < v] for v, row in enumerate(G.adjacency.tolist())]
+    out = []
+    assigned = [0] * G.n
+
+    def backtrack(v):
+        if v == G.n:
+            out.append(Coloring(q, assigned, G.graph_key))
+            return
+        blocked = {assigned[u] for u in lower_nbrs[v]}
+        for c in range(q):
+            if c not in blocked:
+                assigned[v] = c
+                backtrack(v + 1)
+
+    backtrack(0)
+    return out
+
+
+def reference_canonical(all_colorings):
+    """The colorings whose running maximum grows by at most 1 per vertex."""
+    if not all_colorings:
+        return []
+    running_max = np.maximum.accumulate(np.array([X.colors for X in all_colorings]), axis=1)
+    canonical = (np.diff(running_max, axis=1, prepend=-1) <= 1).all(axis=1)
+    return [X for X, keep in zip(all_colorings, canonical) if keep]
+
+
+def reference_exact_max_packing(all_colorings, n, delta):
+    """The oracle on a precomputed ``reference_enumerate_proper`` list:
+    canonical filter, one ``distance`` call per pair, then the clique."""
+    delta = Fraction(delta)
+    k = len(all_colorings)
+    prov = {"method": "exact", "colorings": k}
+    if not all_colorings:
+        return 0, CodeSet((), delta, None, prov)
+    if k > codes.CLIQUE_CAP:
+        raise TooLarge(f"{k} colorings exceed the clique cap {codes.CLIQUE_CAP}")
+    thr = distance_threshold(delta, n)
+    if thr <= 0:
+        return k, CodeSet(tuple(all_colorings), delta, 0 if k > 1 else None, prov)
+    reps = reference_canonical(all_colorings)
+    r = len(reps)
+    adj = [0] * r
+    for i in range(r):
+        for j in range(i + 1, r):
+            d, _ = colorings.distance(reps[i], reps[j])
+            if d >= thr:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    members = tuple(reps[i] for i in codes._max_clique(adj, r))
+    res = verify_delta_distinct(CodeSet(members, delta))
+    return len(members), CodeSet(members, delta, res.min_dist, prov)
+
+
+def assert_same_oracle(G, q):
+    """Equal coloring lists and canonical rows; then equal sizes, witness
+    colors in order, min_dist and provenance at every delta = j/n, or
+    TooLarge from both."""
+    all_colorings = reference_enumerate_proper(G, q)
+    got = enumerate_proper(G, q)
+    assert got == all_colorings
+    assert all(X.colors.dtype == np.int64 for X in got)
+    rows = colorings._proper_rows(G, q, canonical=True)
+    assert rows.tolist() == [X.colors.tolist() for X in reference_canonical(all_colorings)]
+    for j in range(G.n + 1):
+        delta = Fraction(j, G.n)
+        try:
+            want = reference_exact_max_packing(all_colorings, G.n, delta)
+        except TooLarge:
+            with pytest.raises(TooLarge):
+                exact_max_packing(G, q, delta)
+            continue
+        size, code = exact_max_packing(G, q, delta)
+        assert size == want[0], delta
+        assert [X.colors.tolist() for X in code.members] == [
+            X.colors.tolist() for X in want[1].members
+        ], delta
+        assert code.min_dist == want[1].min_dist, delta
+        assert dict(code.provenance) == dict(want[1].provenance), delta
+
+
+ORACLE_GRAPHS = ["C5", "C6", "C7", "prism", "K33", "petersen", "C4", "K4"]
+
+
+@st.composite
+def small_graphs(draw):
+    """Cycles, complete graphs and random regular bipartite graphs on at
+    most 8 vertices, with the vertex ids shuffled."""
+    kind = draw(st.sampled_from(["cycle", "complete", "bipartite"]))
+    if kind == "cycle":
+        G = cycle_graph(draw(st.integers(3, 8)))
+    elif kind == "complete":
+        G = complete_graph(draw(st.integers(2, 5)))
+    else:
+        half = draw(st.integers(1, 4))
+        G = random_regular_bipartite(half, draw(st.integers(0, half)), seed=draw(st.integers(0, 99)))
+    relabel = draw(st.permutations(range(G.n)))
+    return build_from_edges(G.n, [(relabel[u], relabel[v]) for u, v in G.edges()])
+
+
+class TestExactOracle:
+    @pytest.fixture(scope="class")
+    def oracle_graphs(self, fixture_graphs):
+        return {**fixture_graphs, "C4": cycle_graph(4)}
+
+    @pytest.mark.parametrize("q", [3, 4])
+    @pytest.mark.parametrize("name", ORACLE_GRAPHS)
+    def test_same_colorings_and_oracle(self, oracle_graphs, name, q):
+        assert_same_oracle(oracle_graphs[name], q)
+
+    @settings(max_examples=40, deadline=None)
+    @given(G=small_graphs(), q=st.integers(2, 4))
+    def test_same_on_small_graphs(self, G, q):
+        assert_same_oracle(G, q)
+
+    def test_enumeration_cap(self):
+        with pytest.raises(TooLarge):
+            exact_max_packing(random_regular_bipartite(9, 3, seed=0), 3, Fraction(1, 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_distance_matrix_matches_pairwise_distance(self, data):
+        # fewer pairs than q! sigmas, or q above BRUTE_Q_CAP, go pair by pair
+        q = data.draw(st.sampled_from([2, 3, 4, 5, colorings.BRUTE_Q_CAP + 1]))
+        n = data.draw(st.integers(1, 9))
+        rows = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=1, max_size=9
+        )), dtype=np.int64)
+        got = colorings._distance_matrix(rows, q)
+        members = [Coloring(q, row, "g") for row in rows]
+        want = [[colorings.distance(X, Y)[0] for Y in members] for X in members]
+        assert got.tolist() == want

@@ -320,3 +320,48 @@ class TestOneBlasThread:
         scoped = values()
         monkeypatch.setattr(spectral, "_one_blas_thread", contextlib.nullcontext)
         assert values() == scoped
+
+
+def reference_is_connected(G) -> bool:
+    """Plain-Python breadth-first search from vertex 0."""
+    adjacency = G.adjacency.tolist()
+    seen = {0}
+    queue = [0]
+    for v in queue:
+        for u in adjacency[v]:
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return len(seen) == G.n
+
+
+@st.composite
+def regular_unions(draw):
+    """Disjoint unions of 1-3 random d-regular bipartite graphs (d = 0 gives
+    isolated vertices), with the vertex ids shuffled."""
+    d = draw(st.integers(0, 3))
+    halves = draw(st.lists(st.integers(max(d, 1), 6), min_size=1, max_size=3))
+    edges, n = [], 0
+    for k, half in enumerate(halves):
+        part = random_regular_bipartite(half, d, seed=(draw(st.integers(0, 99)), k))
+        edges += [(u + n, v + n) for u, v in part.edges()]
+        n += part.n
+    relabel = draw(st.permutations(range(n)))
+    return build_from_edges(n, [(relabel[u], relabel[v]) for u, v in edges])
+
+
+class TestIsConnected:
+    @settings(max_examples=80, deadline=None)
+    @given(regular_unions())
+    def test_matches_python_bfs(self, G):
+        assert spectral.is_connected(G) == reference_is_connected(G)
+
+    @pytest.mark.parametrize(
+        "G,want",
+        [(build_from_edges(1, []), True), (build_from_edges(3, []), False),
+         (cycle_graph(7), True), (build_from_edges(6, [(0, 1), (1, 2), (0, 2),
+                                                       (3, 4), (4, 5), (3, 5)]), False)],
+        ids=["n1", "three-isolated", "C7", "two-triangles"],
+    )
+    def test_examples(self, G, want):
+        assert spectral.is_connected(G) is want
