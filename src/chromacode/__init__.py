@@ -17,12 +17,7 @@ from .graphs import (
     tensor_power,
     two_lift,
 )
-from .regimes import (
-    RegimePoint,
-    bipartite_threshold,
-    hoffman_bound,
-    unique_regime_certificate,
-)
+from .regimes import RegimePoint, unique_regime_certificate
 from .spectral import Spectrum, full_spectrum, lambda2, lambda_min, rayleigh_quotient
 
 __all__ = [
@@ -31,7 +26,6 @@ __all__ = [
     "RegimePoint",
     "RegularGraph",
     "Spectrum",
-    "bipartite_threshold",
     "build_from_edges",
     "complete_graph",
     "cycle_graph",
@@ -42,7 +36,6 @@ __all__ = [
     "full_spectrum",
     "gadget_expand",
     "greedy_pack",
-    "hoffman_bound",
     "is_proper",
     "lambda2",
     "lambda_min",

@@ -143,23 +143,19 @@ def cmd_verify(args) -> int:
         if not ok:
             failures.append(f"coloring {idx} improper at edge {edge}")
     report["proper"] = proper
-    pairs = [
-        (colorings.distance(members[i], members[j])[0], (i, j))
-        for i, j in itertools.combinations(range(len(members)), 2)
-    ]
-    if pairs:
-        report["distances"] = [{"pair": list(ij), "distance": d} for d, ij in pairs]
+    res = codes.verify_delta_distinct(codes.CodeSet(tuple(members), args.delta or Fraction(0)))
+    if res.distances:
+        pairs = itertools.combinations(range(len(members)), 2)
+        report["distances"] = [
+            {"pair": list(ij), "distance": d} for ij, d in zip(pairs, res.distances)
+        ]
     if args.delta is not None:
-        # the first closest pair in (i, j) order, as codes.verify_delta_distinct picks it
-        min_dist, worst = min(pairs, key=lambda p: p[0], default=(None, None))
-        threshold = codes.distance_threshold(args.delta, G.n)
-        ok = min_dist is None or min_dist >= threshold
         report["delta"] = str(args.delta)
-        report["threshold"] = threshold
-        report["min_dist"] = min_dist
-        report["delta_distinct"] = ok
-        if not ok:
-            failures.append(f"min distance {min_dist} below threshold at pair {worst}")
+        report["threshold"] = codes.distance_threshold(args.delta, G.n)
+        report["min_dist"] = res.min_dist
+        report["delta_distinct"] = res.ok
+        if not res.ok:
+            failures.append(f"min distance {res.min_dist} below threshold at pair {res.worst_pair}")
     report["ok"] = not failures
     if args.format == "json":
         _emit(args, _json(report))

@@ -6,6 +6,7 @@ float comparison ever decides membership.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -14,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import colorings as col
-from . import graphs, spectral
+from . import graphs
 from .colorings import Coloring
 from .errors import BindingMismatch, ChromaError, OutOfRange, PreconditionFail, TooLarge
 from .graphs import RegularGraph
@@ -23,8 +24,10 @@ CLIQUE_CAP = 2000
 
 
 def distance_threshold(delta: Fraction, n: int) -> int:
-    """ceil(delta * n) in exact integer arithmetic."""
+    """ceil(delta * n) in exact integer arithmetic; delta must lie in [0, 1]."""
     delta = Fraction(delta)
+    if not 0 <= delta <= 1:
+        raise OutOfRange(f"delta={delta} outside [0, 1]")
     return -((-delta.numerator * n) // delta.denominator)
 
 
@@ -46,6 +49,7 @@ class VerifyResult:
     ok: bool
     min_dist: int | None
     worst_pair: tuple[int, int] | None
+    distances: tuple[int, ...] = ()  # every pair's, in itertools.combinations order
 
 
 def _check_members(members: Sequence[Coloring]) -> None:
@@ -58,21 +62,19 @@ def _check_members(members: Sequence[Coloring]) -> None:
 
 
 def verify_delta_distinct(C: CodeSet) -> VerifyResult:
-    """Exact all-pairs check that every distance reaches ceil(delta * n)."""
+    """Exact all-pairs check that every distance reaches ceil(delta * n).
+
+    ``min_dist`` and ``worst_pair`` come from the first closest pair in
+    (i, j) order; a single member passes with neither.
+    """
     _check_members(C.members)
-    if len(C.members) == 1:
+    thr = distance_threshold(C.delta, C.members[0].n)
+    pairs = list(itertools.combinations(range(len(C.members)), 2))
+    dists = tuple(col.distance(C.members[i], C.members[j])[0] for i, j in pairs)
+    if not dists:
         return VerifyResult(True, None, None)
-    n = C.members[0].n
-    thr = distance_threshold(C.delta, n)
-    min_dist = None
-    worst = None
-    for i in range(len(C.members)):
-        for j in range(i + 1, len(C.members)):
-            d, _ = col.distance(C.members[i], C.members[j])
-            if min_dist is None or d < min_dist:
-                min_dist = d
-                worst = (i, j)
-    return VerifyResult(min_dist >= thr, min_dist, worst)
+    k = dists.index(min(dists))
+    return VerifyResult(dists[k] >= thr, dists[k], pairs[k], dists)
 
 
 def greedy_pack(
@@ -178,6 +180,7 @@ def exact_max_packing(G: RegularGraph, q: int, delta: Fraction) -> tuple[int, Co
     proper q-coloring.
     """
     delta = Fraction(delta)
+    thr = distance_threshold(delta, G.n)
     reps = col._proper_rows(G, q, canonical=True)
     # used[c]: representatives using c colors; each stands for q!/(q-c)! colorings
     used = np.bincount(reps.max(axis=1) + 1)
@@ -187,7 +190,6 @@ def exact_max_packing(G: RegularGraph, q: int, delta: Fraction) -> tuple[int, Co
         return 0, CodeSet((), delta, None, prov)
     if k > CLIQUE_CAP:
         raise TooLarge(f"{k} colorings exceed the clique cap {CLIQUE_CAP}")
-    thr = distance_threshold(delta, G.n)
     if thr <= 0:
         # every relabeling orbit holds at least two colorings at distance 0
         return k, CodeSet(tuple(col.enumerate_proper(G, q)), delta, 0 if k > 1 else None, prov)
@@ -269,20 +271,19 @@ def _build_tensor_lift(q: int, p: Mapping, seed) -> tuple[RegularGraph, Sampler]
 @dataclass(frozen=True)
 class FamilySpec:
     params: Mapping[str, object]  # allowed keys and defaults; an integer default demands an int
-    size_key: str                 # the param that empirical_f's sizes set
     label: str                    # format string over the params
     build: Callable[[int, Mapping, tuple], tuple[RegularGraph, Sampler]]
 
 
 FAMILIES: dict[str, FamilySpec] = {
     "layered-pair": FamilySpec(
-        {"d": 25, "m": 50}, "m", "layered-pair(d={d},m={m})", _build_layered_pair),
+        {"d": 25, "m": 50}, "layered-pair(d={d},m={m})", _build_layered_pair),
     "biased": FamilySpec(  # tau None: _biased_sampler's default
-        {"d": 4, "half": 500, "tau": None}, "half", "biased(d={d},half={half})", _build_biased),
+        {"d": 4, "half": 500, "tau": None}, "biased(d={d},half={half})", _build_biased),
     "gadget": FamilySpec(
-        {"base_half": 8}, "base_half", "gadget(base_half={base_half})", _build_gadget),
+        {"base_half": 8}, "gadget(base_half={base_half})", _build_gadget),
     "tensor-lift": FamilySpec(
-        {"N": 2, "lifts": 1, "restarts": 30}, "lifts", "tensor-lift(N={N},lifts={lifts})",
+        {"N": 2, "lifts": 1, "restarts": 30}, "tensor-lift(N={N},lifts={lifts})",
         _build_tensor_lift),
 }
 
@@ -326,56 +327,13 @@ class SweepFamily:
         return FAMILIES[self.kind].build(q, self.params, seed)
 
 
-@dataclass(frozen=True)
-class FamilyRow:
-    n: int
-    size_param: int
-    code_size: int
-    lambda2: float
-    min_dist: int | None
-    rejected: bool
-
-
 def build_family_instance(
     q: int, fam: SweepFamily, seed: tuple, delta: Fraction, target: int, budget: int
 ) -> tuple[RegularGraph, CodeSet]:
-    """Build one family member and greedily pack its sampler's colorings."""
+    """Build one family member and greedily pack its sampler's colorings.
+    Uncalled in the package; ``perfbench/workloads.py`` captures it by name."""
     G, sampler = fam.build(q, seed)
     code = greedy_pack(G, sampler, delta, target, budget, seed,
                        provenance={"family": fam.label()})
     return G, code
 
-
-def empirical_f(
-    q: int,
-    fam: SweepFamily,
-    sizes: Sequence[int],
-    delta: Fraction,
-    lambda_cap: float,
-    seed: int,
-    budget: int = 2000,
-    target: int = 64,
-) -> list[FamilyRow]:
-    """Lower-bound table for f along one family: build, verify lambda2, pack.
-
-    Each size sets the family's size param (FAMILIES[kind].size_key) and
-    seeds its instance with (seed, size). Graphs whose measured lambda2
-    exceeds the cap are recorded as rejected, never silently dropped.
-    """
-    size_key = FAMILIES[fam.kind].size_key
-    rows = []
-    for size in sizes:
-        sized = SweepFamily(fam.kind, {**fam.params, size_key: size})
-        G, code = build_family_instance(q, sized, (seed, size), delta, target, budget)
-        lam2 = spectral.lambda2(G)
-        rows.append(
-            FamilyRow(
-                n=G.n,
-                size_param=size,
-                code_size=len(code),
-                lambda2=lam2,
-                min_dist=code.min_dist,
-                rejected=lam2 > lambda_cap,
-            )
-        )
-    return rows

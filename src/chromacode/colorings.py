@@ -138,6 +138,12 @@ def _assignment_max(M: np.ndarray) -> tuple[int, tuple[int, ...]]:
     return sum(counts[sigma[b]][b] for b in range(q)), sigma
 
 
+def _max_agreement(M: np.ndarray) -> tuple[int, tuple[int, ...]]:
+    """The best agreement of a q x q agreement matrix and its sigma: brute
+    force over all q! permutations for q <= BRUTE_Q_CAP, else Hungarian."""
+    return (_brute_max if len(M) <= BRUTE_Q_CAP else _assignment_max)(M)
+
+
 def distance(X: Coloring, Y: Coloring) -> tuple[int, tuple[int, ...]]:
     """Permutation-invariant distance min_sigma |{v : X(v) != sigma(Y(v))}|.
 
@@ -146,9 +152,7 @@ def distance(X: Coloring, Y: Coloring) -> tuple[int, tuple[int, ...]]:
     found by brute force over all q! permutations for q <= BRUTE_Q_CAP and by
     an exact Hungarian assignment above that.
     """
-    M = agreement_matrix(X, Y)
-    solve = _brute_max if X.q <= BRUTE_Q_CAP else _assignment_max
-    agreement, sigma = solve(M)
+    agreement, sigma = _max_agreement(agreement_matrix(X, Y))
     return X.n - agreement, sigma
 
 
@@ -302,12 +306,11 @@ def _distance_matrix(rows: np.ndarray, q: int) -> np.ndarray:
     """
     r, n = rows.shape
     if q > BRUTE_Q_CAP or math.factorial(q) > r * (r - 1) // 2:
-        solve = _brute_max if q <= BRUTE_Q_CAP else _assignment_max
         best = np.full((r, r), n, dtype=np.int64)
         for i in range(r):
             for j in range(i + 1, r):
                 M = np.bincount(rows[i] * q + rows[j], minlength=q * q).reshape(q, q)
-                best[i, j] = best[j, i] = solve(M)[0]
+                best[i, j] = best[j, i] = _max_agreement(M)[0]
         return n - best
     onehot = (rows[:, :, None] == np.arange(q)).astype(np.int64)  # (r, n, q)
     flat = onehot.reshape(r, n * q)

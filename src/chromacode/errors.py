@@ -15,10 +15,10 @@ surfaces as a traceback.
   connected, disjoint subsets, nonzero degree or vector, gadget meta, part
   sizes, a square matrix, a non-empty code set.
 - ``TooLarge``: an input above the cap of an exhaustive or dense computation.
-- ``MalformedFile``: a graph, signing, coloring, code set, sidecar or config
-  file that does not parse; the message names the path, line or field.
+- ``MalformedFile``: a graph, signing, coloring, sidecar or config file that
+  does not parse; the message names the path, line or field.
 - ``BindingMismatch``: objects that must belong together do not: a coloring,
-  code set, signing or vector and its graph, or two colorings' q.
+  signing or vector and its graph, or two colorings' q.
 - ``NoConvergence``: an iterative solver or randomized construction ran out
   of its step or repair budget.
 """
@@ -41,7 +41,8 @@ class TooLarge(ChromaError):
 
 
 class MalformedFile(ChromaError):
-    """An input file does not parse; the message names the path, line or field."""
+    """An input file does not parse (code sets are only written, never read);
+    the message names the path, line or field."""
 
 
 class BindingMismatch(ChromaError):

@@ -1,4 +1,5 @@
-"""Text/JSON file formats for graphs, colorings, signings, and code sets.
+"""Text/JSON file formats for graphs, colorings and signings, read and
+written, and for code sets, only written (the payload of ``pack``).
 
 Graph format: line 1 "n d", optional line 2 "parts: 0 1 0 ...", then one
 "u v" edge per line, 0-indexed with u < v. A JSON sidecar "<path>.json"
@@ -188,17 +189,3 @@ def codeset_payload(C: CodeSet, graph_key: str) -> dict:
         "provenance": dict(C.provenance),
     }
 
-
-def read_codeset(path: str, G: RegularGraph) -> CodeSet:
-    payload = read_input(path, as_json=True)
-    if payload.get("graph") not in (None, G.graph_key):
-        raise BindingMismatch("code set references a different graph")
-    members = tuple(
-        make_coloring(G, int(payload["q"]), cols) for cols in payload["members"]
-    )
-    return CodeSet(
-        members,
-        Fraction(payload["delta"]),
-        payload.get("min_dist"),
-        payload.get("provenance", {}),
-    )

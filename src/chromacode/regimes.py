@@ -3,26 +3,19 @@
 Classification is evidence-based and finite: "certified-unique" means the
 exact rational certificate inequality holds, "counterexample-exists" means a
 concrete graph with measured lambda2 <= lambda carries >= 2 colorings at the
-required distance, and "unknown" is an honest third state. The exhaustive
-sigma_profile check reads its cap, SIGMA_Q_CAP (q! permutations), from this
-module at call time.
+required distance, and "unknown" is an honest third state.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
 from typing import Iterator, Mapping, Sequence
-
-import numpy as np
 
 from . import codes, colorings as col, graphs, spectral
 from .codes import CodeSet, SweepFamily
 from .colorings import Coloring
 from .errors import ChromaError, OutOfRange, PreconditionFail, TooLarge
 from .graphs import RegularGraph
-
-SIGMA_Q_CAP = 8
 
 CERTIFIED = "certified-unique"
 COUNTEREXAMPLE = "counterexample-exists"
@@ -69,13 +62,6 @@ def unique_regime_certificate(q: int, delta, lam) -> CertificateResult:
     return CertificateResult(lhs < rhs, lhs, rhs)
 
 
-def bipartite_threshold(q: int) -> Fraction:
-    """1 - (1/floor(q/2) + 1/ceil(q/2)) / 2, the bipartite construction's distance."""
-    if q < 3:
-        raise OutOfRange("threshold defined for q >= 3")
-    return 1 - Fraction(1, 2) * (Fraction(1, q // 2) + Fraction(1, (q + 1) // 2))
-
-
 @dataclass(frozen=True)
 class SigmaProfile:
     """Per-permutation overlap profile of a coloring pair.
@@ -100,8 +86,8 @@ def sigma_profile(
     V exactly once, and that d(X, Y) = n (1 - max_sigma w).
     """
     q = X.q
-    if q > SIGMA_Q_CAP:
-        raise TooLarge(f"q={q} enumerates {q}! permutations; cap is {SIGMA_Q_CAP}")
+    if q > col.BRUTE_Q_CAP:
+        raise TooLarge(f"q={q} enumerates {q}! permutations; cap is {col.BRUTE_Q_CAP}")
     col._check_pair(X, Y)
     if lam is None:
         lam = spectral.lambda2(G)
@@ -111,8 +97,8 @@ def sigma_profile(
     ws = []
     crosses = []
     sizes = {}
-    for sigma in permutations(range(q)):
-        sig = np.array(sigma, dtype=np.int64)
+    for sig in col._all_perms(q):
+        sigma = tuple(sig.tolist())
         mask = X.colors == sig[Y.colors]
         size = int(mask.sum())
         cross = int((mask[eu] != mask[ev]).sum())
@@ -153,15 +139,6 @@ def independent_size_bound(
     # w <= (1 + e)/2  <=>  2 |A| m <= n (m + |E(A)|)
     ok = 2 * meas.size * G.m <= G.n * (G.m + meas.inner_edges)
     return meas.w, meas.e_within, ok
-
-
-def hoffman_bound(G: RegularGraph) -> float:
-    """Chromatic-number lower bound 1 - 1/lambda_min."""
-    if G.d < 1:
-        raise PreconditionFail("Hoffman bound needs d >= 1")
-    if not spectral.is_connected(G):
-        raise PreconditionFail("Hoffman bound needs a connected graph")
-    return 1.0 - 1.0 / spectral.lambda_min(G)
 
 
 # -- regime map sweep ---------------------------------------------------------

@@ -249,8 +249,10 @@ class TestPack:
         assert payload["size"] >= 2
         assert payload["min_dist"] >= 22
         G = fileio.read_graph(str(gpath))
-        code = fileio.read_codeset(str(out), G)
-        assert len(code) == payload["size"]
+        assert payload["graph"] == G.graph_key
+        members = [make_coloring(G, payload["q"], row) for row in payload["members"]]
+        assert len(members) == payload["size"]
+        assert all(is_proper(G, X)[0] for X in members)
 
     @pytest.mark.parametrize(
         "sampler,construct",
@@ -576,6 +578,27 @@ def _distance_to(text):
     return argv
 
 
+def _exact_f_c5(delta):
+    """argv for `exact-f` on C5 at q = 3."""
+    def argv(tmp_path):
+        path = tmp_path / "c5.graph"
+        fileio.write_graph(str(path), graphs.cycle_graph(5))
+        return ["exact-f", "--graph", path, "--q", 3, f"--delta={delta}"]
+    return argv
+
+
+def _verify_c4(*colorings_q, delta=None):
+    """argv for `verify` on C4 of one coloring [0, 1, 0, 1] per q given."""
+    def argv(tmp_path):
+        paths = []
+        for k, q in enumerate(colorings_q):
+            paths.append(tmp_path / f"x{k}.json")
+            paths[-1].write_text(json.dumps({"q": q, "colors": [0, 1, 0, 1]}))
+        extra = [] if delta is None else [f"--delta={delta}"]
+        return ["verify", "--graph", _c4(tmp_path), *paths, *extra]
+    return argv
+
+
 def _binary_graph(tmp_path):
     path = tmp_path / "bin.graph"
     path.write_bytes(b"\xff\xfe4 2\n")
@@ -601,10 +624,10 @@ def _resume_binary_out(tmp_path):
     return ["regime-map", "--config", cfg, "--out", out, "--resume"]
 
 
-def _gadget_pack(tmp_path, q=3) -> list:
+def _gadget_pack(tmp_path, q=3, delta="1/2") -> list:
     path = tmp_path / "g.graph"
     assert run(["construct", "gadget", "--base", "k4", "--out", path]) == 0
-    return ["pack", "--graph", path, "--q", q, "--delta", "1/2", "--sampler", "gadget"]
+    return ["pack", "--graph", path, "--q", q, "--delta", delta, "--sampler", "gadget"]
 
 
 def _gadget_meta_without_table(tmp_path):
@@ -680,13 +703,21 @@ class TestErrorContract:
          (_gadget_base_n_too_large, "gadget meta base_n=1000 is not a vertex count"),
          (_graph_above_int64, "line 2: integer outside int64"),
          (_signing_above_int64, "line 7: integer outside int64"),
-         (_biased_default_tau_d0, "default tau 1/(8 d^2) needs d >= 1")],
+         (_biased_default_tau_d0, "default tau 1/(8 d^2) needs d >= 1"),
+         (lambda tmp_path: _gadget_pack(tmp_path, delta="3/2"), "delta=3/2 outside [0, 1]"),
+         (_exact_f_c5("-1/2"), "delta=-1/2 outside [0, 1]"),
+         (_exact_f_c5("3/2"), "delta=3/2 outside [0, 1]"),
+         (_verify_c4(3, 3, delta="3/2"), "delta=3/2 outside [0, 1]"),
+         (_verify_c4(3, delta="-1/4"), "delta=-1/4 outside [0, 1]"),
+         (_verify_c4(3, 4), "members bound to different graphs or q values")],
         ids=["coloring-not-json", "coloring-list", "coloring-no-q", "coloring-float-q",
              "coloring-float-colors", "coloring-null-colors", "binary-graph",
              "sidecar-not-json", "parts-0-2-biased", "resume-binary-out",
              "gadget-meta-without-table", "gadget-q2", "gadget-meta-not-object",
              "gadget-table-short-row", "gadget-base-n-too-large", "graph-above-int64", "signing-above-int64",
-             "biased-default-tau-d0"],
+             "biased-default-tau-d0", "pack-delta-above-1", "exact-f-delta-below-0",
+             "exact-f-delta-above-1", "verify-delta-above-1", "verify-one-delta-below-0",
+             "verify-mixed-q"],
     )
     def test_bad_input_exit_2(self, tmp_path, capsys, make_argv, named):
         argv = make_argv(tmp_path)

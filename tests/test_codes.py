@@ -4,19 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromacode import codes
+from chromacode import codes, spectral
 from chromacode import colorings as col
 from chromacode.codes import (
     CodeSet,
     SweepFamily,
+    build_family_instance,
     distance_threshold,
-    empirical_f,
     exact_max_packing,
     greedy_pack,
     verify_delta_distinct,
 )
 from chromacode.colorings import coordinate_colorings, enumerate_proper, make_coloring
-from chromacode.errors import BindingMismatch, TooLarge
+from chromacode.errors import BindingMismatch, OutOfRange, TooLarge
 from chromacode.graphs import complete_graph, cycle_graph, gadget_expand
 
 
@@ -29,10 +29,31 @@ class TestThreshold:
             (Fraction(2, 3), 9, 6),
             (Fraction(11, 20), 40, 22),
             (Fraction(1, 3), 10, 4),  # ceil(10/3)
+            (Fraction(1), 7, 7),
         ],
     )
     def test_ceiling(self, delta, n, want):
         assert distance_threshold(delta, n) == want
+
+    @pytest.mark.parametrize("delta", [Fraction(-1, 2), Fraction(3, 2), Fraction(-1, 10**9)])
+    def test_outside_unit_interval(self, delta):
+        with pytest.raises(OutOfRange, match=rf"delta={delta} outside \[0, 1\]"):
+            distance_threshold(delta, 5)
+
+    @pytest.mark.parametrize("delta", [Fraction(-1, 2), Fraction(3, 2)])
+    def test_every_caller_refuses_before_work(self, delta):
+        C5 = cycle_graph(5)
+        X = make_coloring(C5, 3, [0, 1, 0, 1, 2])
+
+        def sampler(s):
+            raise AssertionError("sampled before the threshold was checked")
+
+        with pytest.raises(OutOfRange):
+            exact_max_packing(C5, 3, delta)
+        with pytest.raises(OutOfRange):
+            greedy_pack(C5, sampler, delta, target=2, budget=5, seed=0)
+        with pytest.raises(OutOfRange):
+            verify_delta_distinct(CodeSet((X,), delta))
 
 
 class TestVerify:
@@ -50,6 +71,13 @@ class TestVerify:
         X = coordinate_colorings(3, 2)[0]
         res = verify_delta_distinct(CodeSet((X,), Fraction(1)))
         assert res.ok and res.min_dist is None
+
+    def test_distances_and_first_closest_pair(self):
+        X, Y = coordinate_colorings(3, 2)
+        res = verify_delta_distinct(CodeSet((X, Y, X.relabeled((1, 2, 0)), Y), Fraction(1, 2)))
+        # pairs (0,1) (0,2) (0,3) (1,2) (1,3) (2,3); two pairs tie at 0
+        assert res.distances == (6, 0, 6, 6, 0, 6)
+        assert (res.ok, res.min_dist, res.worst_pair) == (False, 0, (0, 2))
 
     def test_mixed_binding(self):
         X = coordinate_colorings(3, 2)[0]
@@ -215,37 +243,40 @@ class TestQuotientOracle:
 
 
 class TestEmpiricalF:
+    """Lower bounds on f along one family: the member whose size param is
+    ``size`` is built from seed (seed, size), packed, and its lambda2 measured."""
+
+    @staticmethod
+    def member(kind, params, size_key, size, delta, seed, budget=2000, target=64):
+        fam = SweepFamily(kind, {**params, size_key: size})
+        G, code = build_family_instance(3, fam, (seed, size), delta, target, budget)
+        return G, code, spectral.lambda2(G)
+
     def test_gadget_family_passes_lambda_cap(self):
-        sizes = (4, 6)
-        rows = empirical_f(
-            3, SweepFamily("gadget"), sizes, Fraction(1, 2), lambda_cap=1 - 1e-4,
-            seed=12, budget=300, target=8,
-        )
-        assert len(rows) == 2
-        for row, size in zip(rows, sizes):
-            assert row.n == 20 * size  # 10x blowup of a 2*size base
-            assert not row.rejected
-            assert row.code_size >= 2
+        for size in (4, 6):
+            G, code, lam2 = self.member(
+                "gadget", {}, "base_half", size, Fraction(1, 2), seed=12, budget=300, target=8
+            )
+            assert G.n == 20 * size  # 10x blowup of a 2*size base
+            assert lam2 <= 1 - 1e-4
+            assert len(code) >= 2
 
     def test_tensor_lift_family(self):
-        rows = empirical_f(
-            3, SweepFamily("tensor-lift", {"restarts": 10}), (1,), Fraction(2, 3),
-            lambda_cap=1.0, seed=3,
+        G, code, lam2 = self.member(
+            "tensor-lift", {"restarts": 10}, "lifts", 1, Fraction(2, 3), seed=3
         )
-        (row,) = rows
-        assert row.n == 18
-        assert row.code_size == 2
-        assert row.min_dist == 12
-        assert row.lambda2 < 1.0
+        assert G.n == 18
+        assert len(code) == 2
+        assert code.min_dist == 12
+        assert lam2 < 1.0
 
     def test_biased_family_records_lambda(self):
-        (row,) = empirical_f(
-            3, SweepFamily("biased", {"d": 4}), (40,), Fraction(1, 5),
-            lambda_cap=0.999, seed=4, budget=200, target=4,
+        G, code, lam2 = self.member(
+            "biased", {"d": 4}, "half", 40, Fraction(1, 5), seed=4, budget=200, target=4
         )
-        assert row.n == 80
-        assert 0 < row.lambda2 < 1
-        assert row.code_size >= 2
+        assert G.n == 80
+        assert 0 < lam2 < 1
+        assert len(code) >= 2
 
 
 class TestCliqueOracle:

@@ -63,9 +63,10 @@ class TestRoundTrip:
         assert len(C) >= 2
         path = tmp_path / "code.json"
         path.write_text(json.dumps(fileio.codeset_payload(C, G.graph_key)))
-        members = json.loads(path.read_text())["members"]
+        payload = json.loads(path.read_text())
+        members = payload["members"]
         assert all(type(c) is int for row in members for c in row)
-        back = fileio.read_codeset(str(path), G)
-        assert back.members == C.members
-        assert (back.delta, back.min_dist) == (C.delta, C.min_dist)
-        assert back.provenance == dict(C.provenance)
+        assert tuple(make_coloring(G, payload["q"], row) for row in members) == C.members
+        assert (payload["graph"], payload["n"], payload["size"]) == (G.graph_key, G.n, len(C))
+        assert (Fraction(payload["delta"]), payload["min_dist"]) == (C.delta, C.min_dist)
+        assert payload["provenance"] == dict(C.provenance)

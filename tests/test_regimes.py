@@ -20,8 +20,6 @@ from chromacode.regimes import (
     UNKNOWN,
     SweepConfig,
     SweepFamily,
-    bipartite_threshold,
-    hoffman_bound,
     independent_size_bound,
     regime_map_sweep,
     regime_point_csv,
@@ -70,15 +68,6 @@ class TestCertificate:
                     for l2 in lams:
                         if d2 >= d and l2 <= l:
                             assert table[(d2, l2)]
-
-
-class TestBipartiteThreshold:
-    @pytest.mark.parametrize(
-        "q,want",
-        [(3, Fraction(1, 4)), (4, Fraction(1, 2)), (5, Fraction(7, 12))],
-    )
-    def test_values(self, q, want):
-        assert bipartite_threshold(q) == want
 
 
 class TestSigmaProfile:
@@ -137,27 +126,12 @@ class TestIndependentSizeBound:
                 assert independent_size_bound(G, A)[2]
 
 
-class TestHoffman:
-    def test_complete_graphs_tight(self):
-        for q in (3, 4, 5, 6):
-            assert hoffman_bound(complete_graph(q)) == pytest.approx(q, abs=1e-8)
-
-    def test_bipartite_two(self, fixture_graphs):
-        assert hoffman_bound(fixture_graphs["K33"]) == pytest.approx(2.0, abs=1e-8)
-
-    def test_c5(self):
-        assert hoffman_bound(cycle_graph(5)) == pytest.approx(2.2360679, abs=1e-6)
-
-
 @pytest.mark.parametrize(
     "call,error",
     [
-        (lambda zoo: bipartite_threshold(2), OutOfRange),
         (lambda zoo: independent_size_bound(build_from_edges(3, []), [0]), PreconditionFail),
-        (lambda zoo: hoffman_bound(build_from_edges(3, [])), PreconditionFail),
-        (lambda zoo: hoffman_bound(zoo["twin_triangles"]), PreconditionFail),
     ],
-    ids=["threshold-q2", "size-bound-d0", "hoffman-d0", "hoffman-disconnected"],
+    ids=["size-bound-d0"],
 )
 def test_bad_input_raises_typed_error(fixture_graphs, call, error):
     with pytest.raises(error):
