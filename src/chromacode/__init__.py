@@ -18,7 +18,7 @@ from .graphs import (
     two_lift,
 )
 from .regimes import RegimePoint, unique_regime_certificate
-from .spectral import Spectrum, full_spectrum, lambda2, lambda_min, rayleigh_quotient
+from .spectral import Spectrum, full_spectrum, lambda2, rayleigh_quotient
 
 __all__ = [
     "CodeSet",
@@ -38,7 +38,6 @@ __all__ = [
     "greedy_pack",
     "is_proper",
     "lambda2",
-    "lambda_min",
     "random_regular_bipartite",
     "rayleigh_quotient",
     "tensor_power",

@@ -269,7 +269,11 @@ def cmd_regime_map(args) -> int:
     except UnicodeDecodeError as exc:
         raise MalformedFile(f"{args.out}: {exc}") from None
     resuming = lines[:1] == [regimes.CSV_HEADER]
-    skip = {tuple(ln.split(",")[1:3]) for ln in lines[1:]} if resuming else set()
+    done = [ln.split(",") for ln in lines[1:]] if resuming else []
+    for row in done:
+        if row[0] != str(config.q):
+            raise ChromaError(f"{args.out} holds rows for q={row[0]}; the config has q={config.q}")
+    skip = {tuple(row[1:3]) for row in done}
     rows = regimes.regime_map_sweep(config, skip=skip)
     # the first row builds every family, so any error exits before output
     first = list(itertools.islice(rows, 1))

@@ -91,15 +91,20 @@ def greedy_pack(
     ``sampler(seed_i)`` must return a proper coloring of G (or None when its
     stream is exhausted); draw i uses the derived seed (seed, i), so the
     result depends only on (sampler, delta, target, budget, seed). Stops at
-    ``target`` members; a partial set is returned with
-    ``provenance['budget_exhausted'] = True``.
+    ``target`` members, before any draw when ``target`` is 0; a partial set
+    is returned with ``provenance['budget_exhausted'] = True``.
     """
     delta = Fraction(delta)
     thr = distance_threshold(delta, G.n)
+    for name, value in (("budget", budget), ("target", target)):
+        if value < 0:
+            raise OutOfRange(f"{name}={value} is negative")
     kept: list[Coloring] = []
     min_dist: int | None = None
     draws = 0
     for i in range(budget):
+        if len(kept) >= target:
+            break
         X = sampler((seed, i))
         if X is None:
             break
@@ -112,8 +117,6 @@ def greedy_pack(
             for d in dists:
                 if min_dist is None or d < min_dist:
                     min_dist = d
-        if len(kept) >= target:
-            break
     prov = dict(provenance or {})
     prov.update(
         {

@@ -19,7 +19,7 @@ import numpy as np
 
 from .assignment import max_weight_assignment
 from .errors import BindingMismatch, OutOfRange, PreconditionFail, TooLarge
-from .graphs import RegularGraph, tensor_power
+from .graphs import RegularGraph
 
 ENUM_CAP = 16         # enumeration limit on n
 BRUTE_Q_CAP = 8       # brute-force over q! permutations up to this q
@@ -247,12 +247,8 @@ def layered_bipartite_pair(G: RegularGraph, q: int) -> tuple[Coloring, Coloring]
     return Coloring(q, x, G.graph_key), Coloring(q, y, G.graph_key)
 
 
-def coordinate_colorings(
-    q: int, N: int, G: RegularGraph | None = None
-) -> list[Coloring]:
-    """The N coordinate colorings X_i(a_1..a_N) = a_i of the tensor power graph."""
-    if G is None:
-        G = tensor_power(q, N)
+def coordinate_colorings(q: int, N: int, G: RegularGraph) -> list[Coloring]:
+    """The N coordinate colorings X_i(a_1..a_N) = a_i of G = tensor_power(q, N)."""
     meta = G.meta or {}
     if meta.get("kind") != "tensor" or meta.get("q") != q or meta.get("N") != N:
         raise BindingMismatch("graph is not tensor_power(q, N)")
@@ -277,6 +273,8 @@ def _proper_rows(G: RegularGraph, q: int, canonical: bool = False) -> np.ndarray
     each row is extended by every color that no lower neighbor of v has, so a
     level's rows are exactly the nodes a backtracking search visits at depth v.
     """
+    if q < 2:
+        raise OutOfRange("need q >= 2")
     if G.n > ENUM_CAP:
         raise TooLarge(f"n={G.n} exceeds enumeration cap {ENUM_CAP}")
     rows = np.zeros((1, 0), dtype=np.int64)

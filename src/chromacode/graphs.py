@@ -88,9 +88,6 @@ class RegularGraph:
         """Number of edges."""
         return self.n * self.d // 2
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adjacency[u] == v).any())
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Canonical edge list: pairs (u, v) with u < v, sorted."""
         u, v = self.edge_arrays()

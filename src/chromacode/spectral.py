@@ -1,11 +1,13 @@
 """Normalized-adjacency spectra, Rayleigh quotients, and the Cheeger sandwich.
 
 full_spectrum is the dense LAPACK solver (all eigenpairs plus a residual) up
-to DENSE_CAP vertices; only the ``spectrum`` command needs it. lambda2 and
-lambda_min read the dense eigenvalues alone up to LANCZOS_MIN_N vertices and
-above that run a numpy Lanczos iteration whose only access to the graph is
-the product with the neighbor array, so it needs nothing beyond numpy.
-Disconnected graphs and 0-regular graphs report lambda2 = 1 by convention.
+to DENSE_CAP vertices; only the ``spectrum`` command needs it, and its
+``Spectrum.lambda_min`` is the one smallest eigenvalue the package reports.
+lambda2, the one eigenvalue the paper's expansion condition reads, comes from
+the dense eigenvalues alone up to LANCZOS_MIN_N vertices and above that from
+a numpy Lanczos iteration whose only access to the graph is the product with
+the neighbor array, so it needs nothing beyond numpy. Disconnected graphs and
+0-regular graphs report lambda2 = 1 by convention.
 The small dense solves (the eigenvalues up to LANCZOS_MIN_N, the projected
 Lanczos eigenproblem and the thick-restart rotation) run on one OpenBLAS
 thread: on them a second thread only costs CPU time.
@@ -146,20 +148,19 @@ def _neighbor_sum(v: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return v[columns].sum(axis=0)
 
 
-def _extreme_eigenvalue(G: RegularGraph, which: str) -> float:
-    """lambda2 (``which="LA"``) or lambda_min (``"SA"``) of a graph with d >= 1.
+def lambda2(G: RegularGraph) -> float:
+    """Second-largest normalized eigenvalue (with multiplicity).
 
-    Up to LANCZOS_MIN_N vertices the value is read off the dense eigenvalues
-    (no eigenvectors). Above it, a thick-restart Lanczos iteration with full
-    reorthogonalization (Paige 1972; Wu and Simon 2000) finds the top
-    eigenvalue of sA, s = +1 for "LA" and -1 for "SA", from the product
-    A x = (sum of x over each vertex's neighbors) / d alone. For "LA" every
-    vector is projected onto the complement of the all-ones vector, so the top
-    Ritz value there is lambda2 itself, with multiplicity (lambda2 has ruled
-    out disconnected graphs). Every LANCZOS_CHECK steps, and whenever the
-    LANCZOS_BASIS rows are full, the top eigenpair (theta, y) of the projected
-    matrix T is taken; theta is returned once the residual
-    |A y - theta y| = beta_j |y_j| is at most LANCZOS_TOL, which by
+    Returns exactly 1.0 for 0-regular or disconnected graphs. Up to
+    LANCZOS_MIN_N vertices the value is read off the dense eigenvalues (no
+    eigenvectors). Above it, a thick-restart Lanczos iteration with full
+    reorthogonalization (Paige 1972; Wu and Simon 2000) runs on the product
+    A x = (sum of x over each vertex's neighbors) / d alone. Every vector is
+    projected onto the complement of the all-ones vector, so the top Ritz
+    value there is lambda2 itself, with multiplicity. Every LANCZOS_CHECK
+    steps, and whenever the LANCZOS_BASIS rows are full, the top eigenpair
+    (theta, y) of the projected matrix T is taken; theta is returned once the
+    residual |A y - theta y| = beta_j |y_j| is at most LANCZOS_TOL, which by
     Bauer-Fike also bounds the error of theta, or at once on a breakdown (an
     invariant subspace). A full basis keeps its top LANCZOS_KEEP Ritz
     vectors, T becomes their Ritz values bordered by their residual
@@ -169,28 +170,26 @@ def _extreme_eigenvalue(G: RegularGraph, which: str) -> float:
     The start vector comes from a constant seed, so the result depends only
     on G.
     """
+    if G.d == 0 or not is_connected(G):
+        return 1.0
     if G.n <= LANCZOS_MIN_N:
         A = normalized_adjacency(G)
         with _one_blas_thread():
             vals = np.linalg.eigvalsh(A)  # ascending
-        return float(vals[-2] if which == "LA" else vals[0])
+        return float(vals[-2])
     columns = np.ascontiguousarray(G.adjacency.T)  # row i: the i-th neighbor of every vertex
-    sign = 1.0 if which == "LA" else -1.0
-    deflate = which == "LA"
     m, k = LANCZOS_BASIS, LANCZOS_KEEP
     V = np.empty((m, G.n))
     T = np.zeros((m, m))
     x = np.random.default_rng(0xC0DE).standard_normal(G.n)
-    if deflate:
-        x -= x.mean()
+    x -= x.mean()
     V[0] = x / np.linalg.norm(x)
     j = steps = 0
     while True:
         v = V[j]
         w = _neighbor_sum(v, columns)
-        w *= sign / G.d
-        if deflate:
-            w -= w.mean()
+        w *= 1.0 / G.d
+        w -= w.mean()
         steps += 1
         T[j, j] = v @ w
         basis = V[: j + 1]
@@ -204,10 +203,10 @@ def _extreme_eigenvalue(G: RegularGraph, which: str) -> float:
                 theta, S = np.linalg.eigh(T[: j + 1, : j + 1])
             residual = b * abs(S[-1, -1])
             if b <= LANCZOS_TOL or residual <= LANCZOS_TOL:
-                return sign * float(theta[-1])
+                return float(theta[-1])
             if steps >= LANCZOS_MAX_STEPS:
                 raise NoConvergence(
-                    f"Lanczos ({which}) did not converge on n={G.n} after "
+                    f"Lanczos did not converge on n={G.n} after "
                     f"{steps} steps (residual {residual:.3g})"
                 )
             if full:  # thick restart (Wu-Simon) from the top k Ritz pairs
@@ -223,25 +222,6 @@ def _extreme_eigenvalue(G: RegularGraph, which: str) -> float:
         T[j, j + 1] = T[j + 1, j] = b
         V[j + 1] = w / b
         j += 1
-
-
-def lambda2(G: RegularGraph) -> float:
-    """Second-largest normalized eigenvalue (with multiplicity).
-
-    Returns exactly 1.0 for 0-regular or disconnected graphs.
-    """
-    if G.d == 0:
-        return 1.0
-    if not is_connected(G):
-        return 1.0
-    return _extreme_eigenvalue(G, "LA")
-
-
-def lambda_min(G: RegularGraph) -> float:
-    """Smallest normalized eigenvalue."""
-    if G.d == 0:
-        raise PreconditionFail("lambda_min undefined for 0-regular graphs")
-    return _extreme_eigenvalue(G, "SA")
 
 
 def rayleigh_quotient(G: RegularGraph, x) -> float:

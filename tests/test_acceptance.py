@@ -68,7 +68,7 @@ def test_criterion_2_distance_formulas():
     details = []
     for q in (3, 4):
         for N in (2, 3):
-            X = coordinate_colorings(q, N)
+            X = coordinate_colorings(q, N, tensor_power(q, N))
             d, _ = col.distance(X[0], X[1])
             want = (q - 1) * q ** (N - 1)
             ok &= d == want

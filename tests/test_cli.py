@@ -280,6 +280,12 @@ class TestPack:
         assert run([*argv, "--tau", "1/72", "--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_target_zero_packs_nothing(self, tmp_path, capsys):
+        argv = _enumerated_pack(3, "--target", 0, "--budget", 5)(tmp_path)
+        assert run(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["size"] == 0 and payload["provenance"]["draws_used"] == 0
+
 
 class TestExactF:
     def test_c5(self, tmp_path, capsys):
@@ -370,6 +376,16 @@ class TestRegimeMap:
             partial.write_bytes(prefix[:cut])
             assert run(["regime-map", "--config", cfg, "--out", partial, "--resume"]) == 0
             assert partial.read_bytes() == want, cut
+
+    def test_resume_other_q_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "map.csv"
+        assert run(["regime-map", "--config", self.write_config(tmp_path), "--out", out]) == 0
+        before = out.read_bytes()
+        cfg = self.write_config(tmp_path, q=4)
+        assert run(["regime-map", "--config", cfg, "--out", out, "--resume"]) == 2
+        assert out.read_bytes() == before
+        err = capsys.readouterr().err
+        assert "q=3" in err and "q=4" in err
 
     def test_bad_config_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -674,6 +690,20 @@ def _signing_above_int64(tmp_path):
             "--out", tmp_path / "lift.graph"]
 
 
+def _on_graph(G, command, *options):
+    """argv for ``command`` on a file holding G, then ``options``."""
+    def argv(tmp_path):
+        path = tmp_path / "g.graph"
+        fileio.write_graph(str(path), G)
+        return [command, "--graph", path, *options]
+    return argv
+
+
+def _enumerated_pack(q, *options):
+    return _on_graph(graphs.cycle_graph(6), "pack", "--sampler", "enumerated",
+                     "--q", q, "--delta", "1/2", *options)
+
+
 def _biased_default_tau_d0(tmp_path):
     path = tmp_path / "empty.graph"
     path.write_text("2 0\nparts: 0 1\n")
@@ -709,7 +739,14 @@ class TestErrorContract:
          (_exact_f_c5("3/2"), "delta=3/2 outside [0, 1]"),
          (_verify_c4(3, 3, delta="3/2"), "delta=3/2 outside [0, 1]"),
          (_verify_c4(3, delta="-1/4"), "delta=-1/4 outside [0, 1]"),
-         (_verify_c4(3, 4), "members bound to different graphs or q values")],
+         (_verify_c4(3, 4), "members bound to different graphs or q values"),
+         *[(_on_graph(graphs.cycle_graph(6), "exact-f", "--q", q, "--delta", "1/2"),
+            "need q >= 2") for q in (-1, 0, 1)],
+         (_on_graph(graphs.build_from_edges(2, []), "exact-f", "--q", 1, "--delta", "1/2"),
+          "need q >= 2"),
+         *[(_enumerated_pack(q), "need q >= 2") for q in (-1, 0, 1)],
+         (_enumerated_pack(3, "--budget", -4), "budget=-4 is negative"),
+         (_enumerated_pack(3, "--target", -1), "target=-1 is negative")],
         ids=["coloring-not-json", "coloring-list", "coloring-no-q", "coloring-float-q",
              "coloring-float-colors", "coloring-null-colors", "binary-graph",
              "sidecar-not-json", "parts-0-2-biased", "resume-binary-out",
@@ -717,7 +754,9 @@ class TestErrorContract:
              "gadget-table-short-row", "gadget-base-n-too-large", "graph-above-int64", "signing-above-int64",
              "biased-default-tau-d0", "pack-delta-above-1", "exact-f-delta-below-0",
              "exact-f-delta-above-1", "verify-delta-above-1", "verify-one-delta-below-0",
-             "verify-mixed-q"],
+             "verify-mixed-q", "exact-f-c6-q-1", "exact-f-c6-q0", "exact-f-c6-q1",
+             "exact-f-edgeless-q1", "pack-enumerated-q-1", "pack-enumerated-q0",
+             "pack-enumerated-q1", "pack-budget-negative", "pack-target-negative"],
     )
     def test_bad_input_exit_2(self, tmp_path, capsys, make_argv, named):
         argv = make_argv(tmp_path)

@@ -17,7 +17,7 @@ from chromacode.codes import (
 )
 from chromacode.colorings import coordinate_colorings, enumerate_proper, make_coloring
 from chromacode.errors import BindingMismatch, OutOfRange, TooLarge
-from chromacode.graphs import complete_graph, cycle_graph, gadget_expand
+from chromacode.graphs import complete_graph, cycle_graph, gadget_expand, tensor_power
 
 
 class TestThreshold:
@@ -58,29 +58,29 @@ class TestThreshold:
 
 class TestVerify:
     def test_coordinate_pair(self):
-        members = tuple(coordinate_colorings(3, 2))
+        members = tuple(coordinate_colorings(3, 2, tensor_power(3, 2)))
         res = verify_delta_distinct(CodeSet(members, Fraction(2, 3)))
         assert res.ok and res.min_dist == 6
 
     def test_delta_too_high(self):
-        members = tuple(coordinate_colorings(3, 2))
+        members = tuple(coordinate_colorings(3, 2, tensor_power(3, 2)))
         res = verify_delta_distinct(CodeSet(members, Fraction(7, 10)))
         assert not res.ok  # 6 < ceil(0.7 * 9) = 7
 
     def test_singleton_vacuous(self):
-        X = coordinate_colorings(3, 2)[0]
+        X = coordinate_colorings(3, 2, tensor_power(3, 2))[0]
         res = verify_delta_distinct(CodeSet((X,), Fraction(1)))
         assert res.ok and res.min_dist is None
 
     def test_distances_and_first_closest_pair(self):
-        X, Y = coordinate_colorings(3, 2)
+        X, Y = coordinate_colorings(3, 2, tensor_power(3, 2))
         res = verify_delta_distinct(CodeSet((X, Y, X.relabeled((1, 2, 0)), Y), Fraction(1, 2)))
         # pairs (0,1) (0,2) (0,3) (1,2) (1,3) (2,3); two pairs tie at 0
         assert res.distances == (6, 0, 6, 6, 0, 6)
         assert (res.ok, res.min_dist, res.worst_pair) == (False, 0, (0, 2))
 
     def test_mixed_binding(self):
-        X = coordinate_colorings(3, 2)[0]
+        X = coordinate_colorings(3, 2, tensor_power(3, 2))[0]
         C5 = cycle_graph(5)
         Y = make_coloring(C5, 3, [0, 1, 0, 1, 2])
         with pytest.raises(BindingMismatch, match="members bound to different graphs or q values"):
@@ -110,6 +110,32 @@ class TestGreedyPack:
         sampler = lambda s: col.sample_gadget_coloring(G, 3, s)
         C = greedy_pack(G, sampler, Fraction(1, 2), target=1, budget=100, seed=0)
         assert len(C) == 1 and C.provenance["draws_used"] == 1
+
+    def test_target_zero_draws_nothing(self):
+        def sampler(s):
+            raise AssertionError("drew with target 0")
+
+        C = greedy_pack(cycle_graph(6), sampler, Fraction(1, 2), target=0, budget=5, seed=0)
+        assert len(C) == 0
+        assert (C.provenance["draws_used"], C.provenance["budget_exhausted"]) == (0, False)
+
+    def test_each_target_is_a_prefix(self):
+        # stopping at the target changes no draw before it
+        G = gadget_expand(complete_graph(4))
+        sampler = lambda s: col.sample_gadget_coloring(G, 3, s)
+        full = greedy_pack(G, sampler, Fraction(1, 2), target=64, budget=200, seed=3)
+        assert len(full) >= 3
+        for target in range(1, len(full) + 1):
+            C = greedy_pack(G, sampler, Fraction(1, 2), target=target, budget=200, seed=3)
+            assert C.members == full.members[:target]
+
+    @pytest.mark.parametrize("budget,target,named", [(-4, 8, "budget=-4"), (5, -1, "target=-1")])
+    def test_negative_budget_or_target(self, budget, target, named):
+        def sampler(s):
+            raise AssertionError("drew with a negative budget or target")
+
+        with pytest.raises(OutOfRange, match=f"{named} is negative"):
+            greedy_pack(cycle_graph(6), sampler, Fraction(1, 2), target, budget, seed=0)
 
     def test_deterministic(self):
         G = gadget_expand(complete_graph(4))

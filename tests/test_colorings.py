@@ -414,7 +414,7 @@ class TestLayeredPair:
 
 class TestCoordinateAndLift:
     def test_pairwise_distance_n3(self):
-        cols = coordinate_colorings(3, 3)
+        cols = coordinate_colorings(3, 3, tensor_power(3, 3))
         assert len(cols) == 3
         for X, Y in itertools.combinations(cols, 2):
             assert distance(X, Y)[0] == 18

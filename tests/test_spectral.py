@@ -25,7 +25,6 @@ from chromacode.spectral import (
     cheeger_check,
     full_spectrum,
     lambda2,
-    lambda_min,
     normalized_adjacency,
     rayleigh_quotient,
 )
@@ -94,13 +93,25 @@ class TestLambda2:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_iterative_matches_dense(self, half, d, seed):
-        # above the cutoff both values come from Lanczos
+        # above the cutoff the value comes from Lanczos
         G = random_regular_bipartite(half, d, seed)
         spec = full_spectrum(G)
         assert lambda2(G) == pytest.approx(spec.lambda2, abs=1e-9)
-        assert lambda_min(G) == pytest.approx(spec.lambda_min, abs=1e-9)
         assert lambda2(G) == lambda2(G)
-        assert lambda_min(G) == lambda_min(G)
+
+    def test_non_bipartite_above_cutoff(self):
+        for G in (complete_graph(400), tensor_power(3, 6), cycle_graph(301)):
+            assert G.n > spectral.LANCZOS_MIN_N
+            spec = full_spectrum(G)
+            assert lambda2(G) == pytest.approx(spec.lambda2, abs=1e-9), G.n
+
+    def test_disconnected_above_cutoff(self):
+        # C201 + C203: the iteration never runs on a disconnected graph
+        edges = [(i, (i + 1) % 201) for i in range(201)]
+        edges += [(201 + i, 201 + (i + 1) % 203) for i in range(203)]
+        two = build_from_edges(404, edges)
+        assert two.n > spectral.LANCZOS_MIN_N
+        assert lambda2(two) == 1.0
 
     def test_no_convergence(self, monkeypatch):
         monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 5)
@@ -115,7 +126,6 @@ class TestLambda2:
         # Ritz vector alone hit the step cap there)
         G = cycle_graph(n)
         assert lambda2(G) == pytest.approx(math.cos(2 * math.pi / n), abs=1e-9)
-        assert lambda_min(G) == pytest.approx(math.cos((n - 1) * math.pi / n), abs=1e-9)
 
     def test_no_scipy_import(self):
         # the sparse path runs on numpy alone; loading scipy.sparse.linalg costs
@@ -124,9 +134,9 @@ class TestLambda2:
         code = (
             "import sys\n"
             "from chromacode.graphs import random_regular_bipartite\n"
-            "from chromacode.spectral import lambda2, lambda_min\n"
+            "from chromacode.spectral import lambda2\n"
             "G = random_regular_bipartite(1000, 4, seed=0)\n"
-            "assert G.n > 256 and lambda2(G) < 1 and lambda_min(G) < 0\n"
+            "assert G.n > 256 and lambda2(G) < 1\n"
             "assert 'scipy' not in sys.modules\n"
         )
         env = {**os.environ, "PYTHONPATH": src}
@@ -136,35 +146,18 @@ class TestLambda2:
 
 
 class TestLambdaMin:
+    """``Spectrum.lambda_min``, the smallest eigenvalue ``spectrum`` reports."""
+
     def test_k4(self):
-        assert lambda_min(complete_graph(4)) == pytest.approx(-1 / 3, abs=1e-9)
+        assert full_spectrum(complete_graph(4)).lambda_min == pytest.approx(-1 / 3, abs=1e-9)
 
     def test_bipartite_is_minus_one(self, fixture_graphs):
-        assert lambda_min(fixture_graphs["K33"]) == pytest.approx(-1.0, abs=1e-9)
+        assert full_spectrum(fixture_graphs["K33"]).lambda_min == pytest.approx(-1.0, abs=1e-9)
 
     def test_c5_circulant(self):
-        assert lambda_min(cycle_graph(5)) == pytest.approx(
+        assert full_spectrum(cycle_graph(5)).lambda_min == pytest.approx(
             math.cos(4 * math.pi / 5), abs=1e-9
         )
-
-    def test_disconnected_above_cutoff(self):
-        # C201 + C203: lambda2 keeps the disconnected convention; lambda_min
-        # runs the iteration over both components and must return the smaller
-        # one's value, -cos(pi/203), not C201's -cos(pi/201)
-        edges = [(i, (i + 1) % 201) for i in range(201)]
-        edges += [(201 + i, 201 + (i + 1) % 203) for i in range(203)]
-        two = build_from_edges(404, edges)
-        assert two.n > spectral.LANCZOS_MIN_N
-        assert lambda2(two) == 1.0
-        assert lambda_min(two) == pytest.approx(-math.cos(math.pi / 203), abs=1e-9)
-
-    def test_iterative_matches_dense(self):
-        # non-bipartite graphs above the cutoff, where lambda_min > -1
-        for G in (complete_graph(400), tensor_power(3, 6), cycle_graph(301)):
-            assert G.n > spectral.LANCZOS_MIN_N
-            spec = full_spectrum(G)
-            assert lambda_min(G) == pytest.approx(spec.lambda_min, abs=1e-9), G.n
-            assert lambda2(G) == pytest.approx(spec.lambda2, abs=1e-9), G.n
 
 
 class TestRayleigh:
@@ -315,7 +308,7 @@ class TestOneBlasThread:
 
         def values():
             signs, lam = search_low_lambda_signing(T, restarts=5, seed=2)
-            return lambda2(G), lambda_min(G), signs.tolist(), lam
+            return lambda2(G), signs.tolist(), lam
 
         scoped = values()
         monkeypatch.setattr(spectral, "_one_blas_thread", contextlib.nullcontext)
