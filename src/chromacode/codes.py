@@ -10,6 +10,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -170,6 +171,33 @@ def _max_clique(adj: list[int], n: int) -> list[int]:
     return sorted(best)
 
 
+class _OracleTable:
+    """What the oracle needs of one (G, q) at every delta: the canonical rows
+    ``reps``, the count ``k`` of all proper colorings and, built on first
+    use, the representatives' distance matrix ``dist``. Arrays are read-only."""
+
+    def __init__(self, G: RegularGraph, q: int):
+        self.q = q
+        self.reps = col._proper_rows(G, q, canonical=True)
+        self.reps.setflags(write=False)
+        # used[c]: representatives using c colors; each stands for q!/(q-c)! colorings
+        used = np.bincount(self.reps.max(axis=1) + 1)
+        self.k = sum(math.perm(q, c) * count for c, count in enumerate(used.tolist()))
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        dist = col._distance_matrix(self.reps, self.q)
+        dist.setflags(write=False)
+        return dist
+
+
+@lru_cache(maxsize=1, typed=True)
+def _oracle_table(G: RegularGraph, q: int) -> _OracleTable:
+    """The table of the last (G, q) asked for; a profile over delta reuses it.
+    Typed, so a q of another type (3.0 for 3) is enumerated afresh."""
+    return _OracleTable(G, q)
+
+
 def exact_max_packing(G: RegularGraph, q: int, delta: Fraction) -> tuple[int, CodeSet]:
     """Exact maximum delta-distinct set over *all* proper q-colorings of G.
 
@@ -181,13 +209,15 @@ def exact_max_packing(G: RegularGraph, q: int, delta: Fraction) -> tuple[int, Co
     threshold is 0 every coloring is compatible and the answer is their count
     k, witnessed by all of them. Returns 0 with an empty witness when G has no
     proper q-coloring.
+
+    The enumeration and the distance matrix are made once per (G, q) and
+    reused by later calls on an equal graph; the caps are checked every call.
     """
     delta = Fraction(delta)
     thr = distance_threshold(delta, G.n)
-    reps = col._proper_rows(G, q, canonical=True)
-    # used[c]: representatives using c colors; each stands for q!/(q-c)! colorings
-    used = np.bincount(reps.max(axis=1) + 1)
-    k = sum(math.perm(q, c) * count for c, count in enumerate(used.tolist()))
+    col._check_enumerable(G, q)
+    table = _oracle_table(G, q)
+    k = table.k
     prov = {"method": "exact", "colorings": k}
     if not k:
         return 0, CodeSet((), delta, None, prov)
@@ -196,7 +226,7 @@ def exact_max_packing(G: RegularGraph, q: int, delta: Fraction) -> tuple[int, Co
     if thr <= 0:
         # every relabeling orbit holds at least two colorings at distance 0
         return k, CodeSet(tuple(col.enumerate_proper(G, q)), delta, 0 if k > 1 else None, prov)
-    dist = col._distance_matrix(reps, q)
+    reps, dist = table.reps, table.dist
     bits = np.packbits(dist >= thr, axis=1, bitorder="little")
     adj = [int.from_bytes(row.tobytes(), "little") for row in bits]
     clique = _max_clique(adj, len(reps))

@@ -29,8 +29,8 @@ BRUTE_Q_CAP = 8       # brute-force over q! permutations up to this q
 class Coloring:
     """A vertex -> color map over [0, q), bound to one graph.
 
-    ``colors`` is a read-only int64 copy of the values given; equality is by
-    value (q, graph key and colors).
+    ``colors`` is a read-only int64 copy of the values given, which must be
+    integers; equality is by value (q, graph key and colors).
     """
 
     q: int
@@ -40,13 +40,21 @@ class Coloring:
     def __post_init__(self):
         if self.q < 2:
             raise OutOfRange("need q >= 2")
+        given = np.asarray(self.colors)
+        if given.ndim != 1:
+            raise PreconditionFail("colors must be a flat sequence")
+        # Python ints beyond int64 come out as a float or object array; only
+        # those go on to the cast, whose OverflowError reports them
+        if given.dtype.kind not in "biu" and not all(
+            isinstance(c, (int, np.integer)) for c in self.colors
+        ):
+            raise PreconditionFail("colors must be integers")
         try:
             colors = np.array(self.colors, dtype=np.int64)
         except OverflowError:
             raise OutOfRange("color out of range") from None
-        if colors.ndim != 1:
-            raise PreconditionFail("colors must be a flat sequence")
-        if colors.size and (colors.min() < 0 or colors.max() >= self.q):
+        # one pass: a negative color reads as uint64 above every q
+        if colors.size and np.maximum.reduce(colors.view(np.uint64)) >= self.q:
             raise OutOfRange("color out of range")
         colors.setflags(write=False)
         object.__setattr__(self, "colors", colors)
@@ -264,6 +272,14 @@ def lift_coloring(X: Coloring, lifted: RegularGraph) -> Coloring:
     return Coloring(X.q, np.concatenate([X.colors, X.colors]), lifted.graph_key)
 
 
+def _check_enumerable(G: RegularGraph, q: int) -> None:
+    """The caps every enumeration of G's proper q-colorings is held to."""
+    if q < 2:
+        raise OutOfRange("need q >= 2")
+    if G.n > ENUM_CAP:
+        raise TooLarge(f"n={G.n} exceeds enumeration cap {ENUM_CAP}")
+
+
 def _proper_rows(G: RegularGraph, q: int, canonical: bool = False) -> np.ndarray:
     """The proper q-colorings of G as the rows of an (r, n) int64 array, in
     lexicographic order; with ``canonical``, only those whose colors first
@@ -273,10 +289,7 @@ def _proper_rows(G: RegularGraph, q: int, canonical: bool = False) -> np.ndarray
     each row is extended by every color that no lower neighbor of v has, so a
     level's rows are exactly the nodes a backtracking search visits at depth v.
     """
-    if q < 2:
-        raise OutOfRange("need q >= 2")
-    if G.n > ENUM_CAP:
-        raise TooLarge(f"n={G.n} exceeds enumeration cap {ENUM_CAP}")
+    _check_enumerable(G, q)
     rows = np.zeros((1, 0), dtype=np.int64)
     running_max = np.full(1, -1, dtype=np.int64)
     palette = np.arange(q)

@@ -1,6 +1,13 @@
 import pytest
 
-from chromacode import graphs
+from chromacode import codes, graphs
+
+
+@pytest.fixture(autouse=True)
+def fresh_oracle_tables():
+    """Start every test without the exact oracle's cached per-graph table,
+    so no result depends on a table that an earlier test left behind."""
+    codes._oracle_table.cache_clear()
 
 
 def triangle():

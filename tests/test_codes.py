@@ -1,10 +1,12 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import chain, zip_longest
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromacode import codes, spectral
+from chromacode import codes, graphs, spectral
 from chromacode import colorings as col
 from chromacode.codes import (
     CodeSet,
@@ -214,6 +216,98 @@ class TestExactMaxPacking:
         for X in witness.members:
             first_seen = list(dict.fromkeys(X.colors.tolist()))
             assert first_seen == list(range(len(first_seen)))
+
+
+EXACT_F_GRAPHS = ["C5", "C6", "C7", "prism", "K33", "petersen"]
+
+
+def _exact_f_deltas(G):
+    """Every delta = k/n below 2/3, then 2/3 itself, ascending."""
+    return [Fraction(k, G.n) for k in range(G.n) if Fraction(k, G.n) < Fraction(2, 3)] + [
+        Fraction(2, 3)
+    ]
+
+
+def _oracle_result(G, q, delta):
+    size, code = exact_max_packing(G, q, delta)
+    return size, [X.colors.tolist() for X in code.members], code.min_dist, dict(code.provenance)
+
+
+class TestOracleTables:
+    """The canonical rows and the distance matrix are made once per (G, q)."""
+
+    @pytest.fixture
+    def table_work(self, monkeypatch):
+        calls = Counter()
+        rows, matrix = col._proper_rows, col._distance_matrix
+
+        def counted_rows(G, q, canonical=False):
+            calls["canonical rows"] += canonical
+            return rows(G, q, canonical)
+
+        def counted_matrix(reps, q):
+            calls["distance matrix"] += 1
+            return matrix(reps, q)
+
+        monkeypatch.setattr(col, "_proper_rows", counted_rows)
+        monkeypatch.setattr(col, "_distance_matrix", counted_matrix)
+        return calls
+
+    def test_one_table_for_every_delta(self, fixture_graphs, table_work):
+        G = fixture_graphs["petersen"]
+        # equal in content, other meta: the same table
+        twin = graphs.RegularGraph(G.n, G.d, G.adjacency, G.part_labels, meta={"kind": "twin"})
+        for k in range(G.n + 1):
+            exact_max_packing(G, 3, Fraction(k, G.n))
+            exact_max_packing(twin, 3, Fraction(k, G.n))
+        assert table_work == {"canonical rows": 1, "distance matrix": 1}
+
+    def test_delta_zero_builds_no_matrix(self, fixture_graphs, table_work):
+        exact_max_packing(fixture_graphs["petersen"], 3, Fraction(0))
+        assert table_work == {"canonical rows": 1}
+
+    def test_call_order_does_not_matter(self, fixture_graphs):
+        per_graph = [
+            [(G, d) for d in _exact_f_deltas(G)] for G in map(fixture_graphs.get, EXACT_F_GRAPHS)
+        ]
+        ascending = list(chain(*per_graph))
+        cold = {}
+        for G, d in ascending:
+            codes._oracle_table.cache_clear()
+            cold[G.graph_key, d] = _oracle_result(G, 3, d)
+        twins = [
+            (graphs.RegularGraph(G.n, G.d, G.adjacency, G.part_labels, meta={"kind": "twin"}), d)
+            for G, d in ascending
+        ]
+        orders = {
+            "ascending": ascending,
+            "descending": [c for run in per_graph for c in reversed(run)],
+            "interleaved": [c for c in chain(*zip_longest(*per_graph)) if c],
+            "other meta": twins,
+        }
+        for name, order in orders.items():
+            codes._oracle_table.cache_clear()
+            for G, d in order:
+                assert _oracle_result(G, 3, d) == cold[G.graph_key, d], (name, d)
+
+    def test_caps_checked_after_a_cached_call(self, monkeypatch):
+        C7 = cycle_graph(7)
+        exact_max_packing(C7, 3, Fraction(1, 7))
+        monkeypatch.setattr(codes, "CLIQUE_CAP", 10)
+        for delta in (Fraction(0), Fraction(1, 7)):
+            with pytest.raises(TooLarge, match="126 colorings exceed the clique cap 10"):
+                exact_max_packing(C7, 3, delta)
+        monkeypatch.setattr(col, "ENUM_CAP", 6)
+        with pytest.raises(TooLarge, match="n=7 exceeds enumeration cap 6"):
+            exact_max_packing(C7, 3, Fraction(1, 7))
+
+    def test_cached_arrays_are_read_only(self, fixture_graphs):
+        G = fixture_graphs["C6"]
+        exact_max_packing(G, 3, Fraction(1, 3))
+        table = codes._oracle_table(G, 3)
+        for arr in (table.reps, table.dist):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1
 
 
 # (graph, q) cases whose full-enumeration reference stays well under a second

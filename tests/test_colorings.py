@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from chromacode import graphs
 from chromacode.colorings import (
+    Coloring,
     _assignment_max,
     _brute_max,
     agreement_matrix,
@@ -75,6 +77,57 @@ def first_monochromatic_edge(G, colors):
         if colors[u] == colors[v]:
             return u, v
     return None
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+@st.composite
+def range_cases(draw):
+    """A q and int64 colors, weighted towards the ends of [0, q) and of int64."""
+    q = draw(st.integers(2, 40))
+    edges = st.sampled_from([INT64_MIN, -1, 0, q - 1, q, INT64_MAX])
+    return q, draw(st.lists(st.one_of(edges, st.integers(INT64_MIN, INT64_MAX)), max_size=8))
+
+
+class TestColoringValues:
+    @settings(max_examples=300, deadline=None)
+    @given(range_cases(), st.booleans())
+    def test_range_check(self, case, as_array):
+        q, values = case
+        colors = np.array(values, dtype=np.int64) if as_array else values
+        if all(0 <= c < q for c in values):
+            assert Coloring(q, colors, "g").colors.tolist() == values
+        else:
+            with pytest.raises(OutOfRange, match="color out of range"):
+                Coloring(q, colors, "g")
+
+    @pytest.mark.parametrize(
+        "colors",
+        [[0.7, 2.9], [0, 1.0], np.array([0.0, 1.0]), ["1", "2"], [0, "1"],
+         [None], [Fraction(1)], np.array([1], dtype=object) + Fraction(0)],
+    )
+    def test_non_integer_colors_rejected(self, colors):
+        with pytest.raises(PreconditionFail, match="colors must be integers"):
+            Coloring(3, colors, "g")
+
+    @pytest.mark.parametrize(
+        "colors,want",
+        [([], []), ((0, 2), [0, 2]), (np.array([1, 0], dtype=np.uint8), [1, 0]),
+         ([np.int32(2), 1], [2, 1]), ([True, False], [1, 0])],
+    )
+    def test_integer_colors_kept(self, colors, want):
+        X = Coloring(3, colors, "g")
+        assert X.colors.dtype == np.int64 and X.colors.tolist() == want
+
+    @pytest.mark.parametrize(
+        "colors",
+        [[2**63], [1, 2**63], [-1, 2**63], [2**70], [0, -(2**70)],
+         np.array([2**63, 1], dtype=np.uint64)],
+    )
+    def test_integers_beyond_int64_out_of_range(self, colors):
+        with pytest.raises(OutOfRange, match="color out of range"):
+            Coloring(3, colors, "g")
 
 
 class TestIsProper:
