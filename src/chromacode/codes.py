@@ -7,7 +7,6 @@ float comparison ever decides membership.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -178,11 +177,9 @@ class _OracleTable:
 
     def __init__(self, G: RegularGraph, q: int):
         self.q = q
-        self.reps = col._proper_rows(G, q, canonical=True)
+        self.reps = col._proper_rows(G, q)
         self.reps.setflags(write=False)
-        # used[c]: representatives using c colors; each stands for q!/(q-c)! colorings
-        used = np.bincount(self.reps.max(axis=1) + 1)
-        self.k = sum(math.perm(q, c) * count for c, count in enumerate(used.tolist()))
+        self.k = sum(col._orbit_sizes(self.reps, q))
 
     @cached_property
     def dist(self) -> np.ndarray:
@@ -205,10 +202,11 @@ def exact_max_packing(G: RegularGraph, q: int, delta: Fraction) -> tuple[int, Co
     most one coloring per relabeling orbit, and any member may stand for its
     orbit. The clique search therefore runs on the canonical colorings only
     (colors first appear in the order 0, 1, 2, ...), which are the only ones
-    enumerated: compatibility edge iff distance >= ceil(delta * n). When that
-    threshold is 0 every coloring is compatible and the answer is their count
-    k, witnessed by all of them. Returns 0 with an empty witness when G has no
-    proper q-coloring.
+    enumerated, at every delta: compatibility edge iff distance >=
+    ceil(delta * n). When that threshold is 0 every coloring is compatible and
+    the answer is their count k, witnessed by all of them, listed as the
+    relabelings of the canonical rows. Returns 0 with an empty witness when G
+    has no proper q-coloring.
 
     The enumeration and the distance matrix are made once per (G, q) and
     reused by later calls on an equal graph; the caps are checked every call.
@@ -225,7 +223,8 @@ def exact_max_packing(G: RegularGraph, q: int, delta: Fraction) -> tuple[int, Co
         raise TooLarge(f"{k} colorings exceed the clique cap {CLIQUE_CAP}")
     if thr <= 0:
         # every relabeling orbit holds at least two colorings at distance 0
-        return k, CodeSet(tuple(col.enumerate_proper(G, q)), delta, 0 if k > 1 else None, prov)
+        members = tuple(Coloring(q, row, G.graph_key) for row in col._relabelings(table.reps, q))
+        return k, CodeSet(members, delta, 0 if k > 1 else None, prov)
     reps, dist = table.reps, table.dist
     bits = np.packbits(dist >= thr, axis=1, bitorder="little")
     adj = [int.from_bytes(row.tobytes(), "little") for row in bits]

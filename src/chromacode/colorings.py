@@ -280,29 +280,71 @@ def _check_enumerable(G: RegularGraph, q: int) -> None:
         raise TooLarge(f"n={G.n} exceeds enumeration cap {ENUM_CAP}")
 
 
-def _proper_rows(G: RegularGraph, q: int, canonical: bool = False) -> np.ndarray:
-    """The proper q-colorings of G as the rows of an (r, n) int64 array, in
-    lexicographic order; with ``canonical``, only those whose colors first
-    appear in the order 0, 1, 2, ... (one per relabeling orbit).
+def _proper_rows(G: RegularGraph, q: int) -> np.ndarray:
+    """The canonical proper q-colorings of G, those whose colors first appear
+    in the order 0, 1, 2, ... (one per relabeling orbit), as the rows of an
+    (r, n) int64 array in lexicographic order.
 
-    Level v holds every proper coloring of vertices 0..v-1 (in order), and
-    each row is extended by every color that no lower neighbor of v has, so a
-    level's rows are exactly the nodes a backtracking search visits at depth v.
+    Level v holds every canonical proper coloring of vertices 0..v-1, and
+    each row is extended by every color up to its running maximum + 1 that no
+    lower neighbor of v has. A row uses at most n colors, so the palette is
+    min(q, n) wide.
     """
     _check_enumerable(G, q)
     rows = np.zeros((1, 0), dtype=np.int64)
     running_max = np.full(1, -1, dtype=np.int64)
-    palette = np.arange(q)
+    palette = np.arange(min(q, G.n))
     for v, nbrs in enumerate(G.adjacency):
-        allowed = np.ones((len(rows), q), dtype=bool)
+        allowed = palette <= running_max[:, None] + 1
         for u in nbrs[nbrs < v]:
             allowed &= rows[:, u, None] != palette
-        if canonical:
-            allowed &= palette <= running_max[:, None] + 1
         parent, color = np.nonzero(allowed)  # row-major: parents in order, colors ascending
         rows = np.column_stack([rows[parent], color])
         running_max = np.maximum(running_max[parent], color)
     return rows
+
+
+def _orbit_sizes(rows: np.ndarray, q: int) -> list[int]:
+    """sizes[c]: the colorings that the canonical rows using c colors stand
+    for, q!/(q-c)! per row."""
+    used = np.bincount(rows.max(axis=1) + 1)
+    return [math.perm(q, c) * count for c, count in enumerate(used.tolist())]
+
+
+def _relabelings(rows: np.ndarray, q: int) -> np.ndarray:
+    """Every relabeling of the canonical rows, as the rows of a (k, n) int64
+    array in lexicographic order: each row using c colors under every
+    injection of 0..c-1 into range(q), so every proper coloring once.
+
+    A coloring is sorted by its key, the base-q numeral of its colors. Under
+    injection s the key of row i is sum_j s[j] * W[i, j], where W[i, j] sums
+    q^(n-1-v) over the vertices v of row i that have color j.
+    """
+    sizes = _orbit_sizes(rows, q)
+    n = rows.shape[1]
+    # the keys lie below q^n, and k <= q^n of them take 8 bytes each
+    if sum(sizes) and 8 * q**n >= 2**63:
+        raise TooLarge(f"a list of up to q^n = {q}^{n} colorings cannot be held")
+    keys = np.empty(sum(sizes), dtype=np.int64)
+    place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    used = rows.max(axis=1) + 1
+    injections = np.zeros((1, 0), dtype=np.int64)  # of 0..c-1, one row each
+    start = 0
+    for c, size in enumerate(sizes):
+        if c:  # extend each injection by every value it does not take yet
+            free = np.ones((len(injections), q), dtype=bool)
+            free[np.arange(len(injections))[:, None], injections] = False
+            parent, image = np.nonzero(free)
+            injections = np.column_stack([injections[parent], image])
+        if size:
+            group = rows[used == c]
+            W = ((group[:, :, None] == np.arange(c)) * place[:, None]).sum(axis=1)
+            np.matmul(injections, W.T, out=keys[start:start + size].reshape(-1, len(group)))
+            start += size
+    keys.sort()
+    digits = keys[:, None] // place
+    digits %= q
+    return digits
 
 
 def _distance_matrix(rows: np.ndarray, q: int) -> np.ndarray:
@@ -334,5 +376,6 @@ def _distance_matrix(rows: np.ndarray, q: int) -> np.ndarray:
 
 
 def enumerate_proper(G: RegularGraph, q: int) -> list[Coloring]:
-    """All proper q-colorings as functions (not up to symmetry), lexicographic."""
-    return [Coloring(q, row, G.graph_key) for row in _proper_rows(G, q)]
+    """All proper q-colorings as functions (not up to symmetry), lexicographic:
+    the relabelings of the canonical rows."""
+    return [Coloring(q, row, G.graph_key) for row in _relabelings(_proper_rows(G, q), q)]

@@ -227,6 +227,9 @@ def tensor_power(q: int, N: int) -> RegularGraph:
     """
     if q < 2 or N < 1:
         raise OutOfRange("tensor power needs q >= 2 and N >= 1")
+    # q >= 2, so q or N alone can exceed the cap before q^N is computed
+    if q > TENSOR_SIZE_CAP or N >= TENSOR_SIZE_CAP.bit_length():
+        raise TooLarge(f"q^N = {q}^{N} exceeds cap {TENSOR_SIZE_CAP}")
     n = q**N
     if n > TENSOR_SIZE_CAP:
         raise TooLarge(f"q^N = {n} exceeds cap {TENSOR_SIZE_CAP}")

@@ -594,13 +594,25 @@ def _distance_to(text):
     return argv
 
 
-def _exact_f_c5(delta):
-    """argv for `exact-f` on C5 at q = 3."""
+def _exact_f_c5(delta, q=3):
+    """argv for `exact-f` on C5 at q (default 3)."""
     def argv(tmp_path):
         path = tmp_path / "c5.graph"
         fileio.write_graph(str(path), graphs.cycle_graph(5))
-        return ["exact-f", "--graph", path, "--q", 3, f"--delta={delta}"]
+        return ["exact-f", "--graph", path, "--q", q, f"--delta={delta}"]
     return argv
+
+
+def _construct_tensor(N):
+    return lambda tmp_path: ["construct", "tensor", "--q", 3, "--N", N,
+                             "--out", tmp_path / "t.graph"]
+
+
+def _tensor_lift_sweep(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 3, "delta_grid": ["1/2"], "lambda_grid": ["9/10"],
+                               "families": [{"kind": "tensor-lift", "N": 10000}]}))
+    return ["regime-map", "--config", cfg, "--out", tmp_path / "map.csv"]
 
 
 def _verify_c4(*colorings_q, delta=None):
@@ -746,7 +758,12 @@ class TestErrorContract:
           "need q >= 2"),
          *[(_enumerated_pack(q), "need q >= 2") for q in (-1, 0, 1)],
          (_enumerated_pack(3, "--budget", -4), "budget=-4 is negative"),
-         (_enumerated_pack(3, "--target", -1), "target=-1 is negative")],
+         (_enumerated_pack(3, "--target", -1), "target=-1 is negative"),
+         *[(_exact_f_c5(delta, q=10**12), "colorings exceed the clique cap 2000")
+           for delta in ("1/5", "0")],
+         (_enumerated_pack(10**12), "q^n = 1000000000000^6 colorings cannot be held"),
+         *[(_construct_tensor(N), f"q^N = 3^{N} exceeds cap 4096") for N in (10000, 30000000)],
+         (_tensor_lift_sweep, "q^N = 3^10000 exceeds cap 4096")],
         ids=["coloring-not-json", "coloring-list", "coloring-no-q", "coloring-float-q",
              "coloring-float-colors", "coloring-null-colors", "binary-graph",
              "sidecar-not-json", "parts-0-2-biased", "resume-binary-out",
@@ -756,7 +773,9 @@ class TestErrorContract:
              "exact-f-delta-above-1", "verify-delta-above-1", "verify-one-delta-below-0",
              "verify-mixed-q", "exact-f-c6-q-1", "exact-f-c6-q0", "exact-f-c6-q1",
              "exact-f-edgeless-q1", "pack-enumerated-q-1", "pack-enumerated-q0",
-             "pack-enumerated-q1", "pack-budget-negative", "pack-target-negative"],
+             "pack-enumerated-q1", "pack-budget-negative", "pack-target-negative",
+             "exact-f-c5-huge-q", "exact-f-c5-huge-q-delta0", "pack-enumerated-huge-q",
+             "tensor-N10000", "tensor-N30000000", "sweep-tensor-lift-N10000"],
     )
     def test_bad_input_exit_2(self, tmp_path, capsys, make_argv, named):
         argv = make_argv(tmp_path)

@@ -366,7 +366,7 @@ def assert_same_oracle(G, q):
     got = enumerate_proper(G, q)
     assert got == all_colorings
     assert all(X.colors.dtype == np.int64 for X in got)
-    rows = colorings._proper_rows(G, q, canonical=True)
+    rows = colorings._proper_rows(G, q)
     assert rows.tolist() == [X.colors.tolist() for X in reference_canonical(all_colorings)]
     for j in range(G.n + 1):
         delta = Fraction(j, G.n)
@@ -386,6 +386,9 @@ def assert_same_oracle(G, q):
 
 
 ORACLE_GRAPHS = ["C5", "C6", "C7", "prism", "K33", "petersen", "C4", "K4"]
+# rows using fewer than q colors (q > n), edgeless graphs (every assignment is
+# proper), and a graph with no proper coloring
+ORACLE_EDGE_CASES = [("K2", 5), ("C5", 6), ("edgeless3", 4), ("edgeless1", 3), ("C5", 2)]
 
 
 @st.composite
@@ -407,10 +410,12 @@ def small_graphs(draw):
 class TestExactOracle:
     @pytest.fixture(scope="class")
     def oracle_graphs(self, fixture_graphs):
-        return {**fixture_graphs, "C4": cycle_graph(4)}
+        return {**fixture_graphs, "C4": cycle_graph(4), "K2": complete_graph(2),
+                "edgeless3": build_from_edges(3, []), "edgeless1": build_from_edges(1, [])}
 
-    @pytest.mark.parametrize("q", [3, 4])
-    @pytest.mark.parametrize("name", ORACLE_GRAPHS)
+    @pytest.mark.parametrize(
+        "name,q", [(name, q) for name in ORACLE_GRAPHS for q in (3, 4)] + ORACLE_EDGE_CASES
+    )
     def test_same_colorings_and_oracle(self, oracle_graphs, name, q):
         assert_same_oracle(oracle_graphs[name], q)
 
