@@ -6,7 +6,6 @@ float comparison ever decides membership.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -55,26 +54,31 @@ class VerifyResult:
 def _check_members(members: Sequence[Coloring]) -> None:
     if not members:
         raise PreconditionFail("code set needs at least one member")
-    key, q = members[0].graph_key, members[0].q
+    first = members[0]
     for X in members[1:]:
-        if X.graph_key != key or X.q != q:
+        if (X.graph_key, X.q, X.n) != (first.graph_key, first.q, first.n):
             raise BindingMismatch("members bound to different graphs or q values")
 
 
 def verify_delta_distinct(C: CodeSet) -> VerifyResult:
     """Exact all-pairs check that every distance reaches ceil(delta * n).
 
-    ``min_dist`` and ``worst_pair`` come from the first closest pair in
-    (i, j) order; a single member passes with neither.
+    Every distance comes from one ``colorings._distance_matrix`` call on the
+    members' stacked colors. ``distances`` lists them in
+    itertools.combinations order, and ``min_dist`` and ``worst_pair`` come
+    from the first closest pair in that order; a single member passes with
+    neither. Every field holds Python ints and bools.
     """
     _check_members(C.members)
-    thr = distance_threshold(C.delta, C.members[0].n)
-    pairs = list(itertools.combinations(range(len(C.members)), 2))
-    dists = tuple(col.distance(C.members[i], C.members[j])[0] for i, j in pairs)
-    if not dists:
+    first = C.members[0]
+    thr = distance_threshold(C.delta, first.n)
+    if len(C.members) < 2:
         return VerifyResult(True, None, None)
+    dist = col._distance_matrix(np.stack([X.colors for X in C.members]), first.q)
+    i, j = np.triu_indices(len(C.members), 1)  # row-major: combinations order
+    dists = dist[i, j].tolist()
     k = dists.index(min(dists))
-    return VerifyResult(dists[k] >= thr, dists[k], pairs[k], dists)
+    return VerifyResult(dists[k] >= thr, dists[k], (int(i[k]), int(j[k])), tuple(dists))
 
 
 def greedy_pack(
@@ -230,8 +234,9 @@ def exact_max_packing(G: RegularGraph, q: int, delta: Fraction) -> tuple[int, Co
     adj = [int.from_bytes(row.tobytes(), "little") for row in bits]
     clique = _max_clique(adj, len(reps))
     members = tuple(Coloring(q, reps[i], G.graph_key) for i in clique)
-    pair_dists = dist[np.ix_(clique, clique)][np.triu_indices(len(clique), 1)]
-    min_dist = int(pair_dists.min()) if pair_dists.size else None
+    pair_dists = dist[np.ix_(clique, clique)]
+    np.fill_diagonal(pair_dists, G.n)  # no pair is farther apart than n
+    min_dist = int(pair_dists.min()) if len(clique) > 1 else None
     return len(members), CodeSet(members, delta, min_dist, prov)
 
 

@@ -17,12 +17,19 @@ from typing import Sequence
 
 import numpy as np
 
+from . import spectral
 from .assignment import max_weight_assignment
 from .errors import BindingMismatch, OutOfRange, PreconditionFail, TooLarge
 from .graphs import RegularGraph
 
 ENUM_CAP = 16         # enumeration limit on n
 BRUTE_Q_CAP = 8       # brute-force over q! permutations up to this q
+# Above BRUTE_Q_CAP a pair's best relabeling is a Hungarian assignment in pure
+# Python on weights of about n q^q, whose cost grows faster than q^3: one pair
+# at n = 200 took about 0.01 s at q = 64, 0.2 s at 128 and 2.6 s at 256 (one
+# core of a 2-vCPU x86 machine). This cap keeps a pair under a fifth of a
+# second, and every array sized by q small.
+DISTANCE_Q_CAP = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,10 +114,16 @@ def is_proper(G: RegularGraph, X: Coloring) -> tuple[bool, tuple[int, int] | Non
     return True, None
 
 
+def _check_distance_q(q: int) -> None:
+    if q > DISTANCE_Q_CAP:
+        raise TooLarge(f"q={q} exceeds the distance cap {DISTANCE_Q_CAP}")
+
+
 def agreement_matrix(X: Coloring, Y: Coloring) -> np.ndarray:
     """q x q counts: M[a, b] = #{v : X(v) = a, Y(v) = b}. Entries sum to n."""
     _check_pair(X, Y)
     q = X.q
+    _check_distance_q(q)
     flat = np.bincount(X.colors * q + Y.colors, minlength=q * q)
     return flat.reshape(q, q)
 
@@ -350,29 +363,34 @@ def _relabelings(rows: np.ndarray, q: int) -> np.ndarray:
 def _distance_matrix(rows: np.ndarray, q: int) -> np.ndarray:
     """(r, r) exact permutation-invariant distances between the colorings in
     the rows of an (r, n) array: entry (i, j) equals ``distance`` of rows i, j.
+    The package's one all-pairs distance routine.
 
-    With at least q! pairs (and q <= BRUTE_Q_CAP), one integer product of
-    the 0/1 one-hot rows against their relabeled copy counts the agreements
-    of every pair for one sigma, and the running maximum over all q! sigmas
-    is the best agreement. With fewer pairs than sigmas, each pair is solved
-    on its own, by the method ``distance`` picks.
+    One float64 product of the color-major one-hot rows with a contiguous
+    copy of their transpose counts the q x q agreements of every pair; a
+    count is at most n < 2^53, so it is exact. With at least q! pairs (and
+    q <= BRUTE_Q_CAP) the best agreement is a running maximum over all q!
+    sigmas, for all pairs at once; otherwise each pair's counts go to
+    ``_max_agreement``, the rule ``distance`` uses.
     """
     r, n = rows.shape
+    _check_distance_q(q)
+    onehot = (rows == np.arange(q)[:, None, None]).reshape(q * r, n).astype(np.float64)
+    # a transposed view as the right factor would send the product to a slower
+    # symmetric kernel; on the oracle's small products, waking the BLAS pool
+    # costs more wall time than its threads save
+    with spectral._one_blas_thread():
+        counts = (onehot @ np.ascontiguousarray(onehot.T)).reshape(q, r, q, r)  # [a, i, b, j]
     if q > BRUTE_Q_CAP or math.factorial(q) > r * (r - 1) // 2:
+        counts = counts.astype(np.int64)  # the Hungarian rule's weights must be exact ints
         best = np.full((r, r), n, dtype=np.int64)
         for i in range(r):
             for j in range(i + 1, r):
-                M = np.bincount(rows[i] * q + rows[j], minlength=q * q).reshape(q, q)
-                best[i, j] = best[j, i] = _max_agreement(M)[0]
+                best[i, j] = best[j, i] = _max_agreement(counts[:, i, :, j])[0]
         return n - best
-    onehot = (rows[:, :, None] == np.arange(q)).astype(np.int64)  # (r, n, q)
-    flat = onehot.reshape(r, n * q)
-    best = np.zeros((r, r), dtype=np.int64)
-    # sigma and its inverse range over the same set, so permuting the one-hot
-    # columns by sigma covers every relabeling
-    for sigma in _all_perms(q):
-        np.maximum(best, flat @ onehot[:, :, sigma].reshape(r, n * q).T, out=best)
-    return n - best
+    best = np.zeros((r, r))
+    for sigma in _all_perms(q):  # every pair's agreement: the sum over b of [sigma[b], :, b, :]
+        np.maximum(best, counts[sigma, :, range(q)].sum(axis=0), out=best)
+    return n - best.astype(np.int64)
 
 
 def enumerate_proper(G: RegularGraph, q: int) -> list[Coloring]:

@@ -221,10 +221,12 @@ class TestVerify:
         for path, Z in zip(paths, (X, Y, X.relabeled((1, 2, 0)))):
             fileio.write_coloring(str(path), Z)
         calls = []
-        distance = colorings.distance
-        monkeypatch.setattr(colorings, "distance", lambda A, B: calls.append(1) or distance(A, B))
+        matrix = colorings._distance_matrix
+        monkeypatch.setattr(colorings, "distance", lambda A, B: calls.append("distance"))
+        monkeypatch.setattr(colorings, "_distance_matrix",
+                            lambda rows, q: calls.append("matrix") or matrix(rows, q))
         assert run(["verify", "--graph", tensor_file, *paths, "--delta", "2/3"]) == 1
-        assert len(calls) == 3
+        assert calls == ["matrix"]
         assert "min distance 0 below threshold at pair (0, 2)" in capsys.readouterr().out
 
     def test_mismatched_n_exit_2(self, tmp_path, tensor_file):
@@ -627,6 +629,18 @@ def _verify_c4(*colorings_q, delta=None):
     return argv
 
 
+def _huge_q_c5(command):
+    """argv for ``command`` on C5 between two colorings at q = 10^6."""
+    def argv(tmp_path):
+        path = tmp_path / "c5.graph"
+        fileio.write_graph(str(path), graphs.cycle_graph(5))
+        paths = [tmp_path / "x.json", tmp_path / "y.json"]
+        for p, colors in zip(paths, ([0, 1, 0, 1, 2], [1, 0, 1, 0, 2])):
+            p.write_text(json.dumps({"q": 10**6, "colors": colors}))
+        return [command, "--graph", path, *paths]
+    return argv
+
+
 def _binary_graph(tmp_path):
     path = tmp_path / "bin.graph"
     path.write_bytes(b"\xff\xfe4 2\n")
@@ -763,7 +777,11 @@ class TestErrorContract:
            for delta in ("1/5", "0")],
          (_enumerated_pack(10**12), "q^n = 1000000000000^6 colorings cannot be held"),
          *[(_construct_tensor(N), f"q^N = 3^{N} exceeds cap 4096") for N in (10000, 30000000)],
-         (_tensor_lift_sweep, "q^N = 3^10000 exceeds cap 4096")],
+         (_tensor_lift_sweep, "q^N = 3^10000 exceeds cap 4096"),
+         *[(_huge_q_c5(command), "q=1000000 exceeds the distance cap 128")
+           for command in ("distance", "verify")],
+         (lambda tmp_path: _gadget_pack(tmp_path, q=10**6),
+          "q=1000000 exceeds the distance cap 128")],
         ids=["coloring-not-json", "coloring-list", "coloring-no-q", "coloring-float-q",
              "coloring-float-colors", "coloring-null-colors", "binary-graph",
              "sidecar-not-json", "parts-0-2-biased", "resume-binary-out",
@@ -775,7 +793,8 @@ class TestErrorContract:
              "exact-f-edgeless-q1", "pack-enumerated-q-1", "pack-enumerated-q0",
              "pack-enumerated-q1", "pack-budget-negative", "pack-target-negative",
              "exact-f-c5-huge-q", "exact-f-c5-huge-q-delta0", "pack-enumerated-huge-q",
-             "tensor-N10000", "tensor-N30000000", "sweep-tensor-lift-N10000"],
+             "tensor-N10000", "tensor-N30000000", "sweep-tensor-lift-N10000",
+             "distance-huge-q", "verify-huge-q", "pack-gadget-huge-q"],
     )
     def test_bad_input_exit_2(self, tmp_path, capsys, make_argv, named):
         argv = make_argv(tmp_path)

@@ -92,6 +92,10 @@ class TestVerify:
         Y = make_coloring(C5, 3, [0, 1, 0, 1, 2])
         with pytest.raises(BindingMismatch, match="members bound to different graphs or q values"):
             verify_delta_distinct(CodeSet((X, Y), Fraction(0)))
+        # one graph key and q, but unequal lengths
+        short = col.Coloring(3, X.colors[:-1], X.graph_key)
+        with pytest.raises(BindingMismatch, match="members bound to different graphs or q values"):
+            verify_delta_distinct(CodeSet((X, short), Fraction(0)))
 
 
 class TestGreedyPack:

@@ -7,6 +7,7 @@ operations and tie-breaks. The library must match it exactly (equal arrays,
 equal floats, equal reprs), since every seeded output rests on those bits.
 """
 import hashlib
+import itertools
 from collections import deque
 from fractions import Fraction
 
@@ -347,15 +348,17 @@ def reference_exact_max_packing(all_colorings, n, delta):
     reps = reference_canonical(all_colorings)
     r = len(reps)
     adj = [0] * r
+    dist = {}
     for i in range(r):
         for j in range(i + 1, r):
-            d, _ = colorings.distance(reps[i], reps[j])
-            if d >= thr:
+            dist[i, j], _ = colorings.distance(reps[i], reps[j])
+            if dist[i, j] >= thr:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    members = tuple(reps[i] for i in codes._max_clique(adj, r))
-    res = verify_delta_distinct(CodeSet(members, delta))
-    return len(members), CodeSet(members, delta, res.min_dist, prov)
+    clique = codes._max_clique(adj, r)
+    members = tuple(reps[i] for i in clique)
+    min_dist = min((dist[i, j] for i in clique for j in clique if i < j), default=None)
+    return len(members), CodeSet(members, delta, min_dist, prov)
 
 
 def assert_same_oracle(G, q):
@@ -431,7 +434,9 @@ class TestExactOracle:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_distance_matrix_matches_pairwise_distance(self, data):
-        # fewer pairs than q! sigmas, or q above BRUTE_Q_CAP, go pair by pair
+        # both ways of maximizing over sigma read the same agreement counts:
+        # pair by pair (fewer pairs than q! sigmas, or q above BRUTE_Q_CAP)
+        # and the running maximum over all q! sigmas (at least q! pairs)
         q = data.draw(st.sampled_from([2, 3, 4, 5, colorings.BRUTE_Q_CAP + 1]))
         n = data.draw(st.integers(1, 9))
         rows = np.array(data.draw(st.lists(
@@ -441,3 +446,18 @@ class TestExactOracle:
         members = [Coloring(q, row, "g") for row in rows]
         want = [[colorings.distance(X, Y)[0] for Y in members] for X in members]
         assert got.tolist() == want
+        # verify on the same members, some repeated: every pair's distance in
+        # combinations order and the first closest pair
+        code = members + members[:data.draw(st.integers(0, len(members)))]
+        delta = Fraction(data.draw(st.integers(0, n)), n)
+        res = verify_delta_distinct(CodeSet(tuple(code), delta))
+        pairs = list(itertools.combinations(range(len(code)), 2))
+        dists = tuple(colorings.distance(code[i], code[j])[0] for i, j in pairs)
+        assert res.distances == dists
+        assert all(type(d) is int for d in res.distances) and type(res.ok) is bool
+        if pairs:
+            k = dists.index(min(dists))
+            ok = dists[k] >= distance_threshold(delta, n)
+            assert (res.ok, res.min_dist, res.worst_pair) == (ok, dists[k], pairs[k])
+        else:
+            assert (res.ok, res.min_dist, res.worst_pair) == (True, None, None)
