@@ -134,18 +134,19 @@ def cmd_verify(args) -> int:
         fileio.read_coloring(path, G, graph_path=args.graph)
         for path in args.colorings
     ]
+    code = codes.CodeSet(members, args.delta or Fraction(0))
     failures = []
-    report = {"graph": G.graph_key, "n": G.n, "colorings": len(members)}
+    report = {"graph": G.graph_key, "n": G.n, "colorings": len(code)}
     proper = []
-    for idx, X in enumerate(members):
+    for idx, X in enumerate(code.members):
         ok, edge = colorings.is_proper(G, X)
         proper.append({"index": idx, "proper": ok, "violating_edge": edge})
         if not ok:
             failures.append(f"coloring {idx} improper at edge {edge}")
     report["proper"] = proper
-    res = codes.verify_delta_distinct(codes.CodeSet(tuple(members), args.delta or Fraction(0)))
+    res = codes.verify_delta_distinct(code)
     if res.distances:
-        pairs = itertools.combinations(range(len(members)), 2)
+        pairs = itertools.combinations(range(len(code)), 2)
         report["distances"] = [
             {"pair": list(ij), "distance": d} for ij, d in zip(pairs, res.distances)
         ]
@@ -202,7 +203,7 @@ def cmd_exact_f(args) -> int:
         "witness_min_dist": witness.min_dist,
     }
     if args.with_witness:
-        payload["witness"] = [X.colors.tolist() for X in witness.members]
+        payload["witness"] = witness.rows.tolist()
     _emit(args, _json(payload))
     return 0
 

@@ -30,17 +30,60 @@ def distance_threshold(delta: Fraction, n: int) -> int:
     return -((-delta.numerator * n) // delta.denominator)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class CodeSet:
-    """A set of colorings of one graph with a promised pairwise distance fraction."""
+    """A set of colorings of one graph with a promised pairwise distance fraction.
 
-    members: tuple[Coloring, ...]
+    The members are the rows of one read-only (k, n) int64 array ``rows``,
+    bound to ``q`` and ``graph_key`` (both None when the set is empty).
+    ``members`` holds them as ``Coloring``s, built on first read; a set made
+    from ``Coloring``s keeps those. Members bound to different graphs, q
+    values or vertex counts raise BindingMismatch. Equality is identity.
+    """
+
+    rows: np.ndarray
+    q: int | None
+    graph_key: str | None
     delta: Fraction
-    min_dist: int | None = None
-    provenance: Mapping = field(default_factory=dict)
+    min_dist: int | None
+    provenance: Mapping
+
+    def __init__(self, members: Sequence[Coloring], delta: Fraction,
+                 min_dist: int | None = None, provenance: Mapping | None = None):
+        members = tuple(members)
+        if members:
+            first = members[0]
+            for X in members[1:]:
+                if (X.graph_key, X.q, X.n) != (first.graph_key, first.q, first.n):
+                    raise BindingMismatch("members bound to different graphs or q values")
+            rows, q, graph_key = np.stack([X.colors for X in members]), first.q, first.graph_key
+        else:
+            rows, q, graph_key = np.empty((0, 0), dtype=np.int64), None, None
+        self._bind(rows, q, graph_key, delta, min_dist, provenance)
+        self.__dict__["members"] = members  # the cache ``members`` reads
+
+    @classmethod
+    def _of_rows(cls, rows: np.ndarray, q: int, graph_key: str, delta: Fraction,
+                 min_dist: int | None, provenance: Mapping) -> "CodeSet":
+        """A set whose members are the rows of a fresh (k, n) int64 array of
+        colors in [0, q), all bound to ``graph_key``; no Coloring is built."""
+        code = object.__new__(cls)
+        code._bind(rows, q, graph_key, delta, min_dist, provenance)
+        return code
+
+    def _bind(self, rows, q, graph_key, delta, min_dist, provenance) -> None:
+        rows.setflags(write=False)
+        values = {"rows": rows, "q": q, "graph_key": graph_key, "delta": delta,
+                  "min_dist": min_dist, "provenance": {} if provenance is None else provenance}
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def members(self) -> tuple[Coloring, ...]:
+        return tuple(Coloring(self.q, row, self.graph_key) for row in self.rows)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -51,34 +94,26 @@ class VerifyResult:
     distances: tuple[int, ...] = ()  # every pair's, in itertools.combinations order
 
 
-def _check_members(members: Sequence[Coloring]) -> None:
-    if not members:
-        raise PreconditionFail("code set needs at least one member")
-    first = members[0]
-    for X in members[1:]:
-        if (X.graph_key, X.q, X.n) != (first.graph_key, first.q, first.n):
-            raise BindingMismatch("members bound to different graphs or q values")
-
-
 def verify_delta_distinct(C: CodeSet) -> VerifyResult:
     """Exact all-pairs check that every distance reaches ceil(delta * n).
 
     Every distance comes from one ``colorings._distance_matrix`` call on the
-    members' stacked colors. ``distances`` lists them in
-    itertools.combinations order, and ``min_dist`` and ``worst_pair`` come
-    from the first closest pair in that order; a single member passes with
-    neither. Every field holds Python ints and bools.
+    code's rows. ``distances`` lists them in itertools.combinations order,
+    and ``min_dist`` and ``worst_pair`` come from the first closest pair in
+    that order; a single member passes with neither. Every field holds
+    Python ints and bools.
     """
-    _check_members(C.members)
-    first = C.members[0]
-    thr = distance_threshold(C.delta, first.n)
-    if len(C.members) < 2:
+    if not len(C):
+        raise PreconditionFail("code set needs at least one member")
+    k, n = C.rows.shape
+    thr = distance_threshold(C.delta, n)
+    if k < 2:
         return VerifyResult(True, None, None)
-    dist = col._distance_matrix(np.stack([X.colors for X in C.members]), first.q)
-    i, j = np.triu_indices(len(C.members), 1)  # row-major: combinations order
+    dist = col._distance_matrix(C.rows, C.q)
+    i, j = np.triu_indices(k, 1)  # row-major: combinations order
     dists = dist[i, j].tolist()
-    k = dists.index(min(dists))
-    return VerifyResult(dists[k] >= thr, dists[k], (int(i[k]), int(j[k])), tuple(dists))
+    m = dists.index(min(dists))
+    return VerifyResult(dists[m] >= thr, dists[m], (int(i[m]), int(j[m])), tuple(dists))
 
 
 def greedy_pack(
@@ -227,17 +262,16 @@ def exact_max_packing(G: RegularGraph, q: int, delta: Fraction) -> tuple[int, Co
         raise TooLarge(f"{k} colorings exceed the clique cap {CLIQUE_CAP}")
     if thr <= 0:
         # every relabeling orbit holds at least two colorings at distance 0
-        members = tuple(Coloring(q, row, G.graph_key) for row in col._relabelings(table.reps, q))
-        return k, CodeSet(members, delta, 0 if k > 1 else None, prov)
+        rows = col._relabelings(table.reps, q)
+        return k, CodeSet._of_rows(rows, q, G.graph_key, delta, 0 if k > 1 else None, prov)
     reps, dist = table.reps, table.dist
     bits = np.packbits(dist >= thr, axis=1, bitorder="little")
     adj = [int.from_bytes(row.tobytes(), "little") for row in bits]
     clique = _max_clique(adj, len(reps))
-    members = tuple(Coloring(q, reps[i], G.graph_key) for i in clique)
     pair_dists = dist[np.ix_(clique, clique)]
     np.fill_diagonal(pair_dists, G.n)  # no pair is farther apart than n
     min_dist = int(pair_dists.min()) if len(clique) > 1 else None
-    return len(members), CodeSet(members, delta, min_dist, prov)
+    return len(clique), CodeSet._of_rows(reps[clique], q, G.graph_key, delta, min_dist, prov)
 
 
 # -- the family table: graph families and their samplers ----------------------

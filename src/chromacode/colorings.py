@@ -10,6 +10,7 @@ vertices or the gadget table. ``distance`` picks its method from q alone.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
@@ -30,6 +31,14 @@ BRUTE_Q_CAP = 8       # brute-force over q! permutations up to this q
 # core of a 2-vCPU x86 machine). This cap keeps a pair under a fifth of a
 # second, and every array sized by q small.
 DISTANCE_Q_CAP = 128
+# OpenBLAS runs a GEMM of m * n * k multiply-adds at most SMP_THRESHOLD_MIN *
+# GEMM_MULTITHREAD_THRESHOLD = 65,536 * 4 on the calling thread alone, so a
+# product that small needs no one-thread scope, nor the library lookup behind
+# it (a read of /proc/self/maps and a dlopen, about 0.7 ms once per process)
+SERIAL_GEMM_WORK = 262_144
+# the largest table ``_relabelings`` may make: 256 MiB of int64 colors, about
+# two million colorings of 16 vertices
+RELABEL_BYTES_CAP = 1 << 28
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,11 +343,16 @@ def _relabelings(rows: np.ndarray, q: int) -> np.ndarray:
     q^(n-1-v) over the vertices v of row i that have color j.
     """
     sizes = _orbit_sizes(rows, q)
-    n = rows.shape[1]
+    k, n = sum(sizes), rows.shape[1]
     # the keys lie below q^n, and k <= q^n of them take 8 bytes each
-    if sum(sizes) and 8 * q**n >= 2**63:
+    if k and 8 * q**n >= 2**63:
         raise TooLarge(f"a list of up to q^n = {q}^{n} colorings cannot be held")
-    keys = np.empty(sum(sizes), dtype=np.int64)
+    if 8 * k * n > RELABEL_BYTES_CAP:
+        raise TooLarge(
+            f"a list of {k} colorings of {n} vertices takes {8 * k * n} bytes, "
+            f"above the cap {RELABEL_BYTES_CAP}"
+        )
+    keys = np.empty(k, dtype=np.int64)
     place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     used = rows.max(axis=1) + 1
     injections = np.zeros((1, 0), dtype=np.int64)  # of 0..c-1, one row each
@@ -376,9 +390,10 @@ def _distance_matrix(rows: np.ndarray, q: int) -> np.ndarray:
     _check_distance_q(q)
     onehot = (rows == np.arange(q)[:, None, None]).reshape(q * r, n).astype(np.float64)
     # a transposed view as the right factor would send the product to a slower
-    # symmetric kernel; on the oracle's small products, waking the BLAS pool
-    # costs more wall time than its threads save
-    with spectral._one_blas_thread():
+    # symmetric kernel; on a large product (C10's 1,539 x 10 x 1,539), waking
+    # the BLAS pool costs more wall time than its threads save
+    scope = spectral._one_blas_thread if (q * r) ** 2 * n > SERIAL_GEMM_WORK else nullcontext
+    with scope():
         counts = (onehot @ np.ascontiguousarray(onehot.T)).reshape(q, r, q, r)  # [a, i, b, j]
     if q > BRUTE_Q_CAP or math.factorial(q) > r * (r - 1) // 2:
         counts = counts.astype(np.int64)  # the Hungarian rule's weights must be exact ints

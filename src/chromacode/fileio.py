@@ -180,12 +180,12 @@ def read_signing(path: str, G: RegularGraph) -> np.ndarray:
 def codeset_payload(C: CodeSet, graph_key: str) -> dict:
     return {
         "graph": graph_key,
-        "q": C.members[0].q if C.members else None,
-        "n": C.members[0].n if C.members else None,
+        "q": C.q,
+        "n": C.rows.shape[1] if len(C) else None,
         "delta": str(Fraction(C.delta)),
-        "size": len(C.members),
+        "size": len(C),
         "min_dist": C.min_dist,
-        "members": [X.colors.tolist() for X in C.members],
+        "members": C.rows.tolist(),
         "provenance": dict(C.provenance),
     }
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromacode import codes, graphs, spectral
+from chromacode import codes, fileio, graphs, spectral
 from chromacode import colorings as col
 from chromacode.codes import (
     CodeSet,
@@ -23,7 +23,7 @@ from chromacode.codes import (
     verify_delta_distinct,
 )
 from chromacode.colorings import coordinate_colorings, enumerate_proper, make_coloring
-from chromacode.errors import BindingMismatch, OutOfRange, TooLarge
+from chromacode.errors import BindingMismatch, OutOfRange, PreconditionFail, TooLarge
 from chromacode.graphs import complete_graph, cycle_graph, gadget_expand, tensor_power
 
 
@@ -373,11 +373,12 @@ def _full_reference(G, q, delta):
     return len(codes._max_clique(adj, k))
 
 
-class TestQuotientOracle:
-    @pytest.fixture(scope="class")
-    def oracle_graphs(self, fixture_graphs):
-        return {**fixture_graphs, "C4": cycle_graph(4)}
+@pytest.fixture(scope="module")
+def oracle_graphs(fixture_graphs):
+    return {**fixture_graphs, "C4": cycle_graph(4)}
 
+
+class TestQuotientOracle:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(ORACLE_CASES), st.data())
     def test_matches_full_enumeration(self, oracle_graphs, case, data):
@@ -397,6 +398,53 @@ class TestQuotientOracle:
         assert size == len(cols) == witness.provenance["colorings"]
         assert list(witness.members) == cols
         assert witness.min_dist == (0 if cols else None)
+
+
+class TestRowCodes:
+    """The oracle's codes hold their members as rows and build no Coloring;
+    a code built from the same Colorings behaves the same in every use."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(ORACLE_CASES), st.data())
+    def test_rows_and_colorings_agree(self, oracle_graphs, case, data):
+        name, q = case
+        G = oracle_graphs[name]
+        delta = Fraction(data.draw(st.integers(0, G.n)), G.n)
+        _, from_rows = exact_max_packing(G, q, delta)
+        colored = tuple(make_coloring(G, q, row) for row in from_rows.rows.tolist())
+        from_colorings = CodeSet(colored, delta, from_rows.min_dist, from_rows.provenance)
+        assert from_colorings.members is colored
+        assert from_rows.members == colored and len(from_rows) == len(colored)
+        if colored:
+            assert verify_delta_distinct(from_rows) == verify_delta_distinct(from_colorings)
+        else:
+            for C in (from_rows, from_colorings):
+                with pytest.raises(PreconditionFail, match="at least one member"):
+                    verify_delta_distinct(C)
+        payloads = [json.dumps(fileio.codeset_payload(C, G.graph_key), indent=2, sort_keys=True)
+                    for C in (from_rows, from_colorings)]
+        assert payloads[0] == payloads[1]
+
+    def test_oracle_builds_no_coloring(self, fixture_graphs, monkeypatch):
+        built = Counter()
+        post_init = col.Coloring.__post_init__
+
+        def counted(self):
+            built["colorings"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(col.Coloring, "__post_init__", counted)
+        G = fixture_graphs["C6"]
+        witnesses = [exact_max_packing(G, 3, Fraction(k, G.n))[1] for k in range(G.n + 1)]
+        assert built == {}
+        # a witness's Colorings are built when first read, once
+        assert witnesses[0].members is witnesses[0].members
+        assert len(witnesses[0]) == 66 and built == {"colorings": 66}
+
+    def test_rows_are_read_only(self):
+        _, witness = exact_max_packing(cycle_graph(5), 3, Fraction(1, 5))
+        with pytest.raises(ValueError, match="read-only"):
+            witness.rows[0, 0] = 1
 
 
 class TestEmpiricalF:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromacode import spectral
+from chromacode import colorings, spectral
 from chromacode.errors import NoConvergence, PreconditionFail, TooLarge
 from chromacode.graphs import (
     build_from_edges,
@@ -301,6 +301,16 @@ class TestOneBlasThread:
 
         monkeypatch.setattr(spectral, "open", no_proc, raising=False)
         assert spectral._openblas_thread_calls.__wrapped__() is None
+
+    @pytest.mark.parametrize("n,lookups", [(64, 0), (65, 1)])
+    def test_lookup_only_for_products_openblas_may_thread(self, n, lookups):
+        # (q r)^2 n multiply-adds: 64^2 * 64 is the bound OpenBLAS itself runs
+        # on the calling thread, so only the product past it enters the scope
+        rows = np.random.default_rng(0).integers(0, 2, size=(32, n))
+        assert (2 * 32) ** 2 * 64 == colorings.SERIAL_GEMM_WORK
+        spectral._openblas_thread_calls.cache_clear()
+        colorings._distance_matrix(rows, 2)
+        assert spectral._openblas_thread_calls.cache_info().misses == lookups
 
     def test_same_values_without_scope(self, monkeypatch):
         G = random_regular_bipartite(1000, 25, seed=0)
