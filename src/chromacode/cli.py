@@ -258,38 +258,37 @@ def _load_sweep_config(path: str, cli_seed: int) -> regimes.SweepConfig:
 
 
 def cmd_regime_map(args) -> int:
+    if args.resume and not args.out:
+        raise ChromaError("regime-map --resume needs --out, the file to resume")
     config = _load_sweep_config(args.config, args.seed)
     complete = b""
-    if args.resume and args.out and os.path.exists(args.out):
+    if args.resume and os.path.exists(args.out):
         with open(args.out, "rb") as fh:
             data = fh.read()
         # only newline-terminated lines are complete; a cut-off tail is dropped
         complete = data[: data.rfind(b"\n") + 1]
     try:
-        lines = complete.decode().splitlines()
+        done = complete.decode().split("\n")[:-1]
     except UnicodeDecodeError as exc:
         raise MalformedFile(f"{args.out}: {exc}") from None
-    resuming = lines[:1] == [regimes.CSV_HEADER]
-    done = [ln.split(",") for ln in lines[1:]] if resuming else []
-    for row in done:
-        if row[0] != str(config.q):
-            raise ChromaError(f"{args.out} holds rows for q={row[0]}; the config has q={config.q}")
-    skip = {tuple(row[1:3]) for row in done}
-    rows = regimes.regime_map_sweep(config, skip=skip)
-    # the first row builds every family, so any error exits before output
-    first = list(itertools.islice(rows, 1))
-    if args.out:
-        out = open(args.out, "a" if resuming else "w")
-    else:
-        out = contextlib.nullcontext(sys.stdout)  # never closes stdout
+    points = regimes.regime_map_sweep(config)
+    lines = itertools.chain([regimes.CSV_HEADER], map(regimes.regime_point_csv, points))
+    # a resume replays the run: each complete line must be the one the config writes there
+    for no, old in enumerate(done, 1):
+        new = next(lines, None)
+        if old != new:
+            want = "no such line" if new is None else repr(new)
+            raise ChromaError(f"{args.out} line {no} is {old!r}, but this config writes {want}; "
+                              "the file is left as it was")
+    # read ahead to the first row, which builds every family, so any error exits before output
+    first = list(itertools.islice(lines, max(2 - len(done), 0)))
+    out = open(args.out, "a") if args.out else contextlib.nullcontext(sys.stdout)
     with out as fh:
-        if resuming:
-            fh.truncate(len(complete))
-        else:
-            fh.write(regimes.CSV_HEADER + "\n")
+        if args.out:
+            fh.truncate(len(complete))  # keep the matched lines, drop the rest
         # stream rows so an interrupted sweep can be resumed
-        for pt in itertools.chain(first, rows):
-            fh.write(regimes.regime_point_csv(pt) + "\n")
+        for line in itertools.chain(first, lines):
+            fh.write(line + "\n")
             fh.flush()
     return 0
 
@@ -370,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep a (delta, lambda) grid to CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--resume", action="store_true",
-                   help="skip grid points already present in --out")
+                   help="finish --out: append the rest of the run if its complete lines "
+                        "start this config's run, else exit 2 and leave it as it was")
     p.set_defaults(func=cmd_regime_map)
     return parser
 

@@ -268,7 +268,8 @@ def exact_max_packing(G: RegularGraph, q: int, delta: Fraction) -> tuple[int, Co
     bits = np.packbits(dist >= thr, axis=1, bitorder="little")
     adj = [int.from_bytes(row.tobytes(), "little") for row in bits]
     clique = _max_clique(adj, len(reps))
-    pair_dists = dist[np.ix_(clique, clique)]
+    c = np.asarray(clique)
+    pair_dists = dist[c[:, None], c]
     np.fill_diagonal(pair_dists, G.n)  # no pair is farther apart than n
     min_dist = int(pair_dists.min()) if len(clique) > 1 else None
     return len(clique), CodeSet._of_rows(reps[clique], q, G.graph_key, delta, min_dist, prov)
@@ -279,12 +280,12 @@ def exact_max_packing(G: RegularGraph, q: int, delta: Fraction) -> tuple[int, Co
 Sampler = Callable[[object], Coloring | None]
 
 
-def list_sampler(members: Sequence[Coloring]) -> Sampler:
-    """Draw i is members[i]; None once the list is exhausted."""
+def list_sampler(members: Sequence, make: Callable[[object], Coloring] = lambda X: X) -> Sampler:
+    """Draw i is make(members[i]); None once the list is exhausted."""
 
     def sampler(s):
         i = s[1]
-        return members[i] if i < len(members) else None
+        return make(members[i]) if i < len(members) else None
 
     return sampler
 
@@ -308,7 +309,9 @@ def _biased_sampler(G: RegularGraph, q: int, tau=None) -> Sampler:
 SAMPLERS: dict[str, Callable[[RegularGraph, int, object], Sampler]] = {
     "gadget": lambda G, q, tau=None: lambda s: col.sample_gadget_coloring(G, q, s),
     "biased": _biased_sampler,
-    "enumerated": lambda G, q, tau=None: list_sampler(col.enumerate_proper(G, q)),
+    # every proper coloring's row, in lexicographic order; only drawn rows become Colorings
+    "enumerated": lambda G, q, tau=None: list_sampler(
+        col._relabelings(col._proper_rows(G, q), q), lambda row: Coloring(q, row, G.graph_key)),
 }
 
 

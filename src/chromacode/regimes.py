@@ -195,14 +195,12 @@ CSV_HEADER = "q,delta,lambda,classification,evidence_kind,n,lambda2_measured,cod
 
 def regime_map_sweep(
     config: SweepConfig,
-    skip: set[tuple[str, str]] | None = None,
     threads: int = 1,  # unused; still passed by perfbench/workloads.py (regime_run)
 ) -> Iterator[RegimePoint]:
     """Classify every grid point, yielding rows in canonical grid order.
 
-    ``skip`` holds (delta, lambda) string keys already present in a resumed
-    output. Family instances are built once, each from its own derived seed,
-    and reused; greedy packs are cached per (family, delta).
+    Family instances are built once, each from its own derived seed, and
+    reused; greedy packs are cached per (family, delta).
     """
     q = config.q
     instances = []
@@ -214,8 +212,6 @@ def regime_map_sweep(
     hi = 1 - Fraction(1, q)
     for delta in config.delta_grid:
         for lam in config.lambda_grid:
-            if skip and (str(delta), str(lam)) in skip:
-                continue
             if lo <= delta <= hi and 0 < lam < 1:
                 cert = unique_regime_certificate(q, delta, lam)
                 if cert.certified:

@@ -13,6 +13,8 @@ from chromacode.graphs import complete_graph, gadget_expand, tensor_power, two_l
 
 EXPECTED = Path(__file__).parent / "expected"
 ROOT = Path(__file__).parent.parent
+BENCH_CONFIG = ROOT / "perfbench" / "regime_map.json"
+BENCH_CSV = ROOT / "perfbench" / "expected" / "regime_map.csv"
 
 
 def run(args):
@@ -387,7 +389,41 @@ class TestRegimeMap:
         assert run(["regime-map", "--config", cfg, "--out", out, "--resume"]) == 2
         assert out.read_bytes() == before
         err = capsys.readouterr().err
-        assert "q=3" in err and "q=4" in err
+        # the first differing line, quoted as the file holds it and as the config writes it
+        assert "map.csv line 2 is '3,1/4,1/5,unknown,,,,,'" in err
+        assert "'4,1/4,1/5,unknown,,,,,'" in err
+
+    def test_benchmark_config_writes_its_pinned_bytes(self, tmp_path):
+        # the benchmark's own config and CSV, read and never written
+        want = BENCH_CSV.read_bytes()
+        out = tmp_path / "map.csv"
+        assert run(["regime-map", "--config", BENCH_CONFIG, "--out", out]) == 0
+        assert out.read_bytes() == want
+        lines = want.splitlines(keepends=True)
+        header = len(lines[0])
+        for cut in (header, header + 10, len(b"".join(lines[:5])), len(want)):
+            out.write_bytes(want[:cut])
+            assert run(["regime-map", "--config", BENCH_CONFIG, "--out", out, "--resume"]) == 0
+            assert out.read_bytes() == want, cut
+
+    def test_resume_under_another_seed_exit_2(self, tmp_path, capsys):
+        # a seed-7 run cut mid-file, resumed by a seed-6 copy of the config
+        cfg = tmp_path / "seed6.json"
+        cfg.write_text(json.dumps({**json.loads(BENCH_CONFIG.read_text()), "seed": 6}))
+        out = tmp_path / "map.csv"
+        prefix = b"".join(BENCH_CSV.read_bytes().splitlines(keepends=True)[:5])
+        out.write_bytes(prefix)
+        assert run(["regime-map", "--config", cfg, "--out", out, "--resume"]) == 2
+        assert out.read_bytes() == prefix
+        assert "map.csv line 3 is '3,1/4,2/5,counterexample-exists," in capsys.readouterr().err
+
+    def test_resume_other_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "notes.txt"
+        out.write_text("shopping list\neggs\n")
+        assert run(["regime-map", "--config", BENCH_CONFIG, "--out", out, "--resume"]) == 2
+        assert out.read_text() == "shopping list\neggs\n"
+        err = capsys.readouterr().err
+        assert "notes.txt line 1 is 'shopping list', but this config writes 'q,delta," in err
 
     def test_bad_config_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -666,6 +702,12 @@ def _resume_binary_out(tmp_path):
     return ["regime-map", "--config", cfg, "--out", out, "--resume"]
 
 
+def _resume_without_out(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 3, "delta_grid": ["1/2"], "lambda_grid": ["9/10"]}))
+    return ["regime-map", "--config", cfg, "--resume"]
+
+
 def _gadget_pack(tmp_path, q=3, delta="1/2") -> list:
     path = tmp_path / "g.graph"
     assert run(["construct", "gadget", "--base", "k4", "--out", path]) == 0
@@ -752,6 +794,7 @@ class TestErrorContract:
          (_sidecar_not_json, "c4.graph.json: Expecting"),
          (_parts_0_2, "vertex 1 has part label 2, not 0 or 1"),
          (_resume_binary_out, "map.csv: 'utf-8' codec can't decode"),
+         (_resume_without_out, "regime-map --resume needs --out"),
          (_gadget_meta_without_table, "no gadget meta"),
          (lambda tmp_path: _gadget_pack(tmp_path, q=2), "gadget coloring needs q >= 3"),
          (_gadget_meta_not_object, 'g.graph.json: "meta" must be a JSON object, not int'),
@@ -785,7 +828,7 @@ class TestErrorContract:
           "q=1000000 exceeds the distance cap 128")],
         ids=["coloring-not-json", "coloring-list", "coloring-no-q", "coloring-float-q",
              "coloring-float-colors", "coloring-null-colors", "binary-graph",
-             "sidecar-not-json", "parts-0-2-biased", "resume-binary-out",
+             "sidecar-not-json", "parts-0-2-biased", "resume-binary-out", "resume-without-out",
              "gadget-meta-without-table", "gadget-q2", "gadget-meta-not-object",
              "gadget-table-short-row", "gadget-base-n-too-large", "graph-above-int64", "signing-above-int64",
              "biased-default-tau-d0", "pack-delta-above-1", "exact-f-delta-below-0",

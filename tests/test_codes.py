@@ -148,6 +148,23 @@ class TestGreedyPack:
         with pytest.raises(OutOfRange, match=f"{named} is negative"):
             greedy_pack(cycle_graph(6), sampler, Fraction(1, 2), target, budget, seed=0)
 
+    def test_enumerated_sampler_builds_only_drawn_colorings(self, monkeypatch):
+        G = cycle_graph(8)
+        every = enumerate_proper(G, 3)  # all 258, built before the count starts
+        built = Counter()
+        post_init = col.Coloring.__post_init__
+
+        def counted(self):
+            built["colorings"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(col.Coloring, "__post_init__", counted)
+        sampler = codes.SAMPLERS["enumerated"](G, 3)
+        C = greedy_pack(G, sampler, Fraction(1, 4), target=64, budget=10, seed=0)
+        assert C.provenance["draws_used"] == 10 and built == {"colorings": 10}
+        # draw i is still the i-th coloring of the full lexicographic list
+        assert [sampler((0, i)) for i in range(len(every) + 1)] == every + [None]
+
     def test_deterministic(self):
         G = gadget_expand(complete_graph(4))
         sampler = lambda s: col.sample_gadget_coloring(G, 3, s)

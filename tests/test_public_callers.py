@@ -22,6 +22,7 @@ KEPT = {
     "fileio.write_coloring": "writes the coloring files that distance and verify read",
     "fileio.write_signing": "writes the signing files that construct two-lift reads",
     "codes.build_family_instance": "perfbench/workloads.py captures it by name",
+    "colorings.enumerate_proper": "exported API listing every proper coloring; BENCHMARK.json names it",
     "colorings.Coloring.relabeled": "the relabel-invariance property tests apply sigma through it",
 }
 

@@ -238,18 +238,6 @@ class TestSweep:
         )
         assert [regime_point_csv(pt) for pt in regime_map_sweep(config)] == want
 
-    def test_skip_resume_keys(self):
-        config = SweepConfig(
-            q=3,
-            delta_grid=(Fraction(1, 2), Fraction(2, 3)),
-            lambda_grid=(Fraction(1, 5),),
-            families=(),
-        )
-        full = list(regime_map_sweep(config))
-        rest = list(regime_map_sweep(config, skip={("1/2", "1/5")}))
-        assert len(full) == 2 and len(rest) == 1
-        assert regime_point_csv(rest[0]) == regime_point_csv(full[1])
-
     # one family kind each; pins the graph, sampler and pack seed derivations
     @pytest.mark.parametrize(
         "kind,params,want",
