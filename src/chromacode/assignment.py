@@ -64,11 +64,3 @@ def min_cost_assignment(cost: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
     total = sum(cost[i][row_to_col[i]] for i in range(n))
     return total, row_to_col
 
-
-def max_weight_assignment(weight: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
-    """Maximum-weight perfect assignment of a square integer matrix."""
-    top = max(max(row) for row in weight)
-    cost = [[top - w for w in row] for row in weight]
-    _, row_to_col = min_cost_assignment(cost)
-    total = sum(weight[i][row_to_col[i]] for i in range(len(weight)))
-    return total, row_to_col

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import spectral
-from .assignment import max_weight_assignment
+from .assignment import min_cost_assignment
 from .errors import BindingMismatch, OutOfRange, PreconditionFail, TooLarge
 from .graphs import RegularGraph
 
@@ -36,9 +36,9 @@ DISTANCE_Q_CAP = 128
 # product that small needs no one-thread scope, nor the library lookup behind
 # it (a read of /proc/self/maps and a dlopen, about 0.7 ms once per process)
 SERIAL_GEMM_WORK = 262_144
-# the largest table ``_relabelings`` may make: 256 MiB of int64 colors, about
-# two million colorings of 16 vertices
-RELABEL_BYTES_CAP = 1 << 28
+# the largest table ``_proper_rows`` or ``_relabelings`` may make: 256 MiB of
+# int64 colors, about two million colorings of 16 vertices
+ENUM_BYTES_CAP = 1 << 28
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,17 +155,14 @@ def _brute_max(M: np.ndarray) -> tuple[int, tuple[int, ...]]:
 def _assignment_max(M: np.ndarray) -> tuple[int, tuple[int, ...]]:
     """The same maximum and sigma as ``_brute_max``, by a Hungarian assignment."""
     q = len(M)
-    # Encode the lexicographic tie-break directly in the weights:
-    # maximize agreement * BASE - (value of sigma as a base-q numeral).
+    # sigma costs its value as a base-q numeral minus agreement * base; the
+    # value is below q^q < base, so the least cost is the most agreement with
+    # the lexicographically first sigma, and -(cost // base) is that agreement
     base = q**q + 1
     counts = M.tolist()
-    weight = [
-        [counts[a][b] * base - a * q ** (q - 1 - b) for a in range(q)]
-        for b in range(q)
-    ]
-    _, row_to_col = max_weight_assignment(weight)
-    sigma = tuple(row_to_col)
-    return sum(counts[sigma[b]][b] for b in range(q)), sigma
+    cost = [[a * q ** (q - 1 - b) - counts[a][b] * base for a in range(q)] for b in range(q)]
+    total, sigma = min_cost_assignment(cost)
+    return -(total // base), tuple(sigma)
 
 
 def _max_agreement(M: np.ndarray) -> tuple[int, tuple[int, ...]]:
@@ -321,6 +318,11 @@ def _proper_rows(G: RegularGraph, q: int) -> np.ndarray:
         for u in nbrs[nbrs < v]:
             allowed &= rows[:, u, None] != palette
         parent, color = np.nonzero(allowed)  # row-major: parents in order, colors ascending
+        if 8 * len(parent) * (v + 1) > ENUM_BYTES_CAP:
+            raise TooLarge(
+                f"{len(parent)} partial colorings of {v + 1} vertices take "
+                f"{8 * len(parent) * (v + 1)} bytes, above the cap {ENUM_BYTES_CAP}"
+            )
         rows = np.column_stack([rows[parent], color])
         running_max = np.maximum(running_max[parent], color)
     return rows
@@ -347,10 +349,10 @@ def _relabelings(rows: np.ndarray, q: int) -> np.ndarray:
     # the keys lie below q^n, and k <= q^n of them take 8 bytes each
     if k and 8 * q**n >= 2**63:
         raise TooLarge(f"a list of up to q^n = {q}^{n} colorings cannot be held")
-    if 8 * k * n > RELABEL_BYTES_CAP:
+    if 8 * k * n > ENUM_BYTES_CAP:
         raise TooLarge(
             f"a list of {k} colorings of {n} vertices takes {8 * k * n} bytes, "
-            f"above the cap {RELABEL_BYTES_CAP}"
+            f"above the cap {ENUM_BYTES_CAP}"
         )
     keys = np.empty(k, dtype=np.int64)
     place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)

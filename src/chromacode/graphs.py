@@ -74,8 +74,13 @@ class RegularGraph:
         if self.part_labels is not None:
             h.update(",".join(map(str, self.part_labels.tolist())).encode())
         h.update(b"|")
-        # the bytes of "".join(f"{u},{v};" for u, v in self.edges())
-        h.update(_decimal_text(np.column_stack(self.edge_arrays()).ravel(), self.n, b",;"))
+        # the bytes of "".join(f"{u},{v};" for u, v in self.edges()), formatted
+        # 1,024 edges at a time: one format over every edge would hold a Python
+        # int per endpoint at once
+        edges = np.column_stack(self.edge_arrays())
+        for i in range(0, len(edges), 1024):
+            part = edges[i:i + 1024]
+            h.update(("%d,%d;" * len(part) % tuple(part.ravel().tolist())).encode())
         return h.hexdigest()[:16]
 
     @cached_property
@@ -99,23 +104,6 @@ class RegularGraph:
         cols = self.adjacency.ravel()
         upper = rows < cols
         return rows[upper], cols[upper]
-
-
-def _decimal_text(values: np.ndarray, n: int, seps: bytes) -> bytes:
-    """``"".join(f"{x}{s}")`` over ``values`` in [0, n), the separators s taken
-    from ``seps`` in turn, without per-value Python work: each value's row of
-    a digit table, NUL-padded on the left, and its separator; then every NUL
-    is dropped."""
-    width = len(str(max(n - 1, 0)))
-    ids = np.arange(n)
-    table = np.zeros((n, width + 1), dtype=np.uint8)  # the last column takes the separator
-    for k in range(width):
-        has = ids >= 10**k
-        table[has, width - 1 - k] = ord("0") + ids[has] // 10**k % 10
-    table[0, width - 1] = ord("0")
-    text = table[values]
-    text[:, width] = np.resize(np.frombuffer(seps, dtype=np.uint8), len(values))
-    return text[text != 0].tobytes()
 
 
 @dataclass(frozen=True)

@@ -819,7 +819,11 @@ class TestErrorContract:
          *[(_exact_f_c5(delta, q=10**12), "colorings exceed the clique cap 2000")
            for delta in ("1/5", "0")],
          (_enumerated_pack(10**12), "q^n = 1000000000000^6 colorings cannot be held"),
-         (_enumerated_pack(1000), f"bytes, above the cap {colorings.RELABEL_BYTES_CAP}"),
+         (_enumerated_pack(1000), f"bytes, above the cap {colorings.ENUM_BYTES_CAP}"),
+         *[(_on_graph(graphs.cycle_graph(16), command, *options, "--q", 5, "--delta", "1/4"),
+            "partial colorings of 14 vertices take 313404112 bytes, above the cap "
+            f"{colorings.ENUM_BYTES_CAP}")
+           for command, options in (("exact-f", ()), ("pack", ("--sampler", "enumerated")))],
          *[(_construct_tensor(N), f"q^N = 3^{N} exceeds cap 4096") for N in (10000, 30000000)],
          (_tensor_lift_sweep, "q^N = 3^10000 exceeds cap 4096"),
          *[(_huge_q_c5(command), "q=1000000 exceeds the distance cap 128")
@@ -837,7 +841,7 @@ class TestErrorContract:
              "exact-f-edgeless-q1", "pack-enumerated-q-1", "pack-enumerated-q0",
              "pack-enumerated-q1", "pack-budget-negative", "pack-target-negative",
              "exact-f-c5-huge-q", "exact-f-c5-huge-q-delta0", "pack-enumerated-huge-q",
-             "pack-enumerated-q1000",
+             "pack-enumerated-q1000", "exact-f-c16-q5", "pack-enumerated-c16-q5",
              "tensor-N10000", "tensor-N30000000", "sweep-tensor-lift-N10000",
              "distance-huge-q", "verify-huge-q", "pack-gadget-huge-q"],
     )

@@ -252,12 +252,12 @@ class TestGraphKey:
         "make",
         [lambda: build_from_edges(1, []),
          lambda: build_from_edges(2, [(0, 1)]),
-         *(lambda n=n: cycle_graph(n) for n in (3, 10, 11, 100, 101, 1001)),
+         *(lambda n=n: cycle_graph(n) for n in (3, 10, 11, 100, 101, 1001, 10001)),
          lambda: random_regular_bipartite(600, 3, seed=1),
          lambda: random_regular_bipartite(5, 5, seed=2),
          interleaved_lift,
          lambda: tensor_power(3, 3)],
-        ids=["n1-d0", "K2", "C3", "C10", "C11", "C100", "C101", "C1001",
+        ids=["n1-d0", "K2", "C3", "C10", "C11", "C100", "C101", "C1001", "C10001",
              "bipartite-1200", "K5,5", "interleaved-lift", "K3^3"],
     )
     def test_same_key(self, make):
