@@ -36,6 +36,10 @@ DISTANCE_Q_CAP = 128
 # product that small needs no one-thread scope, nor the library lookup behind
 # it (a read of /proc/self/maps and a dlopen, about 0.7 ms once per process)
 SERIAL_GEMM_WORK = 262_144
+# the largest product block or one-hot factor block ``_distance_matrix`` holds:
+# 32 MiB, a (2048, 2048) float64 product, so every exact-oracle table (q r <=
+# CLIQUE_CAP = 2,000 rows of at most ENUM_CAP vertices) is one product
+DISTANCE_BLOCK_BYTES = 1 << 25
 # the largest table ``_proper_rows`` or ``_relabelings`` may make: 256 MiB of
 # int64 colors, about two million colorings of 16 vertices
 ENUM_BYTES_CAP = 1 << 28
@@ -376,38 +380,73 @@ def _relabelings(rows: np.ndarray, q: int) -> np.ndarray:
     return digits
 
 
+def _agreement_counts(left: np.ndarray, right: np.ndarray | None, q: int, w: int) -> np.ndarray:
+    """counts[a, i, b, j] = #{v : left[i, v] = a, right[j, v] = b} for two
+    color arrays of n columns (``right`` None: left against itself).
+
+    One float64 product per chunk of w vertices, of the color-major one-hot
+    rows with a contiguous copy of the other side's transpose (a transposed
+    view would send the product to a slower symmetric kernel); the chunks'
+    counts add up exactly, as every sum is an integer at most n < 2^53.
+    """
+    counts = None
+    for c in range(0, max(left.shape[1], 1), w):
+        F = _onehot(left[:, c:c + w], q)
+        part = F @ np.ascontiguousarray((F if right is None else _onehot(right[:, c:c + w], q)).T)
+        if counts is None:
+            counts = part
+        else:
+            counts += part
+    return counts.reshape(q, len(left), q, len(left if right is None else right))
+
+
+def _onehot(rows: np.ndarray, q: int) -> np.ndarray:
+    """Row a * r + i marks, as 1.0, the columns where row i of an (r, w)
+    color array has color a."""
+    r, w = rows.shape
+    return (rows == np.arange(q)[:, None, None]).reshape(q * r, w).astype(np.float64)
+
+
 def _distance_matrix(rows: np.ndarray, q: int) -> np.ndarray:
     """(r, r) exact permutation-invariant distances between the colorings in
     the rows of an (r, n) array: entry (i, j) equals ``distance`` of rows i, j.
     The package's one all-pairs distance routine.
 
-    One float64 product of the color-major one-hot rows with a contiguous
-    copy of their transpose counts the q x q agreements of every pair; a
-    count is at most n < 2^53, so it is exact. With at least q! pairs (and
-    q <= BRUTE_Q_CAP) the best agreement is a running maximum over all q!
-    sigmas, for all pairs at once; otherwise each pair's counts go to
-    ``_max_agreement``, the rule ``distance`` uses.
+    The q x q agreement counts of every pair come from ``_agreement_counts``
+    on blocks of b colorings against b colorings and chunks of w vertices,
+    sized so that no product block nor one-hot factor block holds more than
+    DISTANCE_BLOCK_BYTES; every table of the exact oracle is one block. With
+    at least q! pairs (and q <= BRUTE_Q_CAP) the best agreement is a running
+    maximum over all q! sigmas, for all pairs of a block at once; otherwise
+    each pair's counts go to ``_max_agreement``, the rule ``distance`` uses.
     """
     r, n = rows.shape
     _check_distance_q(q)
-    onehot = (rows == np.arange(q)[:, None, None]).reshape(q * r, n).astype(np.float64)
-    # a transposed view as the right factor would send the product to a slower
-    # symmetric kernel; on a large product (C10's 1,539 x 10 x 1,539), waking
-    # the BLAS pool costs more wall time than its threads save
+    b = min(r, max(1, math.isqrt(DISTANCE_BLOCK_BYTES // 8) // q))
+    w = max(1, min(n, DISTANCE_BLOCK_BYTES // (8 * q * b)))
+    per_pair = q > BRUTE_Q_CAP or math.factorial(q) > r * (r - 1) // 2
+    best = np.full((r, r), n, dtype=np.int64)  # a coloring agrees with itself everywhere
+    # on a large product (C10's 1,539 x 10 x 1,539), waking the BLAS pool
+    # costs more wall time than its threads save
     scope = spectral._one_blas_thread if (q * r) ** 2 * n > SERIAL_GEMM_WORK else nullcontext
     with scope():
-        counts = (onehot @ np.ascontiguousarray(onehot.T)).reshape(q, r, q, r)  # [a, i, b, j]
-    if q > BRUTE_Q_CAP or math.factorial(q) > r * (r - 1) // 2:
-        counts = counts.astype(np.int64)  # the Hungarian rule's weights must be exact ints
-        best = np.full((r, r), n, dtype=np.int64)
-        for i in range(r):
-            for j in range(i + 1, r):
-                best[i, j] = best[j, i] = _max_agreement(counts[:, i, :, j])[0]
-        return n - best
-    best = np.zeros((r, r))
-    for sigma in _all_perms(q):  # every pair's agreement: the sum over b of [sigma[b], :, b, :]
-        np.maximum(best, counts[sigma, :, range(q)].sum(axis=0), out=best)
-    return n - best.astype(np.int64)
+        for i in range(0, r, b):
+            for j in range(i, r, b):
+                left, right = rows[i:i + b], rows[j:j + b]
+                counts = _agreement_counts(left, None if i == j else right, q, w)
+                if per_pair:
+                    for s in range(len(left)):
+                        for t in range(max(0, i + s + 1 - j), len(right)):
+                            # the Hungarian rule's weights must be exact ints
+                            M = counts[:, s, :, t].astype(np.int64)
+                            best[i + s, j + t] = best[j + t, i + s] = _max_agreement(M)[0]
+                    continue
+                block = np.zeros((len(left), len(right)))
+                for sigma in _all_perms(q):  # each pair's agreement: the sum over b of [sigma[b], :, b, :]
+                    np.maximum(block, counts[sigma, :, range(q)].sum(axis=0), out=block)
+                best[i:i + b, j:j + b] = block
+                best[j:j + b, i:i + b] = block.T
+    return n - best
 
 
 def enumerate_proper(G: RegularGraph, q: int) -> list[Coloring]:

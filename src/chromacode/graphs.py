@@ -22,6 +22,10 @@ from .errors import BindingMismatch, NoConvergence, OutOfRange, PreconditionFail
 
 EXPANSION_CAP = 24       # exhaustive edge-expansion limit (2^(n-1) subsets)
 TENSOR_SIZE_CAP = 4096   # vertex cap for tensor powers
+# adjacency entries n (q-1)^N a tensor power may list: its pure-Python loop
+# takes about 2 us per entry (1 to 2.2 us from K_16^2 to K_3^7 on one core of
+# a 2-vCPU x86 machine), so about 2 s at the cap
+TENSOR_WORK_CAP = 1 << 20
 SEARCH_MAX_PASSES = 200  # greedy flip passes per signing-search restart
 PERM_REDRAWS = 20        # whole redraws of a colliding permutation before repair
 FLIP_BATCH_BYTES = 1 << 20  # flipped signed matrices held at once by the signing search
@@ -212,6 +216,8 @@ def tensor_power(q: int, N: int) -> RegularGraph:
 
     Vertex id encodes the tuple in base q, most significant digit first, so
     digit i of a vertex id is coordinate i. The result is (q-1)^N-regular.
+    TooLarge refuses more than TENSOR_SIZE_CAP vertices or TENSOR_WORK_CAP
+    adjacency entries before any edge is listed.
     """
     if q < 2 or N < 1:
         raise OutOfRange("tensor power needs q >= 2 and N >= 1")
@@ -221,6 +227,11 @@ def tensor_power(q: int, N: int) -> RegularGraph:
     n = q**N
     if n > TENSOR_SIZE_CAP:
         raise TooLarge(f"q^N = {n} exceeds cap {TENSOR_SIZE_CAP}")
+    if n * (q - 1) ** N > TENSOR_WORK_CAP:
+        raise TooLarge(
+            f"{q}^{N} vertices of degree {(q - 1) ** N} make {n * (q - 1) ** N} "
+            f"adjacency entries, above the cap {TENSOR_WORK_CAP}"
+        )
     weights = [q ** (N - 1 - i) for i in range(N)]
     edges = []
     for u in range(n):

@@ -641,8 +641,8 @@ def _exact_f_c5(delta, q=3):
     return argv
 
 
-def _construct_tensor(N):
-    return lambda tmp_path: ["construct", "tensor", "--q", 3, "--N", N,
+def _construct_tensor(N, q=3):
+    return lambda tmp_path: ["construct", "tensor", "--q", q, "--N", N,
                              "--out", tmp_path / "t.graph"]
 
 
@@ -825,6 +825,8 @@ class TestErrorContract:
             f"{colorings.ENUM_BYTES_CAP}")
            for command, options in (("exact-f", ()), ("pack", ("--sampler", "enumerated")))],
          *[(_construct_tensor(N), f"q^N = 3^{N} exceeds cap 4096") for N in (10000, 30000000)],
+         (_construct_tensor(2, q=64), "64^2 vertices of degree 3969 make 16257024 adjacency "
+          f"entries, above the cap {graphs.TENSOR_WORK_CAP}"),
          (_tensor_lift_sweep, "q^N = 3^10000 exceeds cap 4096"),
          *[(_huge_q_c5(command), "q=1000000 exceeds the distance cap 128")
            for command in ("distance", "verify")],
@@ -842,7 +844,7 @@ class TestErrorContract:
              "pack-enumerated-q1", "pack-budget-negative", "pack-target-negative",
              "exact-f-c5-huge-q", "exact-f-c5-huge-q-delta0", "pack-enumerated-huge-q",
              "pack-enumerated-q1000", "exact-f-c16-q5", "pack-enumerated-c16-q5",
-             "tensor-N10000", "tensor-N30000000", "sweep-tensor-lift-N10000",
+             "tensor-N10000", "tensor-N30000000", "tensor-q64-N2", "sweep-tensor-lift-N10000",
              "distance-huge-q", "verify-huge-q", "pack-gadget-huge-q"],
     )
     def test_bad_input_exit_2(self, tmp_path, capsys, make_argv, named):

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, zip_longest
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +98,33 @@ class TestVerify:
         short = col.Coloring(3, X.colors[:-1], X.graph_key)
         with pytest.raises(BindingMismatch, match="members bound to different graphs or q values"):
             verify_delta_distinct(CodeSet((X, short), Fraction(0)))
+
+
+    def test_blocks_give_the_same_distances(self, monkeypatch):
+        # a 2 KiB budget splits the products into blocks of at most five
+        # colorings and chunks of a few dozen vertices, on both ways of
+        # maximizing over sigma: all q! at once (q = 3) and pair by pair
+        rng = np.random.default_rng(5)
+        for q, r in ((3, 30), (col.BRUTE_Q_CAP + 1, 7)):
+            rows = rng.integers(0, q, size=(r, 50))
+            whole = col._distance_matrix(rows, q)
+            with monkeypatch.context() as patch:
+                patch.setattr(col, "DISTANCE_BLOCK_BYTES", 2048)
+                assert np.array_equal(col._distance_matrix(rows, q), whole)
+
+    def test_large_q_memory_bounded(self):
+        # 3 colorings at q = 64 on 40,000 vertices: one product over all of
+        # them held two (192, 40000) float64 factors, 117 MiB at peak
+        rows = np.random.default_rng(0).integers(0, 64, size=(3, 40_000))
+        C = CodeSet(tuple(col.Coloring(64, x, "g") for x in rows), Fraction(1, 2))
+        tracemalloc.start()
+        try:
+            res = verify_delta_distinct(C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.ok
+        assert peak < 3 * col.DISTANCE_BLOCK_BYTES
 
 
 class TestGreedyPack:

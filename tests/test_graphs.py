@@ -141,6 +141,11 @@ class TestConstructors:
         with pytest.raises(TooLarge, match=r"q\^N = 19683 exceeds cap"):
             tensor_power(3, 9)
 
+    def test_tensor_work_cap(self):
+        # 4,096 vertices pass the vertex cap, but not 16,257,024 adjacency entries
+        with pytest.raises(TooLarge, match=r"64\^2 vertices of degree 3969 make 16257024"):
+            tensor_power(64, 2)
+
 
 class TestGadget:
     def test_k4_blowup(self):

@@ -75,6 +75,27 @@ class TestFullSpectrum:
             full_spectrum(cycle_graph(spectral.DENSE_CAP + 1))
 
 
+def labelled_cycle(n):
+    """C_n for even n, with the part labels that make lambda2 run on B B^T / d^2."""
+    return build_from_edges(n, [(i, (i + 1) % n) for i in range(n)],
+                            part_labels=[i % 2 for i in range(n)])
+
+
+def matching_complement(h):
+    """K_{h,h} minus a perfect matching, labelled: lambda2 = 1/(h-1), h-1 times."""
+    edges = [(i, h + j) for i in range(h) for j in range(h) if i != j]
+    return build_from_edges(2 * h, edges, part_labels=[0] * h + [1] * h)
+
+
+def assert_same_as_unlabelled(G, lam, digits=True):
+    """lambda2 of the same edges without part labels, on the general operator,
+    agrees to 1e-12 (and, with ``digits``, in its .10g string)."""
+    plain = lambda2(build_from_edges(G.n, G.edges()))
+    assert abs(lam - plain) <= 1e-12, (G.n, lam, plain)
+    if digits:
+        assert f"{lam:.10g}" == f"{plain:.10g}"
+
+
 class TestLambda2:
     def test_paper_values(self):
         assert lambda2(tensor_power(3, 2)) == pytest.approx(0.25, abs=1e-9)
@@ -96,8 +117,11 @@ class TestLambda2:
         # above the cutoff the value comes from Lanczos
         G = random_regular_bipartite(half, d, seed)
         spec = full_spectrum(G)
-        assert lambda2(G) == pytest.approx(spec.lambda2, abs=1e-9)
-        assert lambda2(G) == lambda2(G)
+        lam = lambda2(G)
+        assert lam == pytest.approx(spec.lambda2, abs=1e-9)
+        assert lam == lambda2(G)
+        # a .10g string may straddle a rounding boundary on a drawn graph
+        assert_same_as_unlabelled(G, lam, digits=False)
 
     def test_non_bipartite_above_cutoff(self):
         for G in (complete_graph(400), tensor_power(3, 6), cycle_graph(301)):
@@ -112,20 +136,42 @@ class TestLambda2:
         two = build_from_edges(404, edges)
         assert two.n > spectral.LANCZOS_MIN_N
         assert lambda2(two) == 1.0
+        # C202 + C204 with part labels: the bipartite operator never runs either
+        edges = [(i, (i + 1) % 202) for i in range(202)]
+        edges += [(202 + i, 202 + (i + 1) % 204) for i in range(204)]
+        labelled = build_from_edges(406, edges, part_labels=[i % 2 for i in range(406)])
+        assert lambda2(labelled) == 1.0
 
     def test_no_convergence(self, monkeypatch):
         monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 5)
         n = spectral.LANCZOS_MIN_N + 1
         with pytest.raises(NoConvergence, match=rf"n={n} after 5 steps"):
             lambda2(cycle_graph(n))
+        # the bipartite operator runs on n/2 entries but names the graph's n
+        with pytest.raises(NoConvergence, match=rf"n={n + 1} after 5 steps"):
+            lambda2(labelled_cycle(n + 1))
 
-    @pytest.mark.parametrize("n", [1001, 2001, 3001])
+    @pytest.mark.parametrize("n", [1001, 2001, 3001, 1002, 3002])
     def test_restarted_cycle(self, n):
         # a gap of order 1/n^2: one basis is not enough, so the solver has to
         # restart, and C3001 needs about 4,000 steps (a restart from the top
-        # Ritz vector alone hit the step cap there)
-        G = cycle_graph(n)
-        assert lambda2(G) == pytest.approx(math.cos(2 * math.pi / n), abs=1e-9)
+        # Ritz vector alone hit the step cap there); the even cycles carry
+        # part labels, so they restart on the squared operator
+        G = cycle_graph(n) if n % 2 else labelled_cycle(n)
+        lam = lambda2(G)
+        assert lam == pytest.approx(math.cos(2 * math.pi / n), abs=1e-9)
+        if G.part_labels is not None:
+            assert_same_as_unlabelled(G, lam)
+
+    def test_matching_complement(self):
+        # B B^T / d^2 is 1/(h-1)^2 times the identity on 1^perp: the iteration
+        # breaks down after one step
+        h = 130
+        G = matching_complement(h)
+        assert G.n > spectral.LANCZOS_MIN_N
+        lam = lambda2(G)
+        assert lam == pytest.approx(1 / (h - 1), abs=1e-9)
+        assert_same_as_unlabelled(G, lam)
 
     def test_no_scipy_import(self):
         # the sparse path runs on numpy alone; loading scipy.sparse.linalg costs
