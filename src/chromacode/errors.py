@@ -19,8 +19,8 @@ surfaces as a traceback.
   does not parse; the message names the path, line or field.
 - ``BindingMismatch``: objects that must belong together do not: a coloring,
   signing or vector and its graph, or two colorings' q.
-- ``NoConvergence``: an iterative solver or randomized construction ran out
-  of its step or repair budget.
+- ``NoConvergence``: the Lanczos iteration of ``spectral.lambda2`` ran out
+  of its step budget.
 """
 
 
@@ -50,4 +50,4 @@ class BindingMismatch(ChromaError):
 
 
 class NoConvergence(ChromaError):
-    """An iterative solver or randomized construction exhausted its budget."""
+    """The Lanczos iteration exhausted its step budget."""

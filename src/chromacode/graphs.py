@@ -11,20 +11,18 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BindingMismatch, NoConvergence, OutOfRange, PreconditionFail, TooLarge
+from .errors import BindingMismatch, OutOfRange, PreconditionFail, TooLarge
 
 EXPANSION_CAP = 24       # exhaustive edge-expansion limit (2^(n-1) subsets)
 TENSOR_SIZE_CAP = 4096   # vertex cap for tensor powers
-# adjacency entries n (q-1)^N a tensor power may list: its pure-Python loop
-# takes about 2 us per entry (1 to 2.2 us from K_16^2 to K_3^7 on one core of
-# a 2-vCPU x86 machine), so about 2 s at the cap
+# adjacency entries n (q-1)^N a tensor power may list: its one broadcast holds
+# n (q-1)^N N int64 digits, at most about 26 MB under both caps (K_6^4)
 TENSOR_WORK_CAP = 1 << 20
 SEARCH_MAX_PASSES = 200  # greedy flip passes per signing-search restart
 PERM_REDRAWS = 20        # whole redraws of a colliding permutation before repair
@@ -196,18 +194,19 @@ def build_from_edges(
 
 
 def complete_graph(q: int) -> RegularGraph:
-    """K_q, (q-1)-regular."""
+    """K_q, (q-1)-regular: ``tensor_power(q, 1)``, under its caps (q <= 1024)."""
     if q < 2:
         raise OutOfRange("complete graph needs q >= 2")
-    return build_from_edges(q, combinations(range(q), 2), meta={"kind": "complete", "q": q})
+    return replace(tensor_power(q, 1), meta={"kind": "complete", "q": q})
 
 
 def cycle_graph(n: int) -> RegularGraph:
     """C_n, 2-regular. n=2 fails with PreconditionFail (parallel edges)."""
     if n < 1:
         raise OutOfRange("cycle needs n >= 1")
+    u = np.arange(n)
     return build_from_edges(
-        n, [(i, (i + 1) % n) for i in range(n)], meta={"kind": "cycle", "n": n}
+        n, np.column_stack([u, (u + 1) % n]), meta={"kind": "cycle", "n": n}
     )
 
 
@@ -215,9 +214,11 @@ def tensor_power(q: int, N: int) -> RegularGraph:
     """Graph on q-ary N-tuples, adjacent iff the tuples differ in every coordinate.
 
     Vertex id encodes the tuple in base q, most significant digit first, so
-    digit i of a vertex id is coordinate i. The result is (q-1)^N-regular.
+    digit i of a vertex id is coordinate i. The result is (q-1)^N-regular:
+    u's neighbors are u's digits plus each offset in [1, q)^N, mod q digit
+    by digit, found for every vertex in one broadcast of n (q-1)^N N int64.
     TooLarge refuses more than TENSOR_SIZE_CAP vertices or TENSOR_WORK_CAP
-    adjacency entries before any edge is listed.
+    adjacency entries before that broadcast is made.
     """
     if q < 2 or N < 1:
         raise OutOfRange("tensor power needs q >= 2 and N >= 1")
@@ -232,15 +233,14 @@ def tensor_power(q: int, N: int) -> RegularGraph:
             f"{q}^{N} vertices of degree {(q - 1) ** N} make {n * (q - 1) ** N} "
             f"adjacency entries, above the cap {TENSOR_WORK_CAP}"
         )
-    weights = [q ** (N - 1 - i) for i in range(N)]
-    edges = []
-    for u in range(n):
-        digits = [(u // w) % q for w in weights]
-        for offsets in product(range(1, q), repeat=N):
-            v = sum(((digits[i] + offsets[i]) % q) * weights[i] for i in range(N))
-            if v > u:
-                edges.append((u, v))
-    return build_from_edges(n, edges, meta={"kind": "tensor", "q": q, "N": N})
+    place = np.arange(N - 1, -1, -1)
+    digits = np.arange(n)[:, None] // q**place % q
+    offsets = np.arange((q - 1) ** N)[:, None] // (q - 1) ** place % (q - 1) + 1
+    nbrs = (digits[:, None, :] + offsets) % q @ q**place  # (n, (q-1)^N)
+    u, j = np.nonzero(nbrs > np.arange(n)[:, None])
+    return build_from_edges(
+        n, np.column_stack([u, nbrs[u, j]]), meta={"kind": "tensor", "q": q, "N": N}
+    )
 
 
 def gadget_expand(H: RegularGraph) -> RegularGraph:
@@ -254,24 +254,15 @@ def gadget_expand(H: RegularGraph) -> RegularGraph:
     """
     if H.d != 3:
         raise PreconditionFail(f"gadget expansion needs a 3-regular base, got d={H.d}")
-    base_edges = H.edges()
-    n = H.n + 6 * len(base_edges)
-    edges: list[tuple[int, int]] = []
-    gadgets = []
-    for k, (x, y) in enumerate(base_edges):
-        b = H.n + 6 * k
-        u, u2, u3, v, v2, v3 = range(b, b + 6)
-        edges.append((x, u))
-        edges.append((y, v))
-        # K_{3,3} on {u,u2,u3} x {v,v2,v3} minus uv
-        for a in (u, u2, u3):
-            for c in (v, v2, v3):
-                if (a, c) != (u, v):
-                    edges.append((a, c))
-        gadgets.append([x, y, [u, u2, u3], [v, v2, v3]])
+    x, y = H.edge_arrays()
+    # block k: x, y, then u, u2, u3, v, v2, v3 = H.n + 6k + (0..5)
+    blocks = np.column_stack([x, y, H.n + 6 * np.arange(len(x))[:, None] + np.arange(6)])
+    # x-u, y-v and K_{3,3} on {u,u2,u3} x {v,v2,v3} minus uv, as block columns
+    template = [(0, 2), (1, 5), (2, 6), (2, 7), (3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7)]
     # JSON lists, so a meta reloaded from the sidecar equals this one
+    gadgets = [[b[0], b[1], b[2:5], b[5:]] for b in blocks.tolist()]
     meta = {"kind": "gadget", "base_n": H.n, "base_key": H.graph_key, "gadgets": gadgets}
-    return build_from_edges(n, edges, meta=meta)
+    return build_from_edges(H.n + 6 * len(x), blocks[:, template].reshape(-1, 2), meta=meta)
 
 
 def random_regular_bipartite(half: int, d: int, seed) -> RegularGraph:
@@ -281,8 +272,9 @@ def random_regular_bipartite(half: int, d: int, seed) -> RegularGraph:
     permutation is redrawn whole up to PERM_REDRAWS times while it duplicates
     an existing edge (a draw is dropped at the first earlier permutation it
     meets); a still-colliding draw is then completed into a valid
-    permutation by augmenting paths over the not-yet-used values (such a
-    completion always exists for d <= half). Deterministic given seed.
+    permutation by augmenting paths over the not-yet-used values, which
+    always succeeds for d <= half (see ``_complete_permutation``).
+    Deterministic given seed.
     """
     if half < 1:
         raise OutOfRange("half must be positive")
@@ -298,11 +290,6 @@ def random_regular_bipartite(half: int, d: int, seed) -> RegularGraph:
         else:
             clash = (perms[:k] == perm).any(axis=0)
             perm = _complete_permutation(perm, clash, perms[:k], rng)
-            if perm is None:
-                raise NoConvergence(
-                    f"could not complete a collision-free permutation "
-                    f"(half={half}, d={d})"
-                )
         perms[k] = perm
     edges = np.column_stack([np.tile(np.arange(half), d), half + perms.ravel()])
     return build_from_edges(
@@ -315,8 +302,8 @@ def random_regular_bipartite(half: int, d: int, seed) -> RegularGraph:
 
 def _complete_permutation(
     perm: np.ndarray, clash: np.ndarray, perms: np.ndarray, rng
-) -> np.ndarray | None:
-    """Repair the clashing positions of ``perm`` by augmenting paths, or None.
+) -> np.ndarray:
+    """Repair the clashing positions of ``perm`` by augmenting paths.
 
     Position i may take any value not in ``perms[:, i]``. Clashing positions
     are freed and re-placed in increasing order, each by a BFS over
@@ -325,13 +312,21 @@ def _complete_permutation(
     one ends the search, else all are visited and their owners queued in
     that order. The state is int and bool arrays over positions or values,
     so one pop costs O(half) time and memory.
+
+    A completion always exists. The k < half rows of ``perms`` are
+    collision-free permutations, so each position forbids exactly k values
+    and each value is forbidden at exactly k positions: the allowed pairs
+    form a (half - k)-regular bipartite graph, which has a perfect matching
+    (Konig). So every freed position has an augmenting path, and the BFS
+    finds one. (Were one missed, its -1 would become an edge inside part 0,
+    which ``build_from_edges`` refuses.)
     """
     half = len(perm)
     assignment = np.where(clash, -1, perm)  # position -> value, -1 while freed
     owner = np.full(half, -1, dtype=np.int64)  # value -> position, -1 while free
     owner[assignment[~clash]] = np.flatnonzero(~clash)
 
-    def augment(start: int) -> bool:
+    def augment(start: int) -> None:
         # reaching a free value flips the path below it
         visited = np.zeros(half, dtype=bool)
         came_from = np.empty(half, dtype=np.int64)  # value -> position that proposed it
@@ -352,15 +347,13 @@ def _complete_permutation(
                     assignment[pi] = v
                     owner[v] = pi
                     if pi == start:
-                        return True
+                        return
                     v = displaced
             visited[order] = True
             queue.extend(owner[order].tolist())
-        return False
 
     for i in np.flatnonzero(clash).tolist():
-        if not augment(i):
-            return None
+        augment(i)
     return assignment
 
 

@@ -828,6 +828,8 @@ class TestErrorContract:
          (_construct_tensor(2, q=64), "64^2 vertices of degree 3969 make 16257024 adjacency "
           f"entries, above the cap {graphs.TENSOR_WORK_CAP}"),
          (_tensor_lift_sweep, "q^N = 3^10000 exceeds cap 4096"),
+         (lambda tmp_path: ["construct", "complete", "--q", 20000, "--out", tmp_path / "k.graph"],
+          "q^N = 20000^1 exceeds cap 4096"),
          *[(_huge_q_c5(command), "q=1000000 exceeds the distance cap 128")
            for command in ("distance", "verify")],
          (lambda tmp_path: _gadget_pack(tmp_path, q=10**6),
@@ -845,6 +847,7 @@ class TestErrorContract:
              "exact-f-c5-huge-q", "exact-f-c5-huge-q-delta0", "pack-enumerated-huge-q",
              "pack-enumerated-q1000", "exact-f-c16-q5", "pack-enumerated-c16-q5",
              "tensor-N10000", "tensor-N30000000", "tensor-q64-N2", "sweep-tensor-lift-N10000",
+             "complete-q20000",
              "distance-huge-q", "verify-huge-q", "pack-gadget-huge-q"],
     )
     def test_bad_input_exit_2(self, tmp_path, capsys, make_argv, named):

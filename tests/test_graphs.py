@@ -146,6 +146,11 @@ class TestConstructors:
         with pytest.raises(TooLarge, match=r"64\^2 vertices of degree 3969 make 16257024"):
             tensor_power(64, 2)
 
+    def test_complete_work_cap(self):
+        # K_q is tensor_power(q, 1): 1,024 x 1,023 adjacency entries pass, 1,025 x 1,024 not
+        with pytest.raises(TooLarge, match=r"1025\^1 vertices of degree 1024 make 1049600"):
+            complete_graph(1025)
+
 
 class TestGadget:
     def test_k4_blowup(self):

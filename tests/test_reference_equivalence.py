@@ -1,6 +1,6 @@
-"""The array-native graph build, signing search, biased sampler, graph key,
-Lanczos product and exact oracle against reference copies of their
-per-element forms.
+"""The array-native graph build, constructions, signing search, biased
+sampler, graph key, Lanczos product and exact oracle against reference copies
+of their per-element forms.
 
 Each reference below keeps the earlier loop as it was: its RNG calls, float
 operations and tie-breaks. The library must match it exactly (equal arrays,
@@ -8,6 +8,7 @@ equal floats, equal reprs), since every seeded output rests on those bits.
 """
 import hashlib
 import itertools
+import json
 from collections import deque
 from fractions import Fraction
 
@@ -19,11 +20,12 @@ from hypothesis import strategies as st
 from chromacode import codes, colorings, graphs, spectral
 from chromacode.codes import CodeSet, distance_threshold, exact_max_packing, verify_delta_distinct
 from chromacode.colorings import Coloring, enumerate_proper, sample_bipartite_biased
-from chromacode.errors import TooLarge
+from chromacode.errors import PreconditionFail, TooLarge
 from chromacode.graphs import (
     build_from_edges,
     complete_graph,
     cycle_graph,
+    gadget_expand,
     random_regular_bipartite,
     tensor_power,
     two_lift,
@@ -121,6 +123,104 @@ class TestRepair:
                             lambda *a: calls.append(1) or real(*a))
         random_regular_bipartite(40, 40, 0)
         assert len(calls) >= 30  # a uniform draw rarely avoids 30 earlier rows
+
+    @settings(max_examples=40, deadline=None)
+    @given(half=st.integers(2, 40), short=st.sampled_from([0, 1]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_adjacency_near_full(self, half, short, seed):
+        # at d = half - 1 or half the later rows nearly always take the repair
+        d = half - short
+        G = random_regular_bipartite(half, d, seed)
+        assert np.array_equal(G.adjacency, reference_adjacency(half, d, seed))
+
+
+# -- constructions: per-edge loops ----------------------------------------------
+
+def reference_complete_graph(q):
+    return build_from_edges(q, itertools.combinations(range(q), 2),
+                            meta={"kind": "complete", "q": q})
+
+
+def reference_cycle_graph(n):
+    return build_from_edges(n, [(i, (i + 1) % n) for i in range(n)],
+                            meta={"kind": "cycle", "n": n})
+
+
+def reference_tensor_power(q, N):
+    n = q**N
+    weights = [q ** (N - 1 - i) for i in range(N)]
+    edges = []
+    for u in range(n):
+        digits = [(u // w) % q for w in weights]
+        for offsets in itertools.product(range(1, q), repeat=N):
+            v = sum(((digits[i] + offsets[i]) % q) * weights[i] for i in range(N))
+            if v > u:
+                edges.append((u, v))
+    return build_from_edges(n, edges, meta={"kind": "tensor", "q": q, "N": N})
+
+
+def reference_gadget_expand(H):
+    base_edges = H.edges()
+    n = H.n + 6 * len(base_edges)
+    edges = []
+    gadgets = []
+    for k, (x, y) in enumerate(base_edges):
+        b = H.n + 6 * k
+        u, u2, u3, v, v2, v3 = range(b, b + 6)
+        edges.append((x, u))
+        edges.append((y, v))
+        for a in (u, u2, u3):
+            for c in (v, v2, v3):
+                if (a, c) != (u, v):
+                    edges.append((a, c))
+        gadgets.append([x, y, [u, u2, u3], [v, v2, v3]])
+    meta = {"kind": "gadget", "base_n": H.n, "base_key": H.graph_key, "gadgets": gadgets}
+    return build_from_edges(n, edges, meta=meta)
+
+
+def assert_same_graph(G, R):
+    assert (G.n, G.d) == (R.n, R.d)
+    assert np.array_equal(G.adjacency, R.adjacency)
+    assert np.array_equal(G.part_labels, R.part_labels)
+    assert G.graph_key == R.graph_key
+    assert json.dumps(G.meta, sort_keys=True) == json.dumps(R.meta, sort_keys=True)
+
+
+# every (q, N) with N >= 2 and q^N <= 729; N = 1 up to q = 27 and at three larger q
+TENSOR_CASES = [(q, N) for q in range(2, 28) for N in range(2, 10) if q**N <= 729]
+TENSOR_CASES += [(q, 1) for q in (*range(2, 28), 64, 400, 729)]
+
+
+class TestConstructions:
+    @pytest.mark.parametrize("q,N", TENSOR_CASES, ids=[f"K{q}^{N}" for q, N in TENSOR_CASES])
+    def test_tensor_power(self, q, N):
+        assert_same_graph(tensor_power(q, N), reference_tensor_power(q, N))
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 17, 400, 1024])
+    def test_complete_graph(self, q):
+        assert_same_graph(complete_graph(q), reference_complete_graph(q))
+
+    @pytest.mark.parametrize("n", [*range(3, 51), 1001])
+    def test_cycle_graph(self, n):
+        assert_same_graph(cycle_graph(n), reference_cycle_graph(n))
+
+    @pytest.mark.parametrize(
+        "n,message", [(1, "self-loop at vertex 0"), (2, r"edge \(0, 1\) listed twice")]
+    )
+    def test_cycle_errors(self, n, message):
+        for build in (cycle_graph, reference_cycle_graph):
+            with pytest.raises(PreconditionFail, match=message):
+                build(n)
+
+    @pytest.mark.parametrize("name", ["K4", "prism", "K33", "petersen"])
+    def test_gadget_expand(self, fixture_graphs, name):
+        H = fixture_graphs[name]
+        assert_same_graph(gadget_expand(H), reference_gadget_expand(H))
+
+    @pytest.mark.parametrize("half,seed", [(3, 0), (8, 3), (8, 4), (50, 1), (2000, 5)])
+    def test_gadget_expand_random_base(self, half, seed):
+        H = random_regular_bipartite(half, 3, seed)
+        assert_same_graph(gadget_expand(H), reference_gadget_expand(H))
 
 
 # -- search_low_lambda_signing: one eigvalsh call per flip -----------------------
