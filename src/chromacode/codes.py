@@ -30,6 +30,13 @@ def distance_threshold(delta: Fraction, n: int) -> int:
     return -((-delta.numerator * n) // delta.denominator)
 
 
+def max_distance(n: int, q: int) -> int:
+    """n - ceil(n/q), the paper's (1 - 1/q) n: no two q-colorings are farther
+    apart. The q! relabelings agree with Y on n (q-1)! vertex slots in all,
+    so some relabeling agrees on at least ceil(n/q) vertices (pigeonhole)."""
+    return n - -(-n // q)
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class CodeSet:
     """A set of colorings of one graph with a promised pairwise distance fraction.
@@ -131,7 +138,10 @@ def greedy_pack(
     stream is exhausted); draw i uses the derived seed (seed, i), so the
     result depends only on (sampler, delta, target, budget, seed). Stops at
     ``target`` members, before any draw when ``target`` is 0; a partial set
-    is returned with ``provenance['budget_exhausted'] = True``.
+    is returned with ``provenance['budget_exhausted'] = True``. When the
+    threshold exceeds ``max_distance(n, q)`` no pair can join, so the pack
+    stops right after its first member, below ``target``, recording that
+    bound as ``provenance['max_distance']`` with ``budget_exhausted`` False.
     """
     delta = Fraction(delta)
     thr = distance_threshold(delta, G.n)
@@ -141,6 +151,7 @@ def greedy_pack(
     kept: list[Coloring] = []
     min_dist: int | None = None
     draws = 0
+    bound = None  # max_distance(n, q) once it ends the pack
     for i in range(budget):
         if len(kept) >= target:
             break
@@ -156,15 +167,20 @@ def greedy_pack(
             for d in dists:
                 if min_dist is None or d < min_dist:
                     min_dist = d
+            if len(kept) < target and thr > max_distance(G.n, X.q):
+                bound = max_distance(G.n, X.q)
+                break
     prov = dict(provenance or {})
     prov.update(
         {
             "seed": graphs._seed_repr(seed),
             "budget": budget,
             "draws_used": draws,
-            "budget_exhausted": len(kept) < target,
+            "budget_exhausted": len(kept) < target and bound is None,
         }
     )
+    if bound is not None:
+        prov["max_distance"] = bound
     return CodeSet(tuple(kept), delta, min_dist, prov)
 
 
@@ -245,7 +261,9 @@ def exact_max_packing(G: RegularGraph, q: int, delta: Fraction) -> tuple[int, Co
     ceil(delta * n). When that threshold is 0 every coloring is compatible and
     the answer is their count k, witnessed by all of them, listed as the
     relabelings of the canonical rows. Returns 0 with an empty witness when G
-    has no proper q-coloring.
+    has no proper q-coloring. When the threshold exceeds ``max_distance(n, q)``
+    no pair qualifies: the answer is 1, witnessed by the last canonical row,
+    with no distance matrix, no clique search and no ``CLIQUE_CAP`` check.
 
     The enumeration and the distance matrix are made once per (G, q) and
     reused by later calls on an equal graph; the caps are checked every call.
@@ -258,6 +276,8 @@ def exact_max_packing(G: RegularGraph, q: int, delta: Fraction) -> tuple[int, Co
     prov = {"method": "exact", "colorings": k}
     if not k:
         return 0, CodeSet((), delta, None, prov)
+    if thr > max_distance(G.n, q):  # the clique search would pick the last row
+        return 1, CodeSet._of_rows(table.reps[-1:].copy(), q, G.graph_key, delta, None, prov)
     if k > CLIQUE_CAP:
         raise TooLarge(f"{k} colorings exceed the clique cap {CLIQUE_CAP}")
     if thr <= 0:

@@ -275,6 +275,9 @@ def random_regular_bipartite(half: int, d: int, seed) -> RegularGraph:
     permutation by augmenting paths over the not-yet-used values, which
     always succeeds for d <= half (see ``_complete_permutation``).
     Deterministic given seed.
+
+    The permutations and their inverses are the neighbor lists; a row that
+    is not a permutation, or two that meet, raise PreconditionFail.
     """
     if half < 1:
         raise OutOfRange("half must be positive")
@@ -291,12 +294,19 @@ def random_regular_bipartite(half: int, d: int, seed) -> RegularGraph:
             clash = (perms[:k] == perm).any(axis=0)
             perm = _complete_permutation(perm, clash, perms[:k], rng)
         perms[k] = perm
-    edges = np.column_stack([np.tile(np.arange(half), d), half + perms.ravel()])
-    return build_from_edges(
-        2 * half,
-        edges,
-        part_labels=np.repeat([0, 1], half),
-        meta={"kind": "random_bipartite", "half": half, "d": d, "seed": _seed_repr(seed)},
+    adj = np.full((2 * half, d), -1, dtype=np.int64)
+    adj[:half] = perms.T
+    if ((perms >= 0) & (perms < half)).all():
+        adj[half + perms, np.arange(d)[:, None]] = np.arange(half)  # the inverse rows
+    if (adj[half:] < 0).any():
+        raise PreconditionFail(f"a row is not a permutation of [0, {half})")
+    adj.sort(axis=1)
+    if (adj[:, 1:] == adj[:, :-1]).any():
+        raise PreconditionFail("two permutations map one position to the same value")
+    adj[:half] += half
+    return RegularGraph(
+        2 * half, d, adj, np.repeat([0, 1], half),
+        {"kind": "random_bipartite", "half": half, "d": d, "seed": _seed_repr(seed)},
     )
 
 
@@ -318,8 +328,8 @@ def _complete_permutation(
     and each value is forbidden at exactly k positions: the allowed pairs
     form a (half - k)-regular bipartite graph, which has a perfect matching
     (Konig). So every freed position has an augmenting path, and the BFS
-    finds one. (Were one missed, its -1 would become an edge inside part 0,
-    which ``build_from_edges`` refuses.)
+    finds one. (Were one missed, ``random_regular_bipartite`` would refuse
+    the -1 it leaves.)
     """
     half = len(perm)
     assignment = np.where(clash, -1, perm)  # position -> value, -1 while freed

@@ -590,6 +590,17 @@ class TestPinnedBytes:
                     "gadget", "--budget", 200, "--target", 4, "--seed", 1, "--out", out]) == 0
         assert out.read_bytes() == (EXPECTED / "pack_gadget.json").read_bytes()
 
+    def test_pack_stopped_by_max_distance(self, tmp_path):
+        graph, out = tmp_path / "g.graph", tmp_path / "code.json"
+        assert run(["construct", "gadget", "--base", "k4", "--out", graph]) == 0
+        assert run(["pack", "--graph", graph, "--q", 3, "--delta", "7/10", "--sampler",
+                    "gadget", "--budget", 200, "--target", 4, "--seed", 1, "--out", out]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["size"] == 1  # ceil(7/10 * 40) = 28 > 40 - ceil(40/3) = 26
+        assert payload["provenance"] == {"sampler": "gadget", "seed": "1", "budget": 200,
+                                         "draws_used": 1, "budget_exhausted": False,
+                                         "max_distance": 26}
+
 class TestParsing:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:

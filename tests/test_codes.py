@@ -22,6 +22,7 @@ from chromacode.codes import (
     distance_threshold,
     exact_max_packing,
     greedy_pack,
+    max_distance,
     verify_delta_distinct,
 )
 from chromacode.colorings import coordinate_colorings, enumerate_proper, make_coloring
@@ -63,6 +64,28 @@ class TestThreshold:
             greedy_pack(C5, sampler, delta, target=2, budget=5, seed=0)
         with pytest.raises(OutOfRange):
             verify_delta_distinct(CodeSet((X,), delta))
+
+
+class TestMaxDistance:
+    @pytest.mark.parametrize("n,q,want", [(1, 3, 0), (6, 3, 4), (7, 3, 4), (2000, 3, 1333),
+                                          (18, 3, 12), (5, 8, 4), (10, 2, 5)])
+    def test_value(self, n, q, want):
+        assert max_distance(n, q) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from([*range(2, col.BRUTE_Q_CAP + 1), 9, 12, 20]),
+           st.integers(1, 40))
+    def test_bounds_every_distance(self, data, q, n):
+        # q above BRUTE_Q_CAP takes the Hungarian path
+        rows = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+        X, Y = (col.Coloring(q, data.draw(rows), "g") for _ in range(2))
+        assert col.distance(X, Y)[0] <= max_distance(n, q)
+
+    def test_reached_by_coordinate_colorings(self):
+        # the bound is tight: K_3^2's two coordinate colorings agree on 3 of 9
+        # vertices under every relabeling
+        X, Y = coordinate_colorings(3, 2, tensor_power(3, 2))
+        assert col.distance(X, Y)[0] == max_distance(9, 3) == 6
 
 
 class TestVerify:
@@ -143,7 +166,42 @@ class TestGreedyPack:
             G, sampler, Fraction(2, 3) + Fraction(1, 10), target=8, budget=300, seed=5
         )
         assert len(C) <= 1
-        assert C.provenance["budget_exhausted"]
+        # the bound ends the pack after its first member, not the budget
+        assert C.provenance["draws_used"] == 1
+        assert not C.provenance["budget_exhausted"]
+        assert C.provenance["max_distance"] == max_distance(G.n, 3) == 26
+
+    def test_threshold_above_the_bound_draws_once(self):
+        G = cycle_graph(7)  # thr ceil(5/7 * 7) = 5 = max_distance(7, 3) + 1
+        draws = []
+        enumerated = codes.SAMPLERS["enumerated"](G, 3)
+        sampler = lambda s: draws.append(s) or enumerated(s)
+        C = greedy_pack(G, sampler, Fraction(5, 7), target=8, budget=100, seed=0)
+        assert (len(C), C.min_dist, draws) == (1, None, [(0, 0)])
+        assert C.provenance["draws_used"] == 1
+        assert not C.provenance["budget_exhausted"]
+        assert C.provenance["max_distance"] == 4
+
+    def test_threshold_at_the_bound_still_packs(self):
+        G = cycle_graph(6)  # thr ceil(2/3 * 6) = 4 = max_distance(6, 3)
+        sampler = codes.SAMPLERS["enumerated"](G, 3)
+        C = greedy_pack(G, sampler, Fraction(2, 3), target=8, budget=100, seed=0)
+        assert (len(C), C.min_dist) == (2, 4)
+        assert "max_distance" not in C.provenance
+
+    def test_tensor_lift_reaches_the_bound(self):
+        # the README sweep's tensor-lift row at delta = 2/3: thr 12 = 18 - 6
+        fam = SweepFamily("tensor-lift", {"N": 2, "lifts": 1, "restarts": 30})
+        G, sampler = fam.build(3, (7, 3))
+        C = greedy_pack(G, sampler, Fraction(2, 3), target=8, budget=400, seed=(7, 3))
+        assert (G.n, len(C), C.min_dist) == (18, 2, 12)
+        assert "max_distance" not in C.provenance
+
+    def test_target_one_is_not_stopped_by_the_bound(self):
+        G = cycle_graph(7)
+        C = greedy_pack(G, codes.SAMPLERS["enumerated"](G, 3), Fraction(5, 7),
+                        target=1, budget=100, seed=0)
+        assert len(C) == 1 and "max_distance" not in C.provenance
 
     def test_target_one(self):
         G = gadget_expand(complete_graph(4))
@@ -249,6 +307,19 @@ class TestExactMaxPacking:
         monkeypatch.setattr(codes, "CLIQUE_CAP", 10)
         with pytest.raises(TooLarge):
             exact_max_packing(cycle_graph(7), 3, Fraction(0))
+
+    def test_threshold_above_the_bound_needs_no_clique_search(self, monkeypatch):
+        # 126 colorings exceed the cap, but at 2/3 no pair of C7 can qualify
+        monkeypatch.setattr(codes, "CLIQUE_CAP", 10)
+        monkeypatch.setattr(codes, "_max_clique", None)
+        G = cycle_graph(7)
+        size, witness = exact_max_packing(G, 3, Fraction(2, 3))
+        assert (size, witness.min_dist) == (1, None)
+        assert "dist" not in codes._oracle_table(G, 3).__dict__  # no distance matrix
+        assert witness.rows.tolist() == col._proper_rows(G, 3)[-1:].tolist()
+        assert witness.provenance == {"method": "exact", "colorings": 126}
+        with pytest.raises(TooLarge):
+            exact_max_packing(G, 3, Fraction(1, 7))
 
     def test_size_table(self, fixture_graphs):
         # q = 3, every delta = k/n below 2/3, then 2/3 itself

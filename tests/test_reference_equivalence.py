@@ -87,10 +87,15 @@ def reference_permutations(half, d, seed):
     return perms
 
 
-def reference_adjacency(half, d, seed):
+def reference_graph(half, d, seed):
+    """The graph as ``build_from_edges`` made it from the permutations' edges."""
     perms = reference_permutations(half, d, seed)
     edges = np.column_stack([np.tile(np.arange(half), d), half + perms.ravel()])
-    return build_from_edges(2 * half, edges).adjacency
+    return build_from_edges(
+        2 * half, edges, part_labels=np.repeat([0, 1], half),
+        meta={"kind": "random_bipartite", "half": half, "d": d,
+              "seed": graphs._seed_repr(seed)},
+    )
 
 
 @st.composite
@@ -105,16 +110,31 @@ class TestRepair:
     @example(size=(40, 40), seed=0)
     @example(size=(60, 59), seed=3)
     @example(size=(1, 1), seed=0)
+    @example(size=(7, 0), seed=2)
     def test_same_adjacency(self, size, seed):
         half, d = size
-        G = random_regular_bipartite(half, d, seed)
-        assert np.array_equal(G.adjacency, reference_adjacency(half, d, seed))
+        assert_same_graph(random_regular_bipartite(half, d, seed), reference_graph(half, d, seed))
 
     @pytest.mark.parametrize("half,d,seed", [(1000, 25, (7, 0)), (300, 30, 5)])
     def test_same_adjacency_at_sweep_size(self, half, d, seed):
         # the README layered-pair graph: 22 of its 25 rows take the repair
-        G = random_regular_bipartite(half, d, seed)
-        assert np.array_equal(G.adjacency, reference_adjacency(half, d, seed))
+        assert_same_graph(random_regular_bipartite(half, d, seed), reference_graph(half, d, seed))
+
+    @pytest.mark.parametrize("half,d,seed", [(9, 0, 1), (1, 0, 0), (25, 25, (3, 1)),
+                                             (1000, 25, (7, 0))])
+    def test_same_graph_at_the_edges(self, half, d, seed):
+        # d = 0, d = half and the README layered-pair graph
+        assert_same_graph(random_regular_bipartite(half, d, seed), reference_graph(half, d, seed))
+
+    @pytest.mark.parametrize("broken", [
+        lambda perm, clash, perms, rng: perms[0].copy(),  # collides with row 0 everywhere
+        lambda perm, clash, perms, rng: np.where(clash, -1, perm),  # a missed repair
+        lambda perm, clash, perms, rng: np.zeros_like(perm),  # not a permutation
+    ], ids=["colliding", "missed", "repeated"])
+    def test_broken_repair_is_refused(self, monkeypatch, broken):
+        monkeypatch.setattr(graphs, "_complete_permutation", broken)
+        with pytest.raises(PreconditionFail, match="permutation"):
+            random_regular_bipartite(40, 40, 0)
 
     def test_repair_runs(self, monkeypatch):
         calls = []
@@ -130,8 +150,7 @@ class TestRepair:
     def test_same_adjacency_near_full(self, half, short, seed):
         # at d = half - 1 or half the later rows nearly always take the repair
         d = half - short
-        G = random_regular_bipartite(half, d, seed)
-        assert np.array_equal(G.adjacency, reference_adjacency(half, d, seed))
+        assert_same_graph(random_regular_bipartite(half, d, seed), reference_graph(half, d, seed))
 
 
 # -- constructions: per-edge loops ----------------------------------------------
@@ -434,15 +453,20 @@ def reference_canonical(all_colorings):
 
 def reference_exact_max_packing(all_colorings, n, delta):
     """The oracle on a precomputed ``reference_enumerate_proper`` list:
-    canonical filter, one ``distance`` call per pair, then the clique."""
+    canonical filter, one ``distance`` call per pair, then the clique. Above
+    n - ceil(n/q) no pair can qualify (pigeonhole over the q! relabelings),
+    so there the cap is not checked, and above the cap no pair is measured."""
     delta = Fraction(delta)
     k = len(all_colorings)
     prov = {"method": "exact", "colorings": k}
     if not all_colorings:
         return 0, CodeSet((), delta, None, prov)
-    if k > codes.CLIQUE_CAP:
-        raise TooLarge(f"{k} colorings exceed the clique cap {codes.CLIQUE_CAP}")
     thr = distance_threshold(delta, n)
+    q = all_colorings[0].q
+    unreachable = thr > n - -(-n // q)
+    if k > codes.CLIQUE_CAP and not unreachable:
+        raise TooLarge(f"{k} colorings exceed the clique cap {codes.CLIQUE_CAP}")
+    unmeasured = unreachable and k > codes.CLIQUE_CAP
     if thr <= 0:
         return k, CodeSet(tuple(all_colorings), delta, 0 if k > 1 else None, prov)
     reps = reference_canonical(all_colorings)
@@ -450,7 +474,7 @@ def reference_exact_max_packing(all_colorings, n, delta):
     adj = [0] * r
     dist = {}
     for i in range(r):
-        for j in range(i + 1, r):
+        for j in range(i + 1, r) if not unmeasured else ():
             dist[i, j], _ = colorings.distance(reps[i], reps[j])
             if dist[i, j] >= thr:
                 adj[i] |= 1 << j
