@@ -137,11 +137,12 @@ def greedy_pack(
     ``sampler(seed_i)`` must return a proper coloring of G (or None when its
     stream is exhausted); draw i uses the derived seed (seed, i), so the
     result depends only on (sampler, delta, target, budget, seed). Stops at
-    ``target`` members, before any draw when ``target`` is 0; a partial set
-    is returned with ``provenance['budget_exhausted'] = True``. When the
-    threshold exceeds ``max_distance(n, q)`` no pair can join, so the pack
-    stops right after its first member, below ``target``, recording that
-    bound as ``provenance['max_distance']`` with ``budget_exhausted`` False.
+    ``target`` members, before any draw when ``target`` is 0.
+    ``provenance['budget_exhausted']`` is True only when all ``budget`` draws
+    were made and the set is still below ``target``; a stream that runs out
+    first leaves it False. When the threshold exceeds ``max_distance(n, q)``
+    no pair can join, so the pack stops right after its first member, below
+    ``target``, recording that bound as ``provenance['max_distance']``.
     """
     delta = Fraction(delta)
     thr = distance_threshold(delta, G.n)
@@ -176,7 +177,7 @@ def greedy_pack(
             "seed": graphs._seed_repr(seed),
             "budget": budget,
             "draws_used": draws,
-            "budget_exhausted": len(kept) < target and bound is None,
+            "budget_exhausted": draws == budget and len(kept) < target and bound is None,
         }
     )
     if bound is not None:

@@ -5,22 +5,22 @@ to a specific graph via the graph's content hash. Colors are 0-indexed
 everywhere; the modular gadget rule "i+1, i+2 mod q" is applied in 0-indexed
 arithmetic. Properness is not a type invariant (``is_proper`` checks it); the
 samplers here guarantee it by construction, each with one array pass over the
-vertices or the gadget table. ``distance`` picks its method from q alone.
+vertices or the gadget blocks. ``distance`` picks its method from q alone.
 """
 from __future__ import annotations
 
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import permutations
 from typing import Sequence
 
 import numpy as np
 
-from . import spectral
+from . import graphs, spectral
 from .assignment import min_cost_assignment
-from .errors import BindingMismatch, OutOfRange, PreconditionFail, TooLarge
+from .errors import BindingMismatch, ChromaError, OutOfRange, PreconditionFail, TooLarge
 from .graphs import RegularGraph
 
 ENUM_CAP = 16         # enumeration limit on n
@@ -187,6 +187,21 @@ def distance(X: Coloring, Y: Coloring) -> tuple[int, tuple[int, ...]]:
     return X.n - agreement, sigma
 
 
+@lru_cache(maxsize=1)
+def _gadget_base(G: RegularGraph) -> np.ndarray:
+    """The base edge (x, y) of each gadget block, in block order, if
+    ``gadget_expand`` built G: the u and v of the blocks are the rows n/10 + 3i,
+    their least neighbors are x and y, and expanding that base must rebuild G."""
+    base = G.adjacency[G.n // 10::3, 0].reshape(-1, 2) if G.d == 3 and G.n % 20 == 0 else None
+    try:
+        if base is not None and np.array_equal(graphs.gadget_expand(
+                graphs.build_from_edges(G.n // 10, base)).adjacency, G.adjacency):
+            return base
+    except ChromaError:
+        pass
+    raise PreconditionFail("graph was not built by gadget_expand")
+
+
 def sample_gadget_coloring(G: RegularGraph, q: int, seed) -> Coloring:
     """Random proper coloring of a gadget-expanded graph.
 
@@ -195,29 +210,16 @@ def sample_gadget_coloring(G: RegularGraph, q: int, seed) -> Coloring:
     (i+2) mod q; distinct colors i at x and j at y give the x-side part j and
     the y-side part i. Always proper for q >= 3.
     """
-    meta = G.meta or {}
-    if meta.get("kind") != "gadget" or not {"base_n", "gadgets"} <= meta.keys():
-        raise PreconditionFail("graph was not built by gadget_expand (no gadget meta)")
+    base = _gadget_base(G)
     if q < 3:
         raise OutOfRange("gadget coloring needs q >= 3")
-    base_n = meta["base_n"]
-    if type(base_n) is not int or not 0 <= base_n <= G.n:
-        raise PreconditionFail(f"gadget meta base_n={base_n!r} is not a vertex count")
-    # one row per gadget: x, y, the x-side part, the y-side part
-    try:
-        table = np.array([(x, y, *xpart, *ypart) for x, y, xpart, ypart in meta["gadgets"]])
-    except (TypeError, ValueError):
-        table = None
-    if (table is None or table.dtype.kind != "i" or table.shape[1:] != (8,)
-            or table.min(initial=0) < 0 or table.max(initial=0) >= G.n):
-        raise PreconditionFail("gadget table needs rows of 8 vertex ids in [0, n)")
+    base_n = G.n // 10
     rng = np.random.default_rng(seed)
     colors = np.empty(G.n, dtype=np.int64)
     colors[:base_n] = rng.integers(0, q, size=base_n)
-    i, j = colors[table[:, 0]], colors[table[:, 1]]
-    equal = i == j
-    colors[table[:, 2:5]] = np.where(equal, (i + 1) % q, j)[:, None]
-    colors[table[:, 5:8]] = np.where(equal, (i + 2) % q, i)[:, None]
+    i, j = colors[base].T
+    parts = colors[base_n:].reshape(-1, 2, 3)  # block k: its x-side part, its y-side part
+    parts[:] = np.where(i == j, [(i + 1) % q, (i + 2) % q], [j, i]).T[:, :, None]
     return Coloring(q, colors, G.graph_key)
 
 

@@ -12,7 +12,7 @@ surfaces as a traceback.
   part label, vertex id, tau, or a (delta, lambda) point.
 - ``PreconditionFail``: an input lacks a structure the operation needs:
   regular, simple (no self-loop or repeated edge), cubic, bipartite,
-  connected, disjoint subsets, nonzero degree or vector, gadget meta, part
+  connected, disjoint subsets, nonzero degree or vector, gadget layout, part
   sizes, a square matrix, a non-empty code set.
 - ``TooLarge``: an input above the cap of an exhaustive or dense computation.
 - ``MalformedFile``: a graph, signing, coloring, sidecar or config file that

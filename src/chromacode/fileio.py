@@ -3,10 +3,11 @@ written, and for code sets, only written (the payload of ``pack``).
 
 Graph format: line 1 "n d", optional line 2 "parts: 0 1 0 ...", then one
 "u v" edge per line, 0-indexed with u < v. A JSON sidecar "<path>.json"
-written next to a graph carries construction provenance (gadget blocks,
-tensor parameters, ...); ``read_graph`` always restores it as ``meta``, so
-meta-dependent samplers keep working after a round trip. The constructions
-store only JSON types there, so a reloaded meta equals the built one.
+written next to a graph carries its graph key and construction provenance
+(the kind, tensor parameters, base graph key, ...); ``read_graph`` restores
+it as ``meta`` and refuses a sidecar keyed to another graph. No sampler
+reads it. The constructions store only JSON types there, so a reloaded meta
+equals the built one.
 
 Signing format: one "u v s" line per edge of the graph, u < v and s = +1 or
 -1, each edge once. In memory a signing is the sign vector in the canonical
@@ -104,13 +105,19 @@ def write_graph(path: str, G: RegularGraph, sidecar: Mapping | None = None) -> N
 
 
 def read_graph(path: str) -> RegularGraph:
-    """Read a graph file and restore ``meta`` from its sidecar, if there is one."""
+    """Read a graph file and restore ``meta`` from its sidecar, if there is one.
+    A sidecar whose "graph_key" names another graph raises BindingMismatch."""
     text = read_input(path)
     sidecar = path + ".json"
-    meta = read_input(sidecar, as_json=True).get("meta") if os.path.exists(sidecar) else None
+    payload = read_input(sidecar, as_json=True) if os.path.exists(sidecar) else {}
+    meta = payload.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise MalformedFile(f'{sidecar}: "meta" must be a JSON object, not {type(meta).__name__}')
-    return graph_from_text(text, meta=meta)
+    G = graph_from_text(text, meta=meta)
+    key = payload.get("graph_key")
+    if key is not None and key != G.graph_key:
+        raise BindingMismatch(f"{sidecar} describes graph {key!r}, loaded graph is {G.graph_key}")
+    return G
 
 
 def write_coloring(path: str, X: Coloring) -> None:

@@ -4,8 +4,8 @@ Graphs are immutable once built: vertex count n, uniform degree d, and the
 (n, d) int64 array of neighbors with each row sorted, read-only like the
 optional array of part labels. Bipartite constructions carry part labels
 (every edge must cross), and composite constructions (edge gadgets, tensor
-powers, 2-lifts) record provenance in ``meta`` so downstream samplers can
-reuse the structure.
+powers, 2-lifts) record their kind and parameters in ``meta``, not a second
+copy of the structure.
 """
 from __future__ import annotations
 
@@ -248,20 +248,17 @@ def gadget_expand(H: RegularGraph) -> RegularGraph:
 
     For each edge xy of H (canonical order): delete xy, add six new vertices
     forming K_{3,3} minus the edge uv, then join x to u and y to v. The u-side
-    part attaches to x, the v-side part to y. Base vertices keep their ids;
-    gadget blocks follow in canonical edge order. Result is 3-regular on
-    10 |V(H)| vertices; ``meta['gadgets']`` records every block.
+    part attaches to x, the v-side part to y. Result is 3-regular on 10 |V(H)|
+    vertices, in the layout that ``colorings._gadget_base`` reads: base vertices
+    keep their ids, and edge k's block is u, u2, u3, v, v2, v3 = H.n + 6k + (0..5).
     """
     if H.d != 3:
         raise PreconditionFail(f"gadget expansion needs a 3-regular base, got d={H.d}")
     x, y = H.edge_arrays()
-    # block k: x, y, then u, u2, u3, v, v2, v3 = H.n + 6k + (0..5)
     blocks = np.column_stack([x, y, H.n + 6 * np.arange(len(x))[:, None] + np.arange(6)])
     # x-u, y-v and K_{3,3} on {u,u2,u3} x {v,v2,v3} minus uv, as block columns
     template = [(0, 2), (1, 5), (2, 6), (2, 7), (3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7)]
-    # JSON lists, so a meta reloaded from the sidecar equals this one
-    gadgets = [[b[0], b[1], b[2:5], b[5:]] for b in blocks.tolist()]
-    meta = {"kind": "gadget", "base_n": H.n, "base_key": H.graph_key, "gadgets": gadgets}
+    meta = {"kind": "gadget", "base_n": H.n, "base_key": H.graph_key}
     return build_from_edges(H.n + 6 * len(x), blocks[:, template].reshape(-1, 2), meta=meta)
 
 

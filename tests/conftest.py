@@ -10,6 +10,14 @@ def fresh_oracle_tables():
     codes._oracle_table.cache_clear()
 
 
+def gadget_blocks(H):
+    """(x, y, x-side part, y-side part) of every gadget of ``gadget_expand(H)``,
+    by the construction rule: the block on H's k-th canonical edge xy is
+    u, u2, u3, v, v2, v3 = H.n + 6k + (0..5), with u joined to x and v to y."""
+    return [(x, y, [b, b + 1, b + 2], [b + 3, b + 4, b + 5])
+            for b, (x, y) in zip(range(H.n, H.n + 6 * H.m, 6), H.edges())]
+
+
 def triangle():
     return graphs.cycle_graph(3)
 

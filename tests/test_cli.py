@@ -9,6 +9,7 @@ from chromacode import colorings, fileio, graphs
 from chromacode.cli import _load_sweep_config, main
 from chromacode.colorings import coordinate_colorings, is_proper, make_coloring
 from chromacode.graphs import complete_graph, gadget_expand, tensor_power, two_lift
+from conftest import gadget_blocks, petersen
 
 
 EXPECTED = Path(__file__).parent / "expected"
@@ -565,6 +566,20 @@ class TestRegimeMap:
         assert '"q"' in capsys.readouterr().err
 
 
+def _edit_meta(sidecar, **changes):
+    payload = json.loads(sidecar.read_text())
+    payload["meta"].update(changes)
+    sidecar.write_text(json.dumps(payload))
+
+
+def _swapped_k4_table():
+    """The block table of gadget_expand(K4) as the sidecar once stored it, with
+    the x of blocks 0 and 3 swapped: a pack that trusted it kept an improper member."""
+    table = [[x, y, xpart, ypart] for x, y, xpart, ypart in gadget_blocks(complete_graph(4))]
+    table[0][0], table[3][0] = table[3][0], table[0][0]
+    return table
+
+
 class TestPinnedBytes:
     """Outputs pinned byte for byte; a change to them must be deliberate."""
 
@@ -589,6 +604,28 @@ class TestPinnedBytes:
         assert run(["pack", "--graph", graph, "--q", 3, "--delta", "1/2", "--sampler",
                     "gadget", "--budget", 200, "--target", 4, "--seed", 1, "--out", out]) == 0
         assert out.read_bytes() == (EXPECTED / "pack_gadget.json").read_bytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda sidecar: sidecar.write_text('{"meta": {"kind": "gadget"}}'),
+        lambda sidecar: sidecar.write_text(
+            json.dumps({"meta": {"kind": "gadget", "base_n": 4, "gadgets": [[0]]}})),
+        lambda sidecar: _edit_meta(sidecar, base_n=1000),
+        lambda sidecar: _edit_meta(sidecar, gadgets=_swapped_k4_table()),
+        lambda sidecar: sidecar.unlink(),
+    ], ids=["gadget-meta-without-table", "gadget-table-short-row", "gadget-base-n-too-large",
+            "gadget-table-swapped", "no-sidecar"])
+    def test_pack_gadget_reads_no_sidecar(self, tmp_path, edit):
+        # the sampler reads the blocks from the graph: a missing, short or
+        # stale sidecar packs the same proper members
+        graph, out = tmp_path / "g.graph", tmp_path / "code.json"
+        assert run(["construct", "gadget", "--base", "k4", "--out", graph]) == 0
+        edit(tmp_path / "g.graph.json")
+        assert run(["pack", "--graph", graph, "--q", 3, "--delta", "1/2", "--sampler",
+                    "gadget", "--budget", 200, "--target", 4, "--seed", 1, "--out", out]) == 0
+        assert out.read_bytes() == (EXPECTED / "pack_gadget.json").read_bytes()
+        G = gadget_expand(complete_graph(4))
+        assert all(is_proper(G, make_coloring(G, 3, row))[0]
+                   for row in json.loads(out.read_text())["members"])
 
     def test_pack_stopped_by_max_distance(self, tmp_path):
         graph, out = tmp_path / "g.graph", tmp_path / "code.json"
@@ -657,13 +694,6 @@ def _construct_tensor(N, q=3):
                              "--out", tmp_path / "t.graph"]
 
 
-def _tensor_lift_sweep(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"q": 3, "delta_grid": ["1/2"], "lambda_grid": ["9/10"],
-                               "families": [{"kind": "tensor-lift", "N": 10000}]}))
-    return ["regime-map", "--config", cfg, "--out", tmp_path / "map.csv"]
-
-
 def _verify_c4(*colorings_q, delta=None):
     """argv for `verify` on C4 of one coloring [0, 1, 0, 1] per q given."""
     def argv(tmp_path):
@@ -725,48 +755,58 @@ def _gadget_pack(tmp_path, q=3, delta="1/2") -> list:
     return ["pack", "--graph", path, "--q", q, "--delta", delta, "--sampler", "gadget"]
 
 
-def _gadget_meta_without_table(tmp_path):
-    argv = _gadget_pack(tmp_path)
-    (tmp_path / "g.graph.json").write_text('{"meta": {"kind": "gadget"}}')
-    return argv
-
-
 def _gadget_meta_not_object(tmp_path):
     argv = _gadget_pack(tmp_path)
     (tmp_path / "g.graph.json").write_text('{"meta": 5}')
     return argv
 
 
-def _gadget_table_short_row(tmp_path):
-    argv = _gadget_pack(tmp_path)
-    meta = {"kind": "gadget", "base_n": 4, "gadgets": [[0]]}
-    (tmp_path / "g.graph.json").write_text(json.dumps({"meta": meta}))
+def _gadget_ids_swapped(tmp_path):
+    # gadget_expand(K4) with u and u2 of the first block (ids 4 and 5) swapped:
+    # the same graph up to isomorphism, but not in the layout the sampler reads
+    swap = np.arange(40)
+    swap[[4, 5]] = [5, 4]
+    edges = np.column_stack(gadget_expand(complete_graph(4)).edge_arrays())
+    G = graphs.build_from_edges(40, swap[edges])
+    return _on_graph(G, "pack", "--q", 3, "--delta", "1/2", "--sampler", "gadget")(tmp_path)
+
+
+def _foreign_sidecar(tmp_path):
+    # C9(1,2) with the sidecar of K3^2, which has the same n and d
+    c9 = graphs.build_from_edges(9, [(i, (i + s) % 9) for s in (1, 2) for i in range(9)])
+    argv = _on_graph(c9, "spectrum")(tmp_path)
+    fileio.write_graph(str(tmp_path / "t.graph"), tensor_power(3, 2))
+    (tmp_path / "g.graph.json").write_bytes((tmp_path / "t.graph.json").read_bytes())
     return argv
 
 
-def _gadget_base_n_too_large(tmp_path):
-    argv = _gadget_pack(tmp_path)
-    sidecar = tmp_path / "g.graph.json"
-    payload = json.loads(sidecar.read_text())
-    payload["meta"]["base_n"] = 1000
-    sidecar.write_text(json.dumps(payload))
+def _graph_text(text):
+    def argv(tmp_path):
+        path = tmp_path / "g.graph"
+        path.write_text(text)
+        return ["spectrum", "--graph", path]
     return argv
 
 
-def _graph_above_int64(tmp_path):
-    path = tmp_path / "big.graph"
-    path.write_text("2 1\n0 99999999999999999999\n")
-    return ["spectrum", "--graph", path]
+def _k4_signing(edit):
+    """argv for `construct two-lift` of K4 by the all +1 signing file after ``edit``."""
+    def argv(tmp_path):
+        K4 = complete_graph(4)
+        base, spath = tmp_path / "k4.graph", tmp_path / "s.txt"
+        fileio.write_graph(str(base), K4)
+        fileio.write_signing(str(spath), K4, np.ones(K4.m, dtype=int))
+        spath.write_text(edit(spath.read_text()))
+        return ["construct", "two-lift", "--graph", base, "--signing", spath,
+                "--out", tmp_path / "lift.graph"]
+    return argv
 
 
-def _signing_above_int64(tmp_path):
-    K4 = complete_graph(4)
-    base, spath = tmp_path / "k4.graph", tmp_path / "s.txt"
-    fileio.write_graph(str(base), K4)
-    fileio.write_signing(str(spath), K4, np.ones(K4.m, dtype=int))
-    spath.write_text(spath.read_text() + "0 99999999999999999999 1\n")
-    return ["construct", "two-lift", "--graph", base, "--signing", spath,
-            "--out", tmp_path / "lift.graph"]
+def _sweep_config(**config):
+    def argv(tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q": 3, **config}))
+        return ["regime-map", "--config", cfg, "--out", tmp_path / "map.csv"]
+    return argv
 
 
 def _on_graph(G, command, *options):
@@ -806,13 +846,23 @@ class TestErrorContract:
          (_parts_0_2, "vertex 1 has part label 2, not 0 or 1"),
          (_resume_binary_out, "map.csv: 'utf-8' codec can't decode"),
          (_resume_without_out, "regime-map --resume needs --out"),
-         (_gadget_meta_without_table, "no gadget meta"),
          (lambda tmp_path: _gadget_pack(tmp_path, q=2), "gadget coloring needs q >= 3"),
          (_gadget_meta_not_object, 'g.graph.json: "meta" must be a JSON object, not int'),
-         (_gadget_table_short_row, "gadget table needs rows of 8 vertex ids in [0, n)"),
-         (_gadget_base_n_too_large, "gadget meta base_n=1000 is not a vertex count"),
-         (_graph_above_int64, "line 2: integer outside int64"),
-         (_signing_above_int64, "line 7: integer outside int64"),
+         (_on_graph(petersen(), "pack", "--q", 3, "--delta", "1/2", "--sampler", "gadget"),
+          "graph was not built by gadget_expand"),
+         (_gadget_ids_swapped, "graph was not built by gadget_expand"),
+         (_foreign_sidecar, f"describes graph '{tensor_power(3, 2).graph_key}', loaded graph"),
+         (_graph_text("\n\n"), "empty graph file"),
+         (_graph_text("4 3\n0 1\n1 2\n2 3\n0 3\n"), "header says d=3 but edges give d=2"),
+         (_k4_signing(lambda text: text.replace("0 1 +1", "0 1 2")),
+          "signing gives edge (0, 1) sign 2, not +1 or -1"),
+         (_k4_signing(lambda text: text.replace("2 3 +1\n", "")), "signing missing edge (2, 3)"),
+         (_sweep_config(families={"kind": "gadget"}),
+          'sweep config "families" must be a list of objects'),
+         (_sweep_config(delta_grid=["1/x"]), 'sweep config "delta_grid" holds a non-rational'),
+         (_graph_text("2 1\n0 99999999999999999999\n"), "line 2: integer outside int64"),
+         (_k4_signing(lambda text: text + "0 99999999999999999999 1\n"),
+          "line 7: integer outside int64"),
          (_biased_default_tau_d0, "default tau 1/(8 d^2) needs d >= 1"),
          (lambda tmp_path: _gadget_pack(tmp_path, delta="3/2"), "delta=3/2 outside [0, 1]"),
          (_exact_f_c5("-1/2"), "delta=-1/2 outside [0, 1]"),
@@ -838,7 +888,9 @@ class TestErrorContract:
          *[(_construct_tensor(N), f"q^N = 3^{N} exceeds cap 4096") for N in (10000, 30000000)],
          (_construct_tensor(2, q=64), "64^2 vertices of degree 3969 make 16257024 adjacency "
           f"entries, above the cap {graphs.TENSOR_WORK_CAP}"),
-         (_tensor_lift_sweep, "q^N = 3^10000 exceeds cap 4096"),
+         (_sweep_config(delta_grid=["1/2"], lambda_grid=["9/10"],
+                        families=[{"kind": "tensor-lift", "N": 10000}]),
+          "q^N = 3^10000 exceeds cap 4096"),
          (lambda tmp_path: ["construct", "complete", "--q", 20000, "--out", tmp_path / "k.graph"],
           "q^N = 20000^1 exceeds cap 4096"),
          *[(_huge_q_c5(command), "q=1000000 exceeds the distance cap 128")
@@ -848,8 +900,10 @@ class TestErrorContract:
         ids=["coloring-not-json", "coloring-list", "coloring-no-q", "coloring-float-q",
              "coloring-float-colors", "coloring-null-colors", "binary-graph",
              "sidecar-not-json", "parts-0-2-biased", "resume-binary-out", "resume-without-out",
-             "gadget-meta-without-table", "gadget-q2", "gadget-meta-not-object",
-             "gadget-table-short-row", "gadget-base-n-too-large", "graph-above-int64", "signing-above-int64",
+             "gadget-q2", "gadget-meta-not-object", "gadget-petersen", "gadget-ids-swapped",
+             "foreign-sidecar", "empty-graph-file", "header-d-mismatch", "signing-sign-2",
+             "signing-missing-edge", "sweep-families-not-list", "sweep-grid-non-rational",
+             "graph-above-int64", "signing-above-int64",
              "biased-default-tau-d0", "pack-delta-above-1", "exact-f-delta-below-0",
              "exact-f-delta-above-1", "verify-delta-above-1", "verify-one-delta-below-0",
              "verify-mixed-q", "exact-f-c6-q-1", "exact-f-c6-q0", "exact-f-c6-q1",

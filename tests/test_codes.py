@@ -203,6 +203,27 @@ class TestGreedyPack:
                         target=1, budget=100, seed=0)
         assert len(C) == 1 and "max_distance" not in C.provenance
 
+    def test_stream_that_runs_out_is_not_the_budget(self):
+        # C5 has 30 proper 3-colorings: the stream ends before 100 draws
+        G = cycle_graph(5)
+        C = greedy_pack(G, codes.SAMPLERS["enumerated"](G, 3), Fraction(1, 5),
+                        target=64, budget=100, seed=0)
+        assert len(C) < 64 and C.provenance["draws_used"] == 30
+        assert not C.provenance["budget_exhausted"]
+        # the README sweep's layered-pair pack at delta = 1/4: both of its
+        # two colorings are kept, far short of the target of 8 and the 400 draws
+        fam = SweepFamily("layered-pair", {"d": 25, "m": 500})
+        G, sampler = fam.build(3, (7, 0))
+        C = greedy_pack(G, sampler, Fraction(1, 4), target=8, budget=400, seed=(7, 0))
+        assert (len(C), C.provenance["draws_used"]) == (2, 2)
+        assert not C.provenance["budget_exhausted"]
+
+    def test_budget_that_ends_the_pack(self):
+        G = cycle_graph(5)
+        C = greedy_pack(G, codes.SAMPLERS["enumerated"](G, 3), Fraction(1, 5),
+                        target=64, budget=10, seed=0)
+        assert C.provenance["draws_used"] == 10 and C.provenance["budget_exhausted"]
+
     def test_target_one(self):
         G = gadget_expand(complete_graph(4))
         sampler = lambda s: col.sample_gadget_coloring(G, 3, s)

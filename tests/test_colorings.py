@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromacode import graphs
+from chromacode import colorings, graphs
 from chromacode.colorings import (
     Coloring,
     _assignment_max,
@@ -31,6 +32,7 @@ from chromacode.graphs import (
     tensor_power,
     two_lift,
 )
+from conftest import gadget_blocks
 
 
 def chromatic_polynomial_cycle(n, q):
@@ -58,11 +60,11 @@ def biased_reference(G, q, tau, seed):
     return colors
 
 
-def gadget_reference(G, q, seed):
+def gadget_reference(H, q, seed):
+    """The colors of a draw on gadget_expand(H), block by block."""
     rng = np.random.default_rng(seed)
-    base_n = G.meta["base_n"]
-    colors = rng.integers(0, q, size=base_n).tolist() + [None] * (G.n - base_n)
-    for x, y, xpart, ypart in G.meta["gadgets"]:
+    colors = rng.integers(0, q, size=H.n).tolist() + [None] * (9 * H.n)
+    for x, y, xpart, ypart in gadget_blocks(H):
         i, j = colors[x], colors[y]
         cx, cy = ((i + 1) % q, (i + 2) % q) if i == j else (j, i)
         for a in xpart:
@@ -128,6 +130,13 @@ class TestColoringValues:
     def test_integers_beyond_int64_out_of_range(self, colors):
         with pytest.raises(OutOfRange, match="color out of range"):
             Coloring(3, colors, "g")
+
+    def test_hash_follows_equality(self):
+        a, b = Coloring(3, [0, 1, 2], "g"), Coloring(3, np.array([0, 1, 2]), "g")
+        assert a == b and hash(a) == hash(b)
+        others = [Coloring(4, [0, 1, 2], "g"), Coloring(3, [0, 1, 2], "h"),
+                  Coloring(3, [0, 2, 1], "g")]
+        assert len({a, b, *others}) == 4
 
 
 class TestIsProper:
@@ -355,12 +364,13 @@ class TestGadgetSampler:
 
     def test_rule_application(self):
         # reconstruct the rule from the output on both branches
-        G = gadget_expand(complete_graph(4))
+        H = complete_graph(4)
+        G = gadget_expand(H)
         q = 4
         seen_equal = seen_diff = False
         for seed in range(60):
             X = sample_gadget_coloring(G, q, seed)
-            for x, y, xpart, ypart in G.meta["gadgets"]:
+            for x, y, xpart, ypart in gadget_blocks(H):
                 i, j = X.colors[x], X.colors[y]
                 cx = {X.colors[a] for a in xpart}
                 cy = {X.colors[b] for b in ypart}
@@ -374,15 +384,29 @@ class TestGadgetSampler:
         assert seen_equal and seen_diff
 
     def test_requires_meta(self):
-        with pytest.raises(PreconditionFail, match="no gadget meta"):
-            sample_gadget_coloring(complete_graph(4), 3, 0)
+        # the gadget layout is read from the graph, so no meta can stand in for it
+        K4 = replace(complete_graph(4), meta=gadget_expand(complete_graph(4)).meta)
+        for G in (complete_graph(4), K4):
+            with pytest.raises(PreconditionFail, match="not built by gadget_expand"):
+                sample_gadget_coloring(G, 3, 0)
 
     def test_matches_loop_reference(self):
-        G = gadget_expand(random_regular_bipartite(8, 3, seed=3))
+        H = random_regular_bipartite(8, 3, seed=3)
+        G = gadget_expand(H)
         for q in (3, 4, 5):
             for seed in range(40):
                 X = sample_gadget_coloring(G, q, (q, seed))
-                assert X.colors.tolist() == gadget_reference(G, q, (q, seed))
+                assert X.colors.tolist() == gadget_reference(H, q, (q, seed))
+
+    def test_one_expansion_per_graph(self, monkeypatch):
+        G = gadget_expand(random_regular_bipartite(8, 3, seed=3))
+        calls = []
+        expand = graphs.gadget_expand
+        monkeypatch.setattr(graphs, "gadget_expand", lambda H: calls.append(H) or expand(H))
+        colorings._gadget_base.cache_clear()
+        for seed in range(50):
+            sample_gadget_coloring(G, 3, seed)
+        assert len(calls) == 1
 
     def test_deterministic(self):
         G = gadget_expand(complete_graph(4))

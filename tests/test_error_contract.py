@@ -1,8 +1,17 @@
 """The error contract, read from the source: every raise names one of the
 seven kinds in ``chromacode.errors``, each kind is raised somewhere, and the
-CLI turns exactly those (plus OSError) into exit 2."""
+CLI turns exactly those (plus OSError) into exit 2. Then the library's
+refusals that no command reaches, each run once with its kind and message."""
 import ast
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from chromacode import codes, colorings, graphs, regimes, spectral
+from chromacode.assignment import min_cost_assignment
+from chromacode.colorings import Coloring
+from chromacode.errors import BindingMismatch, OutOfRange, PreconditionFail
 
 SRC = Path(__file__).parent.parent / "src" / "chromacode"
 # (module, exception) pairs allowed besides the package's own kinds
@@ -75,3 +84,47 @@ def test_cli_catches_exactly_the_kinds_and_oserror():
     names = [ast.unparse(e) for e in (caught.elts if isinstance(caught, ast.Tuple) else [caught])]
     assert sorted(names) == ["ChromaError", "OSError"]
 
+
+
+C5, C6 = graphs.cycle_graph(5), graphs.cycle_graph(6)
+EDGELESS = graphs.build_from_edges(2, [])  # d = 0
+RB = graphs.random_regular_bipartite(4, 2, seed=1)
+
+
+@pytest.mark.parametrize(
+    "call,kind,named",
+    [(lambda: codes.greedy_pack(C5, lambda s: colorings.enumerate_proper(C6, 3)[0],
+                                Fraction(1, 2), 2, 5, 0),
+      BindingMismatch, "sampler returned a coloring of a different graph"),
+     (lambda: Coloring(1, [0, 0], "g"), OutOfRange, "need q >= 2"),
+     (lambda: Coloring(3, [[0, 1], [1, 0]], "g"), PreconditionFail,
+      "colors must be a flat sequence"),
+     (lambda: colorings.make_coloring(C5, 3, [0, 1]), BindingMismatch,
+      "2 colors for a graph on 5 vertices"),
+     (lambda: colorings.distance(colorings.make_coloring(C5, 3, [0, 1, 0, 1, 2]),
+                                 colorings.make_coloring(C6, 3, [0, 1] * 3)),
+      BindingMismatch, "colorings are bound to different graphs"),
+     (lambda: colorings.sample_bipartite_biased(RB, 2, 0.5, 0), OutOfRange,
+      "biased sampler needs q >= 3"),
+     (lambda: colorings.layered_bipartite_pair(RB, 2), OutOfRange, "layered pair needs q >= 3"),
+     (lambda: colorings.layered_bipartite_pair(C6, 3), PreconditionFail,
+      "layered pair needs part labels"),
+     (lambda: colorings.coordinate_colorings(3, 2, graphs.complete_graph(9)), BindingMismatch,
+      r"graph is not tensor_power\(q, N\)"),
+     (lambda: regimes.unique_regime_certificate(2, Fraction(1, 2), Fraction(1, 2)), OutOfRange,
+      "certificate needs q >= 3"),
+     (lambda: spectral.normalized_adjacency(EDGELESS), PreconditionFail,
+      "0-regular graph has no normalized adjacency"),
+     (lambda: spectral.rayleigh_quotient(EDGELESS, [1, -1]), PreconditionFail,
+      "Rayleigh quotient undefined for 0-regular graphs"),
+     (lambda: spectral.rayleigh_quotient(C5, [1, -1]), BindingMismatch,
+      r"vector length \(2,\) does not match n=5"),
+     (lambda: min_cost_assignment([[1, 2], [3]]), PreconditionFail, "cost matrix must be square")],
+    ids=["pack-foreign-coloring", "coloring-q1", "coloring-2d", "make-coloring-length",
+         "distance-two-graphs", "biased-q2", "layered-q2", "layered-no-parts",
+         "coordinate-not-tensor", "certificate-q2", "normalized-adjacency-d0",
+         "rayleigh-d0", "rayleigh-length", "assignment-not-square"],
+)
+def test_library_refusal(call, kind, named):
+    with pytest.raises(kind, match=named):
+        call()

@@ -6,8 +6,10 @@ import pytest
 
 from chromacode import codes, fileio
 from chromacode.colorings import make_coloring, sample_bipartite_biased, sample_gadget_coloring
-from chromacode.errors import OutOfRange, PreconditionFail
-from chromacode.graphs import gadget_expand, random_regular_bipartite
+from chromacode.errors import BindingMismatch, OutOfRange
+from chromacode.graphs import (
+    build_from_edges, gadget_expand, random_regular_bipartite, tensor_power,
+)
 
 
 class TestRoundTrip:
@@ -17,11 +19,31 @@ class TestRoundTrip:
         fileio.write_graph(path, G, sidecar={"construct": "gadget"})
         H = fileio.read_graph(path)
         assert H == G and H.graph_key == G.graph_key
-        assert H.part_labels is None and H.meta["gadgets"] == G.meta["gadgets"]
+        assert H.part_labels is None and H.meta == G.meta
+        # the sampler reads the graph, not the sidecar: without it the draws are the same
+        bare = fileio.graph_from_text((tmp_path / "g.graph").read_text())
         for seed in range(5):
-            assert sample_gadget_coloring(H, 3, seed) == sample_gadget_coloring(G, 3, seed)
-        with pytest.raises(PreconditionFail, match="no gadget meta"):
-            sample_gadget_coloring(fileio.graph_from_text((tmp_path / "g.graph").read_text()), 3, 0)
+            want = sample_gadget_coloring(G, 3, seed)
+            assert sample_gadget_coloring(H, 3, seed) == want
+            assert sample_gadget_coloring(bare, 3, seed) == want
+
+    def test_foreign_sidecar_refused(self, tmp_path):
+        # C9(1,2) has the n and d of K3^2, whose meta would let it pass for a
+        # tensor power; the coordinate colorings of K3^2 are not proper on it
+        C9 = build_from_edges(9, [(i, (i + s) % 9) for s in (1, 2) for i in range(9)])
+        K = tensor_power(3, 2)
+        fileio.write_graph(str(tmp_path / "k.graph"), K)
+        path = str(tmp_path / "c9.graph")
+        fileio.write_graph(path, C9)
+        sidecar = tmp_path / "c9.graph.json"
+        sidecar.write_bytes((tmp_path / "k.graph.json").read_bytes())
+        named = f"describes graph '{K.graph_key}', loaded graph is {C9.graph_key}"
+        with pytest.raises(BindingMismatch, match=named):
+            fileio.read_graph(path)
+        # a sidecar written by hand, without a graph key, still loads
+        sidecar.write_text(json.dumps({"meta": K.meta}))
+        H = fileio.read_graph(path)
+        assert H == C9 and H.meta == {"kind": "tensor", "q": 3, "N": 2}
 
     def test_bipartite_graph_keeps_parts(self, tmp_path):
         G = random_regular_bipartite(6, 2, seed=3)

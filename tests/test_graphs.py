@@ -17,6 +17,7 @@ from chromacode.graphs import (
     tensor_power,
     two_lift,
 )
+from conftest import gadget_blocks
 
 
 class TestBuildFromEdges:
@@ -154,9 +155,14 @@ class TestConstructors:
 
 class TestGadget:
     def test_k4_blowup(self):
-        G = gadget_expand(complete_graph(4))
+        H = complete_graph(4)
+        G = gadget_expand(H)
         assert (G.n, G.d, G.m) == (40, 3, 60)
-        assert G.meta["base_n"] == 4 and len(G.meta["gadgets"]) == 6
+        assert G.meta == {"kind": "gadget", "base_n": 4, "base_key": H.graph_key}
+        # one block per edge of K4, whose parts tile the vertices after the base
+        blocks = gadget_blocks(H)
+        assert len(blocks) == 6
+        assert sorted(v for _, _, a, b in blocks for v in a + b) == list(range(H.n, G.n))
 
     def test_k33_blowup(self, fixture_graphs):
         G = gadget_expand(fixture_graphs["K33"])
@@ -168,12 +174,13 @@ class TestGadget:
 
     def test_gadget_wiring(self):
         # u attaches to x, v to y, uv is the deleted edge, all other cross pairs present
-        G = gadget_expand(complete_graph(4))
+        H = complete_graph(4)
+        G = gadget_expand(H)
 
         def has_edge(a, b):
             return b in G.adjacency[a]
 
-        for x, y, xpart, ypart in G.meta["gadgets"]:
+        for x, y, xpart, ypart in gadget_blocks(H):
             u, v = xpart[0], ypart[0]
             assert has_edge(x, u) and has_edge(y, v)
             assert not has_edge(x, y)

@@ -30,6 +30,7 @@ from chromacode.graphs import (
     tensor_power,
     two_lift,
 )
+from conftest import gadget_blocks
 
 
 # -- random_regular_bipartite: the dict/set augmenting-path repair -------------
@@ -179,22 +180,17 @@ def reference_tensor_power(q, N):
 
 
 def reference_gadget_expand(H):
-    base_edges = H.edges()
-    n = H.n + 6 * len(base_edges)
     edges = []
-    gadgets = []
-    for k, (x, y) in enumerate(base_edges):
-        b = H.n + 6 * k
-        u, u2, u3, v, v2, v3 = range(b, b + 6)
+    for x, y, xpart, ypart in gadget_blocks(H):
+        u, v = xpart[0], ypart[0]
         edges.append((x, u))
         edges.append((y, v))
-        for a in (u, u2, u3):
-            for c in (v, v2, v3):
+        for a in xpart:
+            for c in ypart:
                 if (a, c) != (u, v):
                     edges.append((a, c))
-        gadgets.append([x, y, [u, u2, u3], [v, v2, v3]])
-    meta = {"kind": "gadget", "base_n": H.n, "base_key": H.graph_key, "gadgets": gadgets}
-    return build_from_edges(n, edges, meta=meta)
+    meta = {"kind": "gadget", "base_n": H.n, "base_key": H.graph_key}
+    return build_from_edges(10 * H.n, edges, meta=meta)
 
 
 def assert_same_graph(G, R):
