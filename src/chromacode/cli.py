@@ -79,6 +79,8 @@ def cmd_construct(args) -> int:
             _require(args, "half"), _require(args, "d"), seed=seed
         )
     elif kind == "two-lift":
+        if args.signing and args.search:
+            raise ChromaError("construct two-lift takes --signing or --search, not both")
         base = fileio.read_graph(_require(args, "graph"))
         if args.signing:
             signs = fileio.read_signing(args.signing, base)
@@ -90,6 +92,8 @@ def cmd_construct(args) -> int:
             signs = np.ones(base.m, dtype=np.int64)
         G = graphs.two_lift(base, signs)
     sidecar = {"construct": kind, "seed": seed}
+    if kind in ("gadget", "two-lift"):
+        sidecar["base_key"] = base.graph_key
     if args.with_spectrum:
         sidecar["lambda2"] = spectral.lambda2(G)
     if args.out:

@@ -174,7 +174,7 @@ def greedy_pack(
     prov = dict(provenance or {})
     prov.update(
         {
-            "seed": graphs._seed_repr(seed),
+            "seed": repr(tuple(seed)) if isinstance(seed, (tuple, list)) else repr(seed),
             "budget": budget,
             "draws_used": draws,
             "budget_exhausted": draws == budget and len(kept) < target and bound is None,

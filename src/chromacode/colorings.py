@@ -281,20 +281,31 @@ def layered_bipartite_pair(G: RegularGraph, q: int) -> tuple[Coloring, Coloring]
 
 
 def coordinate_colorings(q: int, N: int, G: RegularGraph) -> list[Coloring]:
-    """The N coordinate colorings X_i(a_1..a_N) = a_i of G = tensor_power(q, N)."""
-    meta = G.meta or {}
-    if meta.get("kind") != "tensor" or meta.get("q") != q or meta.get("N") != N:
+    """The N coordinate colorings X_i(a_1..a_N) = a_i of G = tensor_power(q, N).
+
+    G is compared with ``tensor_power(q, N)`` itself (its n and d first, so a
+    graph of another size is refused before that power is built); any other
+    graph raises BindingMismatch, since the colorings need not be proper on it.
+    """
+    if (G.n, G.d) != (q**N, (q - 1) ** N) or G != graphs.tensor_power(q, N):
         raise BindingMismatch("graph is not tensor_power(q, N)")
     vertices = np.arange(G.n)
     return [Coloring(q, (vertices // q ** (N - 1 - i)) % q, G.graph_key) for i in range(N)]
 
 
 def lift_coloring(X: Coloring, lifted: RegularGraph) -> Coloring:
-    """Pull a coloring through a 2-lift: both copies of v inherit X(v)."""
-    meta = lifted.meta or {}
-    if meta.get("kind") != "two_lift" or meta.get("base_key") != X.graph_key:
+    """Pull a coloring through a 2-lift: v and v + n both take X(v).
+
+    For a proper X this is proper on every 2-lift of X's graph (a lifted
+    edge joins copies of the two ends of a base edge), and its distance to
+    another pulled coloring is twice the base distance whatever the graph is.
+    ``lifted`` is checked, not trusted: it must have 2n vertices and the
+    pulled coloring must be proper on it, else BindingMismatch.
+    """
+    Y = Coloring(X.q, np.tile(X.colors, 2), lifted.graph_key)
+    if lifted.n != 2 * X.n or not is_proper(lifted, Y)[0]:
         raise BindingMismatch("graph is not a 2-lift of the coloring's graph")
-    return Coloring(X.q, np.concatenate([X.colors, X.colors]), lifted.graph_key)
+    return Y
 
 
 def _check_enumerable(G: RegularGraph, q: int) -> None:

@@ -3,11 +3,10 @@ written, and for code sets, only written (the payload of ``pack``).
 
 Graph format: line 1 "n d", optional line 2 "parts: 0 1 0 ...", then one
 "u v" edge per line, 0-indexed with u < v. A JSON sidecar "<path>.json"
-written next to a graph carries its graph key and construction provenance
-(the kind, tensor parameters, base graph key, ...); ``read_graph`` restores
-it as ``meta`` and refuses a sidecar keyed to another graph. No sampler
-reads it. The constructions store only JSON types there, so a reloaded meta
-equals the built one.
+written next to a graph carries its graph key, n, d and the caller's
+provenance (for ``construct``: the kind, seed and base graph key). Nothing is
+restored from it: ``read_graph`` only refuses a sidecar keyed to another
+graph.
 
 Signing format: one "u v s" line per edge of the graph, u < v and s = +1 or
 -1, each edge once. In memory a signing is the sign vector in the canonical
@@ -73,7 +72,7 @@ def _ints(line: str, lineno: int, count: int | None = None, start: int = 0) -> l
     return values
 
 
-def graph_from_text(text: str, meta: Mapping | None = None) -> RegularGraph:
+def graph_from_text(text: str) -> RegularGraph:
     lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise MalformedFile("empty graph file")
@@ -84,36 +83,30 @@ def graph_from_text(text: str, meta: Mapping | None = None) -> RegularGraph:
         (no, ln), *rest = rest
         parts = _ints(ln, no, start=len("parts:"))
     edges = [_ints(ln, no, 2) for no, ln in rest]
-    G = graphs.build_from_edges(n, edges, part_labels=parts, meta=meta)
+    G = graphs.build_from_edges(n, edges, part_labels=parts)
     if G.d != d:
         raise MalformedFile(f"header says d={d} but edges give d={G.d}")
     return G
 
 
 def write_graph(path: str, G: RegularGraph, sidecar: Mapping | None = None) -> None:
-    """Write the graph file plus a JSON sidecar with provenance."""
+    """Write the graph file plus a JSON sidecar: ``sidecar``'s provenance and
+    the graph's own graph_key, n and d, which no sidecar entry overrides."""
     with open(path, "w") as fh:
         fh.write(graph_to_text(G))
-    payload = {"graph_key": G.graph_key, "n": G.n, "d": G.d}
-    if G.meta is not None:
-        payload["meta"] = G.meta
-    if sidecar:
-        payload.update(sidecar)
+    payload = {**(sidecar or {}), "graph_key": G.graph_key, "n": G.n, "d": G.d}
     with open(path + ".json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def read_graph(path: str) -> RegularGraph:
-    """Read a graph file and restore ``meta`` from its sidecar, if there is one.
-    A sidecar whose "graph_key" names another graph raises BindingMismatch."""
+    """Read a graph file. Its sidecar, if there is one, is read only to
+    refuse it: a "graph_key" naming another graph raises BindingMismatch."""
     text = read_input(path)
     sidecar = path + ".json"
     payload = read_input(sidecar, as_json=True) if os.path.exists(sidecar) else {}
-    meta = payload.get("meta")
-    if meta is not None and not isinstance(meta, dict):
-        raise MalformedFile(f'{sidecar}: "meta" must be a JSON object, not {type(meta).__name__}')
-    G = graph_from_text(text, meta=meta)
+    G = graph_from_text(text)
     key = payload.get("graph_key")
     if key is not None and key != G.graph_key:
         raise BindingMismatch(f"{sidecar} describes graph {key!r}, loaded graph is {G.graph_key}")

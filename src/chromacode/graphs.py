@@ -3,17 +3,17 @@
 Graphs are immutable once built: vertex count n, uniform degree d, and the
 (n, d) int64 array of neighbors with each row sorted, read-only like the
 optional array of part labels. Bipartite constructions carry part labels
-(every edge must cross), and composite constructions (edge gadgets, tensor
-powers, 2-lifts) record their kind and parameters in ``meta``, not a second
-copy of the structure.
+(every edge must cross). A graph is only this content: what a construction
+was built from is not kept, and code that needs a structure (a tensor power,
+a gadget expansion, a 2-lift) checks it against the adjacency.
 """
 from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,16 +41,13 @@ class RegularGraph:
     """Simple d-regular graph: ``adjacency`` is the (n, d) neighbor array, rows sorted.
 
     ``part_labels`` tags a bipartition when the graph was built bipartite.
-    ``meta`` holds construction provenance (read-only by convention); it is
-    not part of identity: equality and ``graph_key`` cover only n, d, edges
-    and parts.
+    Equality and ``graph_key`` cover these four fields and nothing else.
     """
 
     n: int
     d: int
     adjacency: np.ndarray = field(repr=False)
     part_labels: np.ndarray | None = field(default=None, repr=False)
-    meta: Mapping | None = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "adjacency", _frozen(self.adjacency, (self.n, self.d)))
@@ -125,10 +122,7 @@ class VertexSubsetMeasures:
 
 
 def build_from_edges(
-    n: int,
-    edges: Iterable[Sequence[int]],
-    part_labels: Sequence[int] | None = None,
-    meta: Mapping | None = None,
+    n: int, edges: Iterable[Sequence[int]], part_labels: Sequence[int] | None = None
 ) -> RegularGraph:
     """Validate an edge list and return the graph; degree is inferred.
 
@@ -184,20 +178,14 @@ def build_from_edges(
             )
     others = np.concatenate([v, u])
     by_vertex = np.lexsort((others, ends))
-    return RegularGraph(
-        n=n,
-        d=int(degree[0]),
-        adjacency=others[by_vertex],
-        part_labels=labels,
-        meta=meta,
-    )
+    return RegularGraph(n, int(degree[0]), others[by_vertex], labels)
 
 
 def complete_graph(q: int) -> RegularGraph:
     """K_q, (q-1)-regular: ``tensor_power(q, 1)``, under its caps (q <= 1024)."""
     if q < 2:
         raise OutOfRange("complete graph needs q >= 2")
-    return replace(tensor_power(q, 1), meta={"kind": "complete", "q": q})
+    return tensor_power(q, 1)
 
 
 def cycle_graph(n: int) -> RegularGraph:
@@ -205,9 +193,7 @@ def cycle_graph(n: int) -> RegularGraph:
     if n < 1:
         raise OutOfRange("cycle needs n >= 1")
     u = np.arange(n)
-    return build_from_edges(
-        n, np.column_stack([u, (u + 1) % n]), meta={"kind": "cycle", "n": n}
-    )
+    return build_from_edges(n, np.column_stack([u, (u + 1) % n]))
 
 
 def tensor_power(q: int, N: int) -> RegularGraph:
@@ -238,9 +224,7 @@ def tensor_power(q: int, N: int) -> RegularGraph:
     offsets = np.arange((q - 1) ** N)[:, None] // (q - 1) ** place % (q - 1) + 1
     nbrs = (digits[:, None, :] + offsets) % q @ q**place  # (n, (q-1)^N)
     u, j = np.nonzero(nbrs > np.arange(n)[:, None])
-    return build_from_edges(
-        n, np.column_stack([u, nbrs[u, j]]), meta={"kind": "tensor", "q": q, "N": N}
-    )
+    return build_from_edges(n, np.column_stack([u, nbrs[u, j]]))
 
 
 def gadget_expand(H: RegularGraph) -> RegularGraph:
@@ -258,8 +242,7 @@ def gadget_expand(H: RegularGraph) -> RegularGraph:
     blocks = np.column_stack([x, y, H.n + 6 * np.arange(len(x))[:, None] + np.arange(6)])
     # x-u, y-v and K_{3,3} on {u,u2,u3} x {v,v2,v3} minus uv, as block columns
     template = [(0, 2), (1, 5), (2, 6), (2, 7), (3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7)]
-    meta = {"kind": "gadget", "base_n": H.n, "base_key": H.graph_key}
-    return build_from_edges(H.n + 6 * len(x), blocks[:, template].reshape(-1, 2), meta=meta)
+    return build_from_edges(H.n + 6 * len(x), blocks[:, template].reshape(-1, 2))
 
 
 def random_regular_bipartite(half: int, d: int, seed) -> RegularGraph:
@@ -301,10 +284,7 @@ def random_regular_bipartite(half: int, d: int, seed) -> RegularGraph:
     if (adj[:, 1:] == adj[:, :-1]).any():
         raise PreconditionFail("two permutations map one position to the same value")
     adj[:half] += half
-    return RegularGraph(
-        2 * half, d, adj, np.repeat([0, 1], half),
-        {"kind": "random_bipartite", "half": half, "d": d, "seed": _seed_repr(seed)},
-    )
+    return RegularGraph(2 * half, d, adj, np.repeat([0, 1], half))
 
 
 def _complete_permutation(
@@ -364,10 +344,6 @@ def _complete_permutation(
     return assignment
 
 
-def _seed_repr(seed) -> str:
-    return repr(tuple(seed)) if isinstance(seed, (tuple, list)) else repr(seed)
-
-
 def two_lift(G: RegularGraph, signs) -> RegularGraph:
     """2-lift of G under ``signs``, one +1 or -1 per edge of G in canonical
     edge order (the order of ``edge_arrays``): v splits into v and v+n.
@@ -385,8 +361,7 @@ def two_lift(G: RegularGraph, signs) -> RegularGraph:
     labels = None
     if G.part_labels is not None:
         labels = np.tile(G.part_labels, 2)
-    meta = {"kind": "two_lift", "base_key": G.graph_key, "base_n": n}
-    return build_from_edges(2 * n, edges, part_labels=labels, meta=meta)
+    return build_from_edges(2 * n, edges, part_labels=labels)
 
 
 def search_low_lambda_signing(

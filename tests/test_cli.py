@@ -40,11 +40,7 @@ def tensor_file(tmp_path):
 
 class TestConstruct:
     def test_tensor_roundtrip(self, tensor_file):
-        G = fileio.read_graph(tensor_file)
-        T = tensor_power(3, 2)
-        assert G.adjacency.tolist() == T.adjacency.tolist()
-        assert G.graph_key == T.graph_key
-        assert G.meta["kind"] == "tensor"  # restored from the sidecar
+        assert fileio.read_graph(tensor_file) == tensor_power(3, 2)
 
     def test_gadget_base_k4(self, tmp_path):
         out = tmp_path / "g.graph"
@@ -84,7 +80,29 @@ class TestConstruct:
         fileio.write_graph(str(base), fixture_graphs["petersen"])
         assert run(["construct", "gadget", "--base", base, "--out", out]) == 0
         G, want = fileio.read_graph(str(out)), gadget_expand(fixture_graphs["petersen"])
-        assert G == want and G.meta == want.meta
+        assert G == want
+
+    @pytest.mark.parametrize("kind,options,build,base", [
+        ("complete", ["--q", 4], lambda: complete_graph(4), None),
+        ("cycle", ["--n", 7], lambda: graphs.cycle_graph(7), None),
+        ("tensor", ["--q", 3, "--N", 2], lambda: tensor_power(3, 2), None),
+        ("gadget", ["--base", "k4"], lambda: gadget_expand(complete_graph(4)), complete_graph(4)),
+        ("random-bipartite", ["--half", 10, "--d", 3],
+         lambda: graphs.random_regular_bipartite(10, 3, seed=2), None),
+        ("two-lift", ["--graph", "BASE"],
+         lambda: two_lift(tensor_power(3, 2), np.ones(18, dtype=int)), tensor_power(3, 2)),
+    ], ids=["complete", "cycle", "tensor", "gadget", "random-bipartite", "two-lift"])
+    def test_sidecar_content(self, tmp_path, tensor_file, kind, options, build, base):
+        out = tmp_path / "g.graph"
+        options = [tensor_file if o == "BASE" else o for o in options]
+        assert run(["construct", kind, *options, "--seed", 2, "--out", out]) == 0
+        G = build()
+        sidecar = json.loads((tmp_path / "g.graph.json").read_text())
+        want = {"graph_key": G.graph_key, "n": G.n, "d": G.d, "construct": kind, "seed": 2}
+        if base is not None:
+            want["base_key"] = base.graph_key
+        assert sidecar == want  # no "meta"
+        assert fileio.read_graph(str(out)) == G
 
     def test_two_lift_signing_file_and_all_plus_default(self, tmp_path, tensor_file):
         base = fileio.read_graph(tensor_file)
@@ -568,7 +586,7 @@ class TestRegimeMap:
 
 def _edit_meta(sidecar, **changes):
     payload = json.loads(sidecar.read_text())
-    payload["meta"].update(changes)
+    payload.setdefault("meta", {}).update(changes)
     sidecar.write_text(json.dumps(payload))
 
 
@@ -611,12 +629,14 @@ class TestPinnedBytes:
             json.dumps({"meta": {"kind": "gadget", "base_n": 4, "gadgets": [[0]]}})),
         lambda sidecar: _edit_meta(sidecar, base_n=1000),
         lambda sidecar: _edit_meta(sidecar, gadgets=_swapped_k4_table()),
+        lambda sidecar: sidecar.write_text('{"meta": 5}'),
         lambda sidecar: sidecar.unlink(),
     ], ids=["gadget-meta-without-table", "gadget-table-short-row", "gadget-base-n-too-large",
-            "gadget-table-swapped", "no-sidecar"])
+            "gadget-table-swapped", "gadget-meta-not-object", "no-sidecar"])
     def test_pack_gadget_reads_no_sidecar(self, tmp_path, edit):
-        # the sampler reads the blocks from the graph: a missing, short or
-        # stale sidecar packs the same proper members
+        # the sampler reads the blocks from the graph and nothing is restored
+        # from the sidecar: a missing, short, stale or malformed one packs the
+        # same proper members
         graph, out = tmp_path / "g.graph", tmp_path / "code.json"
         assert run(["construct", "gadget", "--base", "k4", "--out", graph]) == 0
         edit(tmp_path / "g.graph.json")
@@ -755,12 +775,6 @@ def _gadget_pack(tmp_path, q=3, delta="1/2") -> list:
     return ["pack", "--graph", path, "--q", q, "--delta", delta, "--sampler", "gadget"]
 
 
-def _gadget_meta_not_object(tmp_path):
-    argv = _gadget_pack(tmp_path)
-    (tmp_path / "g.graph.json").write_text('{"meta": 5}')
-    return argv
-
-
 def _gadget_ids_swapped(tmp_path):
     # gadget_expand(K4) with u and u2 of the first block (ids 4 and 5) swapped:
     # the same graph up to isomorphism, but not in the layout the sampler reads
@@ -847,7 +861,6 @@ class TestErrorContract:
          (_resume_binary_out, "map.csv: 'utf-8' codec can't decode"),
          (_resume_without_out, "regime-map --resume needs --out"),
          (lambda tmp_path: _gadget_pack(tmp_path, q=2), "gadget coloring needs q >= 3"),
-         (_gadget_meta_not_object, 'g.graph.json: "meta" must be a JSON object, not int'),
          (_on_graph(petersen(), "pack", "--q", 3, "--delta", "1/2", "--sampler", "gadget"),
           "graph was not built by gadget_expand"),
          (_gadget_ids_swapped, "graph was not built by gadget_expand"),
@@ -857,6 +870,8 @@ class TestErrorContract:
          (_k4_signing(lambda text: text.replace("0 1 +1", "0 1 2")),
           "signing gives edge (0, 1) sign 2, not +1 or -1"),
          (_k4_signing(lambda text: text.replace("2 3 +1\n", "")), "signing missing edge (2, 3)"),
+         (lambda tmp_path: [*_k4_signing(lambda text: text)(tmp_path), "--search"],
+          "construct two-lift takes --signing or --search, not both"),
          (_sweep_config(families={"kind": "gadget"}),
           'sweep config "families" must be a list of objects'),
          (_sweep_config(delta_grid=["1/x"]), 'sweep config "delta_grid" holds a non-rational'),
@@ -900,9 +915,10 @@ class TestErrorContract:
         ids=["coloring-not-json", "coloring-list", "coloring-no-q", "coloring-float-q",
              "coloring-float-colors", "coloring-null-colors", "binary-graph",
              "sidecar-not-json", "parts-0-2-biased", "resume-binary-out", "resume-without-out",
-             "gadget-q2", "gadget-meta-not-object", "gadget-petersen", "gadget-ids-swapped",
+             "gadget-q2", "gadget-petersen", "gadget-ids-swapped",
              "foreign-sidecar", "empty-graph-file", "header-d-mismatch", "signing-sign-2",
-             "signing-missing-edge", "sweep-families-not-list", "sweep-grid-non-rational",
+             "signing-missing-edge", "two-lift-signing-and-search", "sweep-families-not-list",
+             "sweep-grid-non-rational",
              "graph-above-int64", "signing-above-int64",
              "biased-default-tau-d0", "pack-delta-above-1", "exact-f-delta-below-0",
              "exact-f-delta-above-1", "verify-delta-above-1", "verify-one-delta-below-0",

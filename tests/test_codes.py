@@ -402,8 +402,8 @@ class TestOracleTables:
 
     def test_one_table_for_every_delta(self, fixture_graphs, table_work):
         G = fixture_graphs["petersen"]
-        # equal in content, other meta: the same table
-        twin = graphs.RegularGraph(G.n, G.d, G.adjacency, G.part_labels, meta={"kind": "twin"})
+        # equal in content, another object: the same table
+        twin = graphs.RegularGraph(G.n, G.d, G.adjacency.copy(), G.part_labels)
         for k in range(G.n + 1):
             exact_max_packing(G, 3, Fraction(k, G.n))
             exact_max_packing(twin, 3, Fraction(k, G.n))
@@ -423,14 +423,14 @@ class TestOracleTables:
             codes._oracle_table.cache_clear()
             cold[G.graph_key, d] = _oracle_result(G, 3, d)
         twins = [
-            (graphs.RegularGraph(G.n, G.d, G.adjacency, G.part_labels, meta={"kind": "twin"}), d)
+            (graphs.RegularGraph(G.n, G.d, G.adjacency.copy(), G.part_labels), d)
             for G, d in ascending
         ]
         orders = {
             "ascending": ascending,
             "descending": [c for run in per_graph for c in reversed(run)],
             "interleaved": [c for c in chain(*zip_longest(*per_graph)) if c],
-            "other meta": twins,
+            "other objects": twins,
         }
         for name, order in orders.items():
             codes._oracle_table.cache_clear()

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -383,10 +382,10 @@ class TestGadgetSampler:
                     assert cx == {j} and cy == {i}
         assert seen_equal and seen_diff
 
-    def test_requires_meta(self):
-        # the gadget layout is read from the graph, so no meta can stand in for it
-        K4 = replace(complete_graph(4), meta=gadget_expand(complete_graph(4)).meta)
-        for G in (complete_graph(4), K4):
+    def test_requires_gadget_layout(self, fixture_graphs):
+        # the gadget layout is read from the graph: cubic graphs not built by
+        # gadget_expand are refused
+        for G in (complete_graph(4), fixture_graphs["petersen"]):
             with pytest.raises(PreconditionFail, match="not built by gadget_expand"):
                 sample_gadget_coloring(G, 3, 0)
 

@@ -89,6 +89,10 @@ def test_cli_catches_exactly_the_kinds_and_oserror():
 C5, C6 = graphs.cycle_graph(5), graphs.cycle_graph(6)
 EDGELESS = graphs.build_from_edges(2, [])  # d = 0
 RB = graphs.random_regular_bipartite(4, 2, seed=1)
+# C9(1,2) has the n and d of K3^2; RB9 has the n and d of a 2-lift of it
+C9_12 = graphs.build_from_edges(9, [(i, (i + s) % 9) for s in (1, 2) for i in range(9)])
+RB9 = graphs.random_regular_bipartite(9, 4, seed=1)
+X_K32 = colorings.coordinate_colorings(3, 2, graphs.tensor_power(3, 2))[0]
 
 
 @pytest.mark.parametrize(
@@ -111,6 +115,12 @@ RB = graphs.random_regular_bipartite(4, 2, seed=1)
       "layered pair needs part labels"),
      (lambda: colorings.coordinate_colorings(3, 2, graphs.complete_graph(9)), BindingMismatch,
       r"graph is not tensor_power\(q, N\)"),
+     (lambda: colorings.coordinate_colorings(3, 2, C9_12), BindingMismatch,
+      r"graph is not tensor_power\(q, N\)"),
+     (lambda: colorings.lift_coloring(X_K32, RB9), BindingMismatch,
+      "graph is not a 2-lift of the coloring's graph"),
+     (lambda: colorings.lift_coloring(X_K32, graphs.cycle_graph(9)), BindingMismatch,
+      "graph is not a 2-lift of the coloring's graph"),
      (lambda: regimes.unique_regime_certificate(2, Fraction(1, 2), Fraction(1, 2)), OutOfRange,
       "certificate needs q >= 3"),
      (lambda: spectral.normalized_adjacency(EDGELESS), PreconditionFail,
@@ -122,7 +132,8 @@ RB = graphs.random_regular_bipartite(4, 2, seed=1)
      (lambda: min_cost_assignment([[1, 2], [3]]), PreconditionFail, "cost matrix must be square")],
     ids=["pack-foreign-coloring", "coloring-q1", "coloring-2d", "make-coloring-length",
          "distance-two-graphs", "biased-q2", "layered-q2", "layered-no-parts",
-         "coordinate-not-tensor", "certificate-q2", "normalized-adjacency-d0",
+         "coordinate-not-tensor", "coordinate-same-size-not-tensor", "lift-not-a-lift",
+         "lift-wrong-size", "certificate-q2", "normalized-adjacency-d0",
          "rayleigh-d0", "rayleigh-length", "assignment-not-square"],
 )
 def test_library_refusal(call, kind, named):

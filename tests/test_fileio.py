@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from chromacode import codes, fileio
-from chromacode.colorings import make_coloring, sample_bipartite_biased, sample_gadget_coloring
+from chromacode.colorings import (
+    coordinate_colorings, make_coloring, sample_bipartite_biased, sample_gadget_coloring,
+)
 from chromacode.errors import BindingMismatch, OutOfRange
 from chromacode.graphs import (
     build_from_edges, gadget_expand, random_regular_bipartite, tensor_power,
@@ -19,7 +21,7 @@ class TestRoundTrip:
         fileio.write_graph(path, G, sidecar={"construct": "gadget"})
         H = fileio.read_graph(path)
         assert H == G and H.graph_key == G.graph_key
-        assert H.part_labels is None and H.meta == G.meta
+        assert H.part_labels is None
         # the sampler reads the graph, not the sidecar: without it the draws are the same
         bare = fileio.graph_from_text((tmp_path / "g.graph").read_text())
         for seed in range(5):
@@ -28,8 +30,8 @@ class TestRoundTrip:
             assert sample_gadget_coloring(bare, 3, seed) == want
 
     def test_foreign_sidecar_refused(self, tmp_path):
-        # C9(1,2) has the n and d of K3^2, whose meta would let it pass for a
-        # tensor power; the coordinate colorings of K3^2 are not proper on it
+        # C9(1,2) has the n and d of K3^2; the coordinate colorings of K3^2
+        # are not proper on it
         C9 = build_from_edges(9, [(i, (i + s) % 9) for s in (1, 2) for i in range(9)])
         K = tensor_power(3, 2)
         fileio.write_graph(str(tmp_path / "k.graph"), K)
@@ -40,10 +42,22 @@ class TestRoundTrip:
         named = f"describes graph '{K.graph_key}', loaded graph is {C9.graph_key}"
         with pytest.raises(BindingMismatch, match=named):
             fileio.read_graph(path)
-        # a sidecar written by hand, without a graph key, still loads
-        sidecar.write_text(json.dumps({"meta": K.meta}))
+        # a sidecar written by hand, without a graph key, still loads, but
+        # nothing in it makes C9(1,2) pass for a tensor power
+        sidecar.write_text(json.dumps({"meta": {"kind": "tensor", "q": 3, "N": 2}}))
         H = fileio.read_graph(path)
-        assert H == C9 and H.meta == {"kind": "tensor", "q": 3, "N": 2}
+        assert H == C9
+        with pytest.raises(BindingMismatch, match=r"graph is not tensor_power\(q, N\)"):
+            coordinate_colorings(3, 2, H)
+
+    def test_sidecar_keeps_the_graphs_own_fields(self, tmp_path):
+        # a caller's stale graph_key, n or d cannot make the file unreadable
+        G = tensor_power(3, 2)
+        path = str(tmp_path / "t.graph")
+        fileio.write_graph(path, G, sidecar={"graph_key": "stale", "n": 7, "d": 1, "seed": 4})
+        payload = json.loads((tmp_path / "t.graph.json").read_text())
+        assert payload == {"graph_key": G.graph_key, "n": 9, "d": 4, "seed": 4}
+        assert fileio.read_graph(path) == G
 
     def test_bipartite_graph_keeps_parts(self, tmp_path):
         G = random_regular_bipartite(6, 2, seed=3)

@@ -55,11 +55,6 @@ class TestBuildFromEdges:
         with pytest.raises(OutOfRange, match=f"vertex {vertex} has part label"):
             build_from_edges(4, [(0, 1), (2, 3)], part_labels=labels)
 
-    def test_graph_key_ignores_meta(self):
-        G1 = build_from_edges(3, [(0, 1), (1, 2), (2, 0)])
-        G2 = build_from_edges(3, [(0, 1), (1, 2), (2, 0)], meta={"kind": "x"})
-        assert G1.graph_key == G2.graph_key
-
     @pytest.mark.parametrize(
         "n,edges,error,match",
         [(3, [(0, 1), (1, 1), (1, 0)], PreconditionFail, "self-loop at vertex 1"),
@@ -158,7 +153,6 @@ class TestGadget:
         H = complete_graph(4)
         G = gadget_expand(H)
         assert (G.n, G.d, G.m) == (40, 3, 60)
-        assert G.meta == {"kind": "gadget", "base_n": 4, "base_key": H.graph_key}
         # one block per edge of K4, whose parts tile the vertices after the base
         blocks = gadget_blocks(H)
         assert len(blocks) == 6
