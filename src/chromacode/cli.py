@@ -31,6 +31,12 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return int(text)
+
+
 def _emit(args, payload: str) -> None:
     if args.out:
         with open(args.out, "w") as fh:
@@ -305,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output path (default stdout)")
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
-    seeded.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    seeded.add_argument("--seed", type=_seed, default=0, help="RNG seed, at least 0 (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", parents=[seeded], help="build a graph file")

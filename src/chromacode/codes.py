@@ -316,11 +316,13 @@ def _biased_sampler(G: RegularGraph, q: int, tau=None) -> Sampler:
         if G.d == 0:
             raise PreconditionFail("the default tau 1/(8 d^2) needs d >= 1")
         tau = 1.0 / (8 * G.d * G.d)
+    elif isinstance(tau, bool):
+        raise ChromaError(f"tau={tau!r} is not a rational in [0, 1]")
     else:
-        try:
+        try:  # OverflowError: an infinite float, or a rational beyond every float
             tau = float(Fraction(tau))
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise ChromaError(f"tau={tau!r} is not a rational") from None
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            raise ChromaError(f"tau={tau!r} is not a rational in [0, 1]") from None
     if not 0.0 <= tau <= 1.0:
         raise OutOfRange(f"tau={tau} outside [0, 1]")
     return lambda s: col.sample_bipartite_biased(G, q, tau, s)
@@ -354,13 +356,13 @@ def _build_gadget(q: int, p: Mapping, seed) -> tuple[RegularGraph, Sampler]:
 def _build_tensor_lift(q: int, p: Mapping, seed) -> tuple[RegularGraph, Sampler]:
     """K_q^N lifted ``lifts`` times by low-lambda2 signings; lift k searches
     from seed (*seed, k). Its members are the lifted coordinate colorings."""
+    if p["lifts"] < 0:
+        raise OutOfRange(f"tensor-lift lifts={p['lifts']} is negative")
     G = graphs.tensor_power(q, p["N"])
-    members = col.coordinate_colorings(q, p["N"], G)
     for k in range(p["lifts"]):
         signs, _ = graphs.search_low_lambda_signing(G, p["restarts"], seed=(*seed, k))
         G = graphs.two_lift(G, signs)
-        members = [col.lift_coloring(X, G) for X in members]
-    return G, list_sampler(members)
+    return G, list_sampler(col.coordinate_colorings(q, p["N"], G))
 
 
 @dataclass(frozen=True)

@@ -281,31 +281,22 @@ def layered_bipartite_pair(G: RegularGraph, q: int) -> tuple[Coloring, Coloring]
 
 
 def coordinate_colorings(q: int, N: int, G: RegularGraph) -> list[Coloring]:
-    """The N coordinate colorings X_i(a_1..a_N) = a_i of G = tensor_power(q, N).
-
-    G is compared with ``tensor_power(q, N)`` itself (its n and d first, so a
-    graph of another size is refused before that power is built); any other
-    graph raises BindingMismatch, since the colorings need not be proper on it.
-    """
-    if (G.n, G.d) != (q**N, (q - 1) ** N) or G != graphs.tensor_power(q, N):
-        raise BindingMismatch("graph is not tensor_power(q, N)")
-    vertices = np.arange(G.n)
-    return [Coloring(q, (vertices // q ** (N - 1 - i)) % q, G.graph_key) for i in range(N)]
-
-
-def lift_coloring(X: Coloring, lifted: RegularGraph) -> Coloring:
-    """Pull a coloring through a 2-lift: v and v + n both take X(v).
-
-    For a proper X this is proper on every 2-lift of X's graph (a lifted
-    edge joins copies of the two ends of a base edge), and its distance to
-    another pulled coloring is twice the base distance whatever the graph is.
-    ``lifted`` is checked, not trusted: it must have 2n vertices and the
-    pulled coloring must be proper on it, else BindingMismatch.
-    """
-    Y = Coloring(X.q, np.tile(X.colors, 2), lifted.graph_key)
-    if lifted.n != 2 * X.n or not is_proper(lifted, Y)[0]:
-        raise BindingMismatch("graph is not a 2-lift of the coloring's graph")
-    return Y
+    """The N coordinate colorings of K_q^N, pulled to G if G is an iterated
+    2-lift of it (a lift puts v and v + n over v): X_i(v) is digit i, most
+    significant first, of v mod q^N in base q. G is checked, not trusted: q^N
+    must divide n and every X_i be proper on G, else BindingMismatch."""
+    if q < 2 or N < 1:
+        raise OutOfRange(f"coordinate colorings need q >= 2 and N >= 1, got q={q}, N={N}")
+    not_lift = f"graph is not K_{q}^{N} or an iterated 2-lift of it"
+    if N > G.n.bit_length() or G.n % q**N:  # q^N >= 2^N > n there, so it is not computed
+        raise BindingMismatch(f"{not_lift}: n={G.n} is not a multiple of {q}^{N}")
+    rows = np.arange(G.n) % q**N // q ** np.arange(N - 1, -1, -1)[:, None] % q
+    u, v = G.edge_arrays()
+    same = rows[:, u] == rows[:, v]
+    if same.any():
+        i, e = np.unravel_index(same.argmax(), same.shape)
+        raise BindingMismatch(f"{not_lift}: edge ({u[e]}, {v[e]}) has one color in coordinate {i}")
+    return [Coloring(q, row, G.graph_key) for row in rows]
 
 
 def _check_enumerable(G: RegularGraph, q: int) -> None:

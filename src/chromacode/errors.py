@@ -18,8 +18,8 @@ surfaces as a traceback.
 - ``MalformedFile``: a graph, signing, coloring, sidecar or config file that
   does not parse; the message names the path, line or field.
 - ``BindingMismatch``: objects that must belong together do not: a coloring,
-  signing, vector or sidecar and its graph (also a graph that is not the
-  tensor power or 2-lift a coloring is pulled to), or two colorings' q.
+  signing, vector or sidecar and its graph (also a graph on which the
+  coordinate colorings of K_q^N are not proper), or two colorings' q.
 - ``NoConvergence``: the Lanczos iteration of ``spectral.lambda2`` ran out
   of its step budget.
 """

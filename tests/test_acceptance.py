@@ -15,7 +15,6 @@ from chromacode.colorings import (
     coordinate_colorings,
     enumerate_proper,
     layered_bipartite_pair,
-    lift_coloring,
     sample_bipartite_biased,
     sample_gadget_coloring,
 )
@@ -122,7 +121,6 @@ def test_criterion_4_gadget_construction():
 def test_criterion_5_lift_invariants():
     T = tensor_power(3, 2)
     base_spec = full_spectrum(T).eigenvalues
-    coords = coordinate_colorings(3, 2, T)
     ok = True
     for trial in range(20):
         L = two_lift(T, np.random.default_rng((500, trial)).choice((-1, 1), size=T.m))
@@ -132,7 +130,7 @@ def test_criterion_5_lift_invariants():
             idx = min(range(len(lifted_spec)), key=lambda i: abs(lifted_spec[i] - lam))
             ok &= abs(lifted_spec[idx] - lam) < 1e-8
             lifted_spec.pop(idx)
-        LX = [lift_coloring(X, L) for X in coords]
+        LX = coordinate_colorings(3, 2, L)
         for A, B in combinations(LX, 2):
             ok &= col.distance(A, B)[0] == 12
     report(5, ok, "20 signings: 4-regular on 18, containment 1e-8, lifted distance 12")

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from chromacode import colorings, fileio, graphs
-from chromacode.cli import _load_sweep_config, main
+from chromacode.cli import _load_sweep_config, build_parser, main
 from chromacode.colorings import coordinate_colorings, is_proper, make_coloring
 from chromacode.graphs import complete_graph, gadget_expand, tensor_power, two_lift
 from conftest import gadget_blocks, petersen
@@ -906,6 +907,14 @@ class TestErrorContract:
          (_sweep_config(delta_grid=["1/2"], lambda_grid=["9/10"],
                         families=[{"kind": "tensor-lift", "N": 10000}]),
           "q^N = 3^10000 exceeds cap 4096"),
+         (_sweep_config(delta_grid=["1/2"], lambda_grid=["9/10"],
+                        families=[{"kind": "tensor-lift", "lifts": -1}]),
+          "tensor-lift lifts=-1 is negative"),
+         *[(_sweep_config(delta_grid=["1/2"], lambda_grid=["9/10"],
+                          families=[{"kind": "biased", "tau": tau}]), named)
+           for tau, named in ((float("inf"), "tau=inf is not a rational in [0, 1]"),
+                              ("1e400", "tau='1e400' is not a rational in [0, 1]"),
+                              (True, "tau=True is not a rational in [0, 1]"))],
          (lambda tmp_path: ["construct", "complete", "--q", 20000, "--out", tmp_path / "k.graph"],
           "q^N = 20000^1 exceeds cap 4096"),
          *[(_huge_q_c5(command), "q=1000000 exceeds the distance cap 128")
@@ -928,6 +937,8 @@ class TestErrorContract:
              "exact-f-c5-huge-q", "exact-f-c5-huge-q-delta0", "pack-enumerated-huge-q",
              "pack-enumerated-q1000", "exact-f-c16-q5", "pack-enumerated-c16-q5",
              "tensor-N10000", "tensor-N30000000", "tensor-q64-N2", "sweep-tensor-lift-N10000",
+             "sweep-tensor-lift-lifts-negative", "sweep-tau-infinity", "sweep-tau-1e400",
+             "sweep-tau-bool",
              "complete-q20000",
              "distance-huge-q", "verify-huge-q", "pack-gadget-huge-q"],
     )
@@ -938,6 +949,34 @@ class TestErrorContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert named in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["construct", "random-bipartite", "--half", 5, "--d", 2],
+         ["construct", "two-lift", "--graph", "g.graph", "--search"],
+         *[["pack", "--graph", "g.graph", "--q", 3, "--delta", "1/2", "--sampler", sampler]
+           for sampler in ("biased", "gadget")],
+         ["regime-map", "--config", "cfg.json"]],
+        ids=["random-bipartite", "two-lift-search", "pack-biased", "pack-gadget", "regime-map"],
+    )
+    def test_negative_seed_exit_2(self, capsys, argv):
+        # numpy's generators refuse a negative seed; argparse refuses it first
+        with pytest.raises(SystemExit) as err:
+            run([*argv, "--seed", -1])
+        assert err.value.code == 2
+        assert "argument --seed: not a non-negative integer: '-1'" in capsys.readouterr().err
+
+    def test_every_seeded_subcommand_refuses_a_negative_seed(self, capsys):
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        seeded = [name for name, sub in commands.choices.items()
+                  if any("--seed" in a.option_strings for a in sub._actions)]
+        assert {"construct", "pack", "regime-map"} <= set(seeded)
+        for name in seeded:
+            with pytest.raises(SystemExit) as err:
+                parser.parse_args([name, "--seed", "-1"])
+            assert err.value.code == 2
+            assert "argument --seed: not a non-negative integer: '-1'" in capsys.readouterr().err
 
     def test_bug_is_not_masked(self, monkeypatch):
         def broken(n):

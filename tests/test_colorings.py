@@ -17,13 +17,13 @@ from chromacode.colorings import (
     enumerate_proper,
     is_proper,
     layered_bipartite_pair,
-    lift_coloring,
     make_coloring,
     sample_bipartite_biased,
     sample_gadget_coloring,
 )
 from chromacode.errors import BindingMismatch, OutOfRange, PreconditionFail, TooLarge
 from chromacode.graphs import (
+    build_from_edges,
     complete_graph,
     cycle_graph,
     gadget_expand,
@@ -500,21 +500,33 @@ class TestCoordinateAndLift:
         for X in coordinate_colorings(3, 2, T):
             assert is_proper(T, X)[0]
 
-    def test_lift_preserves_properness_and_doubles_distance(self):
-        T = tensor_power(3, 2)
-        X, Y = coordinate_colorings(3, 2, T)
-        L = two_lift(T, np.random.default_rng(13).choice((-1, 1), size=T.m))
-        LX, LY = lift_coloring(X, L), lift_coloring(Y, L)
-        assert is_proper(L, LX)[0] and is_proper(L, LY)[0]
-        assert distance(LX, LY)[0] == 2 * distance(X, Y)[0] == 12
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([3, 4]), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_lift_preserves_properness_and_doubles_distance(self, q, lifts, seed):
+        # on L lifts of K_q^2 by random signings the coordinate colorings are
+        # the base ones pulled through every lift (v and v + n over v)
+        T = tensor_power(q, 2)
+        base = coordinate_colorings(q, 2, T)
+        rng = np.random.default_rng(seed)
+        L = T
+        for _ in range(lifts):
+            L = two_lift(L, rng.choice((-1, 1), size=L.m))
+        got = coordinate_colorings(q, 2, L)
+        assert [X.colors.tolist() for X in got] == [
+            np.tile(X.colors, 2**lifts).tolist() for X in base]
+        assert all(X.graph_key == L.graph_key and is_proper(L, X)[0] for X in got)
+        for (X, Y), (LX, LY) in zip(itertools.combinations(base, 2),
+                                    itertools.combinations(got, 2)):
+            assert distance(LX, LY)[0] == 2**lifts * distance(X, Y)[0]
 
     def test_lift_binding(self):
-        T = tensor_power(3, 2)
-        X = coordinate_colorings(3, 2, T)[0]
+        # a lift of another graph: of the wrong size, or of K_3^2's n and d
         C5 = cycle_graph(5)
-        L = two_lift(C5, np.ones(C5.m, dtype=int))
-        with pytest.raises(BindingMismatch):
-            lift_coloring(X, L)
+        C9_12 = build_from_edges(9, [(i, (i + s) % 9) for s in (1, 2) for i in range(9)])
+        for G, named in ((C5, r"n=10 is not a multiple of 3\^2"),
+                         (C9_12, r"edge \(0, 1\) has one color in coordinate 0")):
+            with pytest.raises(BindingMismatch, match=named):
+                coordinate_colorings(3, 2, two_lift(G, np.ones(G.m, dtype=int)))
 
 
 class TestEnumerate:

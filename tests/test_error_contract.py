@@ -92,7 +92,6 @@ RB = graphs.random_regular_bipartite(4, 2, seed=1)
 # C9(1,2) has the n and d of K3^2; RB9 has the n and d of a 2-lift of it
 C9_12 = graphs.build_from_edges(9, [(i, (i + s) % 9) for s in (1, 2) for i in range(9)])
 RB9 = graphs.random_regular_bipartite(9, 4, seed=1)
-X_K32 = colorings.coordinate_colorings(3, 2, graphs.tensor_power(3, 2))[0]
 
 
 @pytest.mark.parametrize(
@@ -114,13 +113,21 @@ X_K32 = colorings.coordinate_colorings(3, 2, graphs.tensor_power(3, 2))[0]
      (lambda: colorings.layered_bipartite_pair(C6, 3), PreconditionFail,
       "layered pair needs part labels"),
      (lambda: colorings.coordinate_colorings(3, 2, graphs.complete_graph(9)), BindingMismatch,
-      r"graph is not tensor_power\(q, N\)"),
+      r"graph is not K_3\^2 or an iterated 2-lift of it: edge \(0, 1\) has one color "
+      r"in coordinate 0"),
      (lambda: colorings.coordinate_colorings(3, 2, C9_12), BindingMismatch,
-      r"graph is not tensor_power\(q, N\)"),
-     (lambda: colorings.lift_coloring(X_K32, RB9), BindingMismatch,
-      "graph is not a 2-lift of the coloring's graph"),
-     (lambda: colorings.lift_coloring(X_K32, graphs.cycle_graph(9)), BindingMismatch,
-      "graph is not a 2-lift of the coloring's graph"),
+      r"graph is not K_3\^2 or an iterated 2-lift of it: edge \(0, 1\) has one color "
+      r"in coordinate 0"),
+     (lambda: colorings.coordinate_colorings(3, 2, RB9), BindingMismatch,
+      r"edge \(0, 9\) has one color in coordinate 0"),
+     (lambda: colorings.coordinate_colorings(3, 2, graphs.cycle_graph(18)), BindingMismatch,
+      r"edge \(0, 1\) has one color in coordinate 0"),
+     (lambda: colorings.coordinate_colorings(3, 2, graphs.cycle_graph(12)), BindingMismatch,
+      r"graph is not K_3\^2 or an iterated 2-lift of it: n=12 is not a multiple of 3\^2"),
+     (lambda: colorings.coordinate_colorings(1000, 10**6, C9_12), BindingMismatch,
+      r"n=9 is not a multiple of 1000\^1000000"),
+     (lambda: colorings.coordinate_colorings(1, 2, C9_12), OutOfRange,
+      "coordinate colorings need q >= 2 and N >= 1, got q=1, N=2"),
      (lambda: regimes.unique_regime_certificate(2, Fraction(1, 2), Fraction(1, 2)), OutOfRange,
       "certificate needs q >= 3"),
      (lambda: spectral.normalized_adjacency(EDGELESS), PreconditionFail,
@@ -133,7 +140,8 @@ X_K32 = colorings.coordinate_colorings(3, 2, graphs.tensor_power(3, 2))[0]
     ids=["pack-foreign-coloring", "coloring-q1", "coloring-2d", "make-coloring-length",
          "distance-two-graphs", "biased-q2", "layered-q2", "layered-no-parts",
          "coordinate-not-tensor", "coordinate-same-size-not-tensor", "lift-not-a-lift",
-         "lift-wrong-size", "certificate-q2", "normalized-adjacency-d0",
+         "lift-cycle-not-a-lift", "lift-wrong-size", "coordinate-huge-N", "coordinate-q1",
+         "certificate-q2", "normalized-adjacency-d0",
          "rayleigh-d0", "rayleigh-length", "assignment-not-square"],
 )
 def test_library_refusal(call, kind, named):

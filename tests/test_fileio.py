@@ -47,7 +47,7 @@ class TestRoundTrip:
         sidecar.write_text(json.dumps({"meta": {"kind": "tensor", "q": 3, "N": 2}}))
         H = fileio.read_graph(path)
         assert H == C9
-        with pytest.raises(BindingMismatch, match=r"graph is not tensor_power\(q, N\)"):
+        with pytest.raises(BindingMismatch, match=r"graph is not K_3\^2 or an iterated 2-lift"):
             coordinate_colorings(3, 2, H)
 
     def test_sidecar_keeps_the_graphs_own_fields(self, tmp_path):
