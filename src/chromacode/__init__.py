@@ -3,7 +3,18 @@
 Core objects: RegularGraph, Coloring, CodeSet, Spectrum, RegimePoint.
 Submodules follow the pipeline: graphs -> spectral -> colorings -> codes ->
 regimes, with a CLI on top.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS=1`` unless the environment
+already sets it. The package's BLAS work is short dense solves and O(n)
+products, on which a second OpenBLAS thread spins for CPU time and saves no
+wall time. The default reaches numpy only if the package is imported
+before numpy, as the CLI is; to use OpenBLAS's thread pool, set
+``OPENBLAS_NUM_THREADS`` before the import.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .codes import CodeSet, distance_threshold, exact_max_packing, greedy_pack
 from .colorings import Coloring, distance, enumerate_proper, is_proper

@@ -10,7 +10,6 @@ vertices or the gadget blocks. ``distance`` picks its method from q alone.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import permutations
@@ -18,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import graphs, spectral
+from . import graphs
 from .assignment import min_cost_assignment
 from .errors import BindingMismatch, ChromaError, OutOfRange, PreconditionFail, TooLarge
 from .graphs import RegularGraph
@@ -31,11 +30,6 @@ BRUTE_Q_CAP = 8       # brute-force over q! permutations up to this q
 # core of a 2-vCPU x86 machine). This cap keeps a pair under a fifth of a
 # second, and every array sized by q small.
 DISTANCE_Q_CAP = 128
-# OpenBLAS runs a GEMM of m * n * k multiply-adds at most SMP_THRESHOLD_MIN *
-# GEMM_MULTITHREAD_THRESHOLD = 65,536 * 4 on the calling thread alone, so a
-# product that small needs no one-thread scope, nor the library lookup behind
-# it (a read of /proc/self/maps and a dlopen, about 0.7 ms once per process)
-SERIAL_GEMM_WORK = 262_144
 # the largest product block or one-hot factor block ``_distance_matrix`` holds:
 # 32 MiB, a (2048, 2048) float64 product, so every exact-oracle table (q r <=
 # CLIQUE_CAP = 2,000 rows of at most ENUM_CAP vertices) is one product
@@ -430,26 +424,22 @@ def _distance_matrix(rows: np.ndarray, q: int) -> np.ndarray:
     w = max(1, min(n, DISTANCE_BLOCK_BYTES // (8 * q * b)))
     per_pair = q > BRUTE_Q_CAP or math.factorial(q) > r * (r - 1) // 2
     best = np.full((r, r), n, dtype=np.int64)  # a coloring agrees with itself everywhere
-    # on a large product (C10's 1,539 x 10 x 1,539), waking the BLAS pool
-    # costs more wall time than its threads save
-    scope = spectral._one_blas_thread if (q * r) ** 2 * n > SERIAL_GEMM_WORK else nullcontext
-    with scope():
-        for i in range(0, r, b):
-            for j in range(i, r, b):
-                left, right = rows[i:i + b], rows[j:j + b]
-                counts = _agreement_counts(left, None if i == j else right, q, w)
-                if per_pair:
-                    for s in range(len(left)):
-                        for t in range(max(0, i + s + 1 - j), len(right)):
-                            # the Hungarian rule's weights must be exact ints
-                            M = counts[:, s, :, t].astype(np.int64)
-                            best[i + s, j + t] = best[j + t, i + s] = _max_agreement(M)[0]
-                    continue
-                block = np.zeros((len(left), len(right)))
-                for sigma in _all_perms(q):  # each pair's agreement: the sum over b of [sigma[b], :, b, :]
-                    np.maximum(block, counts[sigma, :, range(q)].sum(axis=0), out=block)
-                best[i:i + b, j:j + b] = block
-                best[j:j + b, i:i + b] = block.T
+    for i in range(0, r, b):
+        for j in range(i, r, b):
+            left, right = rows[i:i + b], rows[j:j + b]
+            counts = _agreement_counts(left, None if i == j else right, q, w)
+            if per_pair:
+                for s in range(len(left)):
+                    for t in range(max(0, i + s + 1 - j), len(right)):
+                        # the Hungarian rule's weights must be exact ints
+                        M = counts[:, s, :, t].astype(np.int64)
+                        best[i + s, j + t] = best[j + t, i + s] = _max_agreement(M)[0]
+                continue
+            block = np.zeros((len(left), len(right)))
+            for sigma in _all_perms(q):  # each pair's agreement: the sum over b of [sigma[b], :, b, :]
+                np.maximum(block, counts[sigma, :, range(q)].sum(axis=0), out=block)
+            best[i:i + b, j:j + b] = block
+            best[j:j + b, i:i + b] = block.T
     return n - best
 
 

@@ -24,6 +24,10 @@ TENSOR_SIZE_CAP = 4096   # vertex cap for tensor powers
 # adjacency entries n (q-1)^N a tensor power may list: its one broadcast holds
 # n (q-1)^N N int64 digits, at most about 26 MB under both caps (K_6^4)
 TENSOR_WORK_CAP = 1 << 20
+# adjacency entries n d that cycle_graph or random_regular_bipartite may build,
+# counting one per vertex at d = 0 (their per-vertex arrays): above the
+# 3 * 10^6 of a cubic graph on 10^6 vertices
+GRAPH_ENTRIES_CAP = 1 << 23
 SEARCH_MAX_PASSES = 200  # greedy flip passes per signing-search restart
 PERM_REDRAWS = 20        # whole redraws of a colliding permutation before repair
 FLIP_BATCH_BYTES = 1 << 20  # flipped signed matrices held at once by the signing search
@@ -188,10 +192,21 @@ def complete_graph(q: int) -> RegularGraph:
     return tensor_power(q, 1)
 
 
+def _check_entries(n: int, d: int) -> None:
+    """Refuse n vertices of degree d above GRAPH_ENTRIES_CAP with TooLarge,
+    before any array is allocated."""
+    if n * max(d, 1) > GRAPH_ENTRIES_CAP:
+        raise TooLarge(
+            f"{n} vertices of degree {d} exceed the cap of {GRAPH_ENTRIES_CAP} adjacency entries"
+        )
+
+
 def cycle_graph(n: int) -> RegularGraph:
-    """C_n, 2-regular. n=2 fails with PreconditionFail (parallel edges)."""
+    """C_n, 2-regular. n=2 fails with PreconditionFail (parallel edges), and
+    more than GRAPH_ENTRIES_CAP / 2 vertices with TooLarge."""
     if n < 1:
         raise OutOfRange("cycle needs n >= 1")
+    _check_entries(n, 2)
     u = np.arange(n)
     return build_from_edges(n, np.column_stack([u, (u + 1) % n]))
 
@@ -257,12 +272,14 @@ def random_regular_bipartite(half: int, d: int, seed) -> RegularGraph:
     Deterministic given seed.
 
     The permutations and their inverses are the neighbor lists; a row that
-    is not a permutation, or two that meet, raise PreconditionFail.
+    is not a permutation, or two that meet, raise PreconditionFail. More than
+    GRAPH_ENTRIES_CAP adjacency entries raise TooLarge before any draw.
     """
     if half < 1:
         raise OutOfRange("half must be positive")
     if d < 0 or d > half:
         raise OutOfRange(f"need 0 <= d <= half, got d={d}, half={half}")
+    _check_entries(2 * half, d)
     rng = np.random.default_rng(seed)
     perms = np.empty((d, half), dtype=np.int64)  # row k: the values of permutation k
     for k in range(d):
@@ -420,22 +437,21 @@ def search_low_lambda_signing(
         return out
 
     best = None  # ((rounded lambda, sign tuple), lambda)
-    with spectral._one_blas_thread():  # n x n eigvalsh calls, one scope for all
-        for r in range(restarts):
-            child = (*seed, r) if isinstance(seed, tuple) else (seed, r)
-            signs = np.random.default_rng(child).choice((-1, 1), size=G.m)
-            A = spectral.normalized_adjacency(G, signs)  # A_s, kept in step with signs
-            (lam,) = scores(A[None])
-            for _ in range(SEARCH_MAX_PASSES):
-                flips = flip_scores()
-                flip = min(range(G.m), key=lambda i: round(flips[i], 9))  # lowest index
-                if round(flips[flip], 9) >= round(lam, 9):
-                    break
-                flip_edge(flip)
-                lam = flips[flip]
-            key = (round(lam, 9), tuple(signs.tolist()))
-            if best is None or key < best[0]:
-                best = (key, lam)
+    for r in range(restarts):
+        child = (*seed, r) if isinstance(seed, tuple) else (seed, r)
+        signs = np.random.default_rng(child).choice((-1, 1), size=G.m)
+        A = spectral.normalized_adjacency(G, signs)  # A_s, kept in step with signs
+        (lam,) = scores(A[None])
+        for _ in range(SEARCH_MAX_PASSES):
+            flips = flip_scores()
+            flip = min(range(G.m), key=lambda i: round(flips[i], 9))  # lowest index
+            if round(flips[flip], 9) >= round(lam, 9):
+                break
+            flip_edge(flip)
+            lam = flips[flip]
+        key = (round(lam, 9), tuple(signs.tolist()))
+        if best is None or key < best[0]:
+            best = (key, lam)
     (_, signs), lam = best
     return np.array(signs), lam
 

@@ -13,16 +13,14 @@ theta, stopping once that operator's residual is at most
 LANCZOS_TOL * sqrt(2 theta): the residual of the matching eigenpair of A,
 so the error bound is the one of the unlabelled path. Disconnected graphs and
 0-regular graphs report lambda2 = 1 by convention.
-The small dense solves (the eigenvalues up to LANCZOS_MIN_N, the projected
-Lanczos eigenproblem and the thick-restart rotation) run on one OpenBLAS
-thread: on them a second thread only costs CPU time.
+None of this work sets a BLAS thread count: ``import chromacode`` defaults
+OPENBLAS_NUM_THREADS to 1 for the whole process, since on these small dense
+solves and O(n) products a second thread only costs CPU time. Set the
+variable before the import to run them on OpenBLAS's pool.
 """
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,50 +99,6 @@ def full_spectrum(G: RegularGraph) -> Spectrum:
     return Spectrum(tuple(float(x) for x in vals), residual)
 
 
-@functools.cache
-def _openblas_thread_calls():
-    """The (get, set) thread-count functions of the OpenBLAS numpy loaded, or
-    None when there is none (MKL, Accelerate, no /proc)."""
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
-    except OSError:
-        return None
-    # numpy's own build first: scipy's wheel ships a 32-bit-int OpenBLAS too
-    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
-        for lib in libs:
-            try:
-                handle = ctypes.CDLL(lib)
-            except OSError:
-                continue
-            get = getattr(handle, f"{prefix}get_num_threads{suffix}", None)
-            put = getattr(handle, f"{prefix}set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body on one OpenBLAS thread and put the previous count back.
-
-    Does nothing without OpenBLAS, or when the count already is 1 (so an
-    inner scope leaves an outer one alone).
-    """
-    calls = _openblas_thread_calls()
-    before = calls[0]() if calls is not None else 1
-    if before == 1:
-        yield
-        return
-    calls[1](1)
-    try:
-        yield
-    finally:
-        calls[1](before)
-
-
 def _neighbor_sum(v: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Sum of v over each vertex's neighbors, given the (d, n) neighbor rows.
 
@@ -183,10 +137,7 @@ def lambda2(G: RegularGraph) -> float:
     if G.d == 0 or not is_connected(G):
         return 1.0
     if G.n <= LANCZOS_MIN_N:
-        A = normalized_adjacency(G)
-        with _one_blas_thread():
-            vals = np.linalg.eigvalsh(A)  # ascending
-        return float(vals[-2])
+        return float(np.linalg.eigvalsh(normalized_adjacency(G))[-2])  # ascending
     if G.part_labels is None:
         columns = np.ascontiguousarray(G.adjacency.T)  # row i: the i-th neighbor of every vertex
 
@@ -255,8 +206,7 @@ def _lanczos_top(apply, size: int, n: int, tol) -> float:
         full = j + 1 == m
         if b <= LANCZOS_TOL or full or steps % LANCZOS_CHECK == 0 \
                 or steps >= LANCZOS_MAX_STEPS:
-            with _one_blas_thread():  # LAPACK wakes the pool above 25 rows
-                theta, S = np.linalg.eigh(T[: j + 1, : j + 1])
+            theta, S = np.linalg.eigh(T[: j + 1, : j + 1])
             residual = b * abs(S[-1, -1])
             if b <= LANCZOS_TOL or residual <= tol(theta[-1]):
                 return float(theta[-1])
@@ -266,9 +216,8 @@ def _lanczos_top(apply, size: int, n: int, tol) -> float:
                     f"{steps} steps (residual {residual:.3g})"
                 )
             if full:  # thick restart (Wu-Simon) from the top k Ritz pairs
-                with _one_blas_thread():
-                    for c in range(0, size, 4096):  # in place, no k x size temporary
-                        V[:k, c : c + 4096] = S[:, -k:].T @ V[:, c : c + 4096]
+                for c in range(0, size, 4096):  # in place, no k x size temporary
+                    V[:k, c : c + 4096] = S[:, -k:].T @ V[:, c : c + 4096]
                 T[:] = 0.0
                 T[:k, :k] = np.diag(theta[-k:])
                 T[k, :k] = T[:k, k] = b * S[-1, -k:]

@@ -917,6 +917,13 @@ class TestErrorContract:
                               (True, "tau=True is not a rational in [0, 1]"))],
          (lambda tmp_path: ["construct", "complete", "--q", 20000, "--out", tmp_path / "k.graph"],
           "q^N = 20000^1 exceeds cap 4096"),
+         (lambda tmp_path: ["construct", "cycle", "--n", 10**20, "--out", tmp_path / "c.graph"],
+          f"{10**20} vertices of degree 2 exceed the cap of {graphs.GRAPH_ENTRIES_CAP} "
+          "adjacency entries"),
+         (lambda tmp_path: ["construct", "random-bipartite", "--half", 10**20, "--d", 3,
+                            "--out", tmp_path / "b.graph"],
+          f"{2 * 10**20} vertices of degree 3 exceed the cap of {graphs.GRAPH_ENTRIES_CAP} "
+          "adjacency entries"),
          *[(_huge_q_c5(command), "q=1000000 exceeds the distance cap 128")
            for command in ("distance", "verify")],
          (lambda tmp_path: _gadget_pack(tmp_path, q=10**6),
@@ -939,7 +946,7 @@ class TestErrorContract:
              "tensor-N10000", "tensor-N30000000", "tensor-q64-N2", "sweep-tensor-lift-N10000",
              "sweep-tensor-lift-lifts-negative", "sweep-tau-infinity", "sweep-tau-1e400",
              "sweep-tau-bool",
-             "complete-q20000",
+             "complete-q20000", "cycle-n1e20", "random-bipartite-half1e20",
              "distance-huge-q", "verify-huge-q", "pack-gadget-huge-q"],
     )
     def test_bad_input_exit_2(self, tmp_path, capsys, make_argv, named):

@@ -147,6 +147,18 @@ class TestConstructors:
         with pytest.raises(TooLarge, match=r"1025\^1 vertices of degree 1024 make 1049600"):
             complete_graph(1025)
 
+    def test_entries_cap_bounds_cycles_and_random_bipartite(self, monkeypatch):
+        assert graphs.GRAPH_ENTRIES_CAP > 3 * 10**6  # a cubic graph on 10^6 vertices fits
+        # n d adjacency entries, one per vertex at d = 0, up to the cap and no further
+        monkeypatch.setattr(graphs, "GRAPH_ENTRIES_CAP", 20)
+        assert cycle_graph(10).n == 10
+        assert random_regular_bipartite(5, 2, seed=0).n == 10
+        assert random_regular_bipartite(10, 0, seed=0).n == 20
+        for build in (lambda: cycle_graph(11), lambda: random_regular_bipartite(6, 2, seed=0),
+                      lambda: random_regular_bipartite(11, 0, seed=0)):
+            with pytest.raises(TooLarge, match="exceed the cap of 20 adjacency entries"):
+                build()
+
 
 class TestGadget:
     def test_k4_blowup(self):

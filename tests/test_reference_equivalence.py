@@ -243,27 +243,26 @@ def reference_search(G, restarts, seed):
         A[u[i], v[i]] = A[v[i], u[i]] = -A[u[i], v[i]]
 
     best = None
-    with spectral._one_blas_thread():
-        for r in range(restarts):
-            child = (*seed, r) if isinstance(seed, tuple) else (seed, r)
-            signs = np.random.default_rng(child).choice((-1, 1), size=G.m)
-            A = spectral.normalized_adjacency(G, signs)
-            lam = score()
-            for _ in range(graphs.SEARCH_MAX_PASSES):
-                flip, bar = None, round(lam, 9)
-                for i in range(G.m):
-                    flip_edge(i)
-                    lam_c = score()
-                    flip_edge(i)
-                    if round(lam_c, 9) < bar:
-                        flip, lam_flip, bar = i, lam_c, round(lam_c, 9)
-                if flip is None:
-                    break
-                flip_edge(flip)
-                lam = lam_flip
-            key = (round(lam, 9), tuple(signs.tolist()))
-            if best is None or key < best[0]:
-                best = (key, lam)
+    for r in range(restarts):
+        child = (*seed, r) if isinstance(seed, tuple) else (seed, r)
+        signs = np.random.default_rng(child).choice((-1, 1), size=G.m)
+        A = spectral.normalized_adjacency(G, signs)
+        lam = score()
+        for _ in range(graphs.SEARCH_MAX_PASSES):
+            flip, bar = None, round(lam, 9)
+            for i in range(G.m):
+                flip_edge(i)
+                lam_c = score()
+                flip_edge(i)
+                if round(lam_c, 9) < bar:
+                    flip, lam_flip, bar = i, lam_c, round(lam_c, 9)
+            if flip is None:
+                break
+            flip_edge(flip)
+            lam = lam_flip
+        key = (round(lam, 9), tuple(signs.tolist()))
+        if best is None or key < best[0]:
+            best = (key, lam)
     (_, signs), lam = best
     return np.array(signs), lam
 

@@ -1,4 +1,4 @@
-import contextlib
+import json
 import math
 import os
 import subprocess
@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromacode import colorings, spectral
+from chromacode import spectral
 from chromacode.errors import NoConvergence, PreconditionFail, TooLarge
 from chromacode.graphs import (
     build_from_edges,
     complete_graph,
     cycle_graph,
     random_regular_bipartite,
-    search_low_lambda_signing,
     tensor_power,
     two_lift,
 )
@@ -296,79 +295,105 @@ class TestLiftSpectrum:
         assert np.max(np.abs(np.array(lifted) - union)) < 1e-9
 
 
-class TestOneBlasThread:
-    @pytest.fixture
-    def get(self):
-        """The OpenBLAS thread count getter, with the count set to 2 meanwhile."""
-        calls = spectral._openblas_thread_calls()
-        if calls is None:
+# prints the thread count of the OpenBLAS the process loaded, or None
+OPENBLAS_THREADS = """
+import ctypes, json, os
+
+def openblas_threads():
+    with open("/proc/self/maps") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            if hasattr(handle, sym):
+                fn = getattr(handle, sym)
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn()
+    return None
+"""
+
+# the results the thread count could move, as text: lambda2 through the
+# bipartite Lanczos, the signing search's 9-decimal ties, a product OpenBLAS
+# may thread ((3 * 200)^2 * 12 multiply-adds) and the README sweep's CSV
+SAME_BITS = """
+import contextlib, io, json, sys
+import numpy as np
+from chromacode import cli, colorings
+from chromacode.graphs import random_regular_bipartite, search_low_lambda_signing, tensor_power
+from chromacode.spectral import lambda2
+
+signs, lam = search_low_lambda_signing(tensor_power(3, 2), restarts=5, seed=2)
+rows = np.random.default_rng(0).integers(0, 3, size=(200, 12))
+out = {
+    "threads": openblas_threads(),
+    "lambda2": repr(lambda2(random_regular_bipartite(1000, 25, seed=0))),
+    "signing": [signs.tolist(), repr(lam)],
+    "distances": colorings._distance_matrix(rows, 3).tolist(),
+    "csv": [],
+}
+for config in sys.argv[1:]:
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert cli.main(["regime-map", "--config", config]) == 0
+    out["csv"].append(text.getvalue())
+print(json.dumps(out))
+"""
+
+
+def run_fresh(code: str, threads: str | None, *args) -> dict:
+    """Run ``code`` after OPENBLAS_THREADS in a new interpreter, with
+    OPENBLAS_NUM_THREADS set to ``threads`` (None: unset), and read the JSON
+    object it prints. Inside pytest numpy is already loaded, so the thread
+    default of ``import chromacode`` shows only in a fresh process."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(spectral.__file__).resolve().parents[1])
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run([sys.executable, "-c", OPENBLAS_THREADS + code, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestImportThreadDefault:
+    """``import chromacode`` defaults OPENBLAS_NUM_THREADS to 1 before numpy loads."""
+
+    IMPORT = (
+        "import chromacode, numpy\n"
+        "print(json.dumps([os.environ['OPENBLAS_NUM_THREADS'], openblas_threads()]))\n"
+    )
+
+    def test_unset_gives_one_thread(self):
+        env_value, threads = run_fresh(self.IMPORT, None)
+        assert env_value == "1"
+        if threads is None:
             pytest.skip("numpy is not linked to OpenBLAS")
-        get, put = calls
-        before = get()
-        put(2)
-        try:
-            if get() != 2:
-                pytest.skip("OpenBLAS would not take 2 threads")
-            yield get
-        finally:
-            put(before)
+        assert threads == 1
 
-    def test_restored_after_exit(self, get):
-        with spectral._one_blas_thread():
-            assert get() == 1
-        assert get() == 2
+    def test_caller_value_kept(self):
+        env_value, threads = run_fresh(self.IMPORT, "2")
+        assert env_value == "2"
+        if threads is None:
+            pytest.skip("numpy is not linked to OpenBLAS")
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("OpenBLAS runs at most one thread per CPU")
+        assert threads == 2
 
-    def test_restored_after_no_convergence(self, get, monkeypatch):
-        monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 5)
-        G = cycle_graph(spectral.LANCZOS_MIN_N + 1)
-        with pytest.raises(NoConvergence):
-            lambda2(G)
-        assert get() == 2
-        with pytest.raises(NoConvergence):
-            with spectral._one_blas_thread():
-                lambda2(G)
-        assert get() == 2
-
-    def test_nesting(self, get):
-        with spectral._one_blas_thread():
-            with spectral._one_blas_thread():
-                assert get() == 1
-            assert get() == 1
-        assert get() == 2
-
-    def test_noop_without_openblas(self, get, monkeypatch):
-        monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: None)
-        with spectral._one_blas_thread():
-            assert get() == 2
-
-    def test_lookup_without_proc(self, monkeypatch):
-        def no_proc(*args, **kwargs):
-            raise FileNotFoundError("/proc/self/maps")
-
-        monkeypatch.setattr(spectral, "open", no_proc, raising=False)
-        assert spectral._openblas_thread_calls.__wrapped__() is None
-
-    @pytest.mark.parametrize("n,lookups", [(64, 0), (65, 1)])
-    def test_lookup_only_for_products_openblas_may_thread(self, n, lookups):
-        # (q r)^2 n multiply-adds: 64^2 * 64 is the bound OpenBLAS itself runs
-        # on the calling thread, so only the product past it enters the scope
-        rows = np.random.default_rng(0).integers(0, 2, size=(32, n))
-        assert (2 * 32) ** 2 * 64 == colorings.SERIAL_GEMM_WORK
-        spectral._openblas_thread_calls.cache_clear()
-        colorings._distance_matrix(rows, 2)
-        assert spectral._openblas_thread_calls.cache_info().misses == lookups
-
-    def test_same_values_without_scope(self, monkeypatch):
-        G = random_regular_bipartite(1000, 25, seed=0)
-        T = tensor_power(3, 2)
-
-        def values():
-            signs, lam = search_low_lambda_signing(T, restarts=5, seed=2)
-            return lambda2(G), signs.tolist(), lam
-
-        scoped = values()
-        monkeypatch.setattr(spectral, "_one_blas_thread", contextlib.nullcontext)
-        assert values() == scoped
+    def test_same_bits_on_one_and_two_threads(self, tmp_path):
+        raw = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "regime_map.json")
+                         .read_text())
+        configs = []
+        for seed in (3, 7, 11):
+            configs.append(tmp_path / f"readme_seed{seed}.json")
+            configs[-1].write_text(json.dumps({**raw, "seed": seed}))
+        one = run_fresh(SAME_BITS, "1", *configs)
+        two = run_fresh(SAME_BITS, "2", *configs)
+        assert one.pop("threads") in (1, None)
+        if two.pop("threads") != 2:
+            pytest.skip("OpenBLAS would not run two threads")
+        assert one == two
+        assert len(one["csv"]) == 3 and all(csv.count("\n") == 10 for csv in one["csv"])
 
 
 def reference_is_connected(G) -> bool:
