@@ -119,13 +119,8 @@ def _require(args, name: str):
 def cmd_spectrum(args) -> int:
     G = fileio.read_graph(args.graph)
     spec = spectral.full_spectrum(G)
-    payload = {
-        "eigenvalues": list(spec.eigenvalues),
-        "lambda2": spec.lambda2,
-        "lambda_min": spec.lambda_min,
-        "residual": spec.residual,
-    }
-    _emit(args, _json(payload))
+    _emit(args, _json({"eigenvalues": list(spec.eigenvalues), "lambda2": spec.lambda2,
+                       "lambda_min": spec.lambda_min, "residual": spec.residual}))
     return 0
 
 
@@ -204,14 +199,9 @@ def cmd_pack(args) -> int:
 def cmd_exact_f(args) -> int:
     G = fileio.read_graph(args.graph)
     size, witness = codes.exact_max_packing(G, args.q, args.delta)
-    payload = {
-        "size": size,
-        "delta": str(args.delta),
-        "q": args.q,
-        "n": G.n,
-        "proper_colorings": witness.provenance.get("colorings", 0),
-        "witness_min_dist": witness.min_dist,
-    }
+    payload = {"size": size, "delta": str(args.delta), "q": args.q, "n": G.n,
+               "proper_colorings": witness.provenance.get("colorings", 0),
+               "witness_min_dist": witness.min_dist}
     if args.with_witness:
         payload["witness"] = witness.rows.tolist()
     _emit(args, _json(payload))
@@ -220,19 +210,8 @@ def cmd_exact_f(args) -> int:
 
 def cmd_certify(args) -> int:
     res = regimes.unique_regime_certificate(args.q, args.delta, args.lam)
-    _emit(
-        args,
-        _json(
-            {
-                "q": args.q,
-                "delta": str(args.delta),
-                "lambda": str(Fraction(args.lam)),
-                "certified": res.certified,
-                "lhs": str(res.lhs),
-                "rhs": str(res.rhs),
-            }
-        ),
-    )
+    _emit(args, _json({"q": args.q, "delta": str(args.delta), "lambda": str(Fraction(args.lam)),
+                       "certified": res.certified, "lhs": str(res.lhs), "rhs": str(res.rhs)}))
     return 0
 
 

@@ -2,7 +2,8 @@
 
 The distance threshold "at least delta * n" is evaluated as an exact integer:
 a pair is allowed iff distance >= ceil(delta * n) with delta a Fraction, so no
-float comparison ever decides membership.
+float comparison ever decides membership. A code set, like each coloring, is
+bound to its graph object; its ``graph_key`` is read only for files and output.
 """
 from __future__ import annotations
 
@@ -42,15 +43,15 @@ class CodeSet:
     """A set of colorings of one graph with a promised pairwise distance fraction.
 
     The members are the rows of one read-only (k, n) int64 array ``rows``,
-    bound to ``q`` and ``graph_key`` (both None when the set is empty).
-    ``members`` holds them as ``Coloring``s, built on first read; a set made
-    from ``Coloring``s keeps those. Members bound to different graphs, q
-    values or vertex counts raise BindingMismatch. Equality is identity.
+    bound to ``q`` and the graph object ``graph`` (both None when the set is
+    empty). ``members`` holds them as ``Coloring``s, built on first read; a
+    set made from ``Coloring``s keeps those. Members bound to different
+    graphs or q values raise BindingMismatch. Equality is identity.
     """
 
     rows: np.ndarray
     q: int | None
-    graph_key: str | None
+    graph: RegularGraph | None
     delta: Fraction
     min_dist: int | None
     provenance: Mapping
@@ -61,33 +62,36 @@ class CodeSet:
         if members:
             first = members[0]
             for X in members[1:]:
-                if (X.graph_key, X.q, X.n) != (first.graph_key, first.q, first.n):
+                if X.q != first.q or X.graph != first.graph:
                     raise BindingMismatch("members bound to different graphs or q values")
-            rows, q, graph_key = np.stack([X.colors for X in members]), first.q, first.graph_key
+            rows, q, graph = np.stack([X.colors for X in members]), first.q, first.graph
         else:
-            rows, q, graph_key = np.empty((0, 0), dtype=np.int64), None, None
-        self._bind(rows, q, graph_key, delta, min_dist, provenance)
+            rows, q, graph = np.empty((0, 0), dtype=np.int64), None, None
+        self._bind(rows, q, graph, delta, min_dist, provenance)
         self.__dict__["members"] = members  # the cache ``members`` reads
 
     @classmethod
-    def _of_rows(cls, rows: np.ndarray, q: int, graph_key: str, delta: Fraction,
+    def _of_rows(cls, rows: np.ndarray, q: int, G: RegularGraph, delta: Fraction,
                  min_dist: int | None, provenance: Mapping) -> "CodeSet":
-        """A set whose members are the rows of a fresh (k, n) int64 array of
-        colors in [0, q), all bound to ``graph_key``; no Coloring is built."""
+        """A set whose members are the rows of a fresh (k, G.n) int64 array
+        of colors in [0, q), all bound to G; no Coloring is built."""
         code = object.__new__(cls)
-        code._bind(rows, q, graph_key, delta, min_dist, provenance)
+        code._bind(rows, q, G, delta, min_dist, provenance)
         return code
 
-    def _bind(self, rows, q, graph_key, delta, min_dist, provenance) -> None:
+    def _bind(self, rows, q, graph, delta, min_dist, provenance) -> None:
         rows.setflags(write=False)
-        values = {"rows": rows, "q": q, "graph_key": graph_key, "delta": delta,
-                  "min_dist": min_dist, "provenance": {} if provenance is None else provenance}
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
+        self.__dict__.update(rows=rows, q=q, graph=graph, delta=delta, min_dist=min_dist,
+                             provenance={} if provenance is None else provenance)
 
     @cached_property
     def members(self) -> tuple[Coloring, ...]:
-        return tuple(Coloring(self.q, row, self.graph_key) for row in self.rows)
+        return tuple(Coloring(self.q, row, self.graph) for row in self.rows)
+
+    @property
+    def graph_key(self) -> str | None:
+        """The graph's file identity, None when the set is empty."""
+        return None if self.graph is None else self.graph.graph_key
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -160,7 +164,7 @@ def greedy_pack(
         if X is None:
             break
         draws += 1
-        if X.graph_key != G.graph_key:
+        if X.graph != G:
             raise BindingMismatch("sampler returned a coloring of a different graph")
         dists = [col.distance(X, Y)[0] for Y in kept]
         if all(d >= thr for d in dists):
@@ -278,13 +282,13 @@ def exact_max_packing(G: RegularGraph, q: int, delta: Fraction) -> tuple[int, Co
     if not k:
         return 0, CodeSet((), delta, None, prov)
     if thr > max_distance(G.n, q):  # the clique search would pick the last row
-        return 1, CodeSet._of_rows(table.reps[-1:].copy(), q, G.graph_key, delta, None, prov)
+        return 1, CodeSet._of_rows(table.reps[-1:].copy(), q, G, delta, None, prov)
     if k > CLIQUE_CAP:
         raise TooLarge(f"{k} colorings exceed the clique cap {CLIQUE_CAP}")
     if thr <= 0:
         # every relabeling orbit holds at least two colorings at distance 0
         rows = col._relabelings(table.reps, q)
-        return k, CodeSet._of_rows(rows, q, G.graph_key, delta, 0 if k > 1 else None, prov)
+        return k, CodeSet._of_rows(rows, q, G, delta, 0 if k > 1 else None, prov)
     reps, dist = table.reps, table.dist
     bits = np.packbits(dist >= thr, axis=1, bitorder="little")
     adj = [int.from_bytes(row.tobytes(), "little") for row in bits]
@@ -293,7 +297,7 @@ def exact_max_packing(G: RegularGraph, q: int, delta: Fraction) -> tuple[int, Co
     pair_dists = dist[c[:, None], c]
     np.fill_diagonal(pair_dists, G.n)  # no pair is farther apart than n
     min_dist = int(pair_dists.min()) if len(clique) > 1 else None
-    return len(clique), CodeSet._of_rows(reps[clique], q, G.graph_key, delta, min_dist, prov)
+    return len(clique), CodeSet._of_rows(reps[clique], q, G, delta, min_dist, prov)
 
 
 # -- the family table: graph families and their samplers ----------------------
@@ -334,7 +338,7 @@ SAMPLERS: dict[str, Callable[[RegularGraph, int, object], Sampler]] = {
     "biased": _biased_sampler,
     # every proper coloring's row, in lexicographic order; only drawn rows become Colorings
     "enumerated": lambda G, q, tau=None: list_sampler(
-        col._relabelings(col._proper_rows(G, q), q), lambda row: Coloring(q, row, G.graph_key)),
+        col._relabelings(col._proper_rows(G, q), q), lambda row: Coloring(q, row, G)),
 }
 
 

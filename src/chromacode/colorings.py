@@ -1,7 +1,8 @@
 """Proper q-colorings, the permutation-invariant distance, and every sampler.
 
 A coloring is a read-only int64 array of per-vertex colors in [0, q), bound
-to a specific graph via the graph's content hash. Colors are 0-indexed
+to the ``RegularGraph`` object it colors; its ``graph_key`` is the graph's
+file identity, read only when a file or a caller asks. Colors are 0-indexed
 everywhere; the modular gadget rule "i+1, i+2 mod q" is applied in 0-indexed
 arithmetic. Properness is not a type invariant (``is_proper`` checks it); the
 samplers here guarantee it by construction, each with one array pass over the
@@ -41,15 +42,15 @@ ENUM_BYTES_CAP = 1 << 28
 
 @dataclass(frozen=True, eq=False)
 class Coloring:
-    """A vertex -> color map over [0, q), bound to one graph.
+    """A vertex -> color map over [0, q), bound to the graph ``graph``.
 
-    ``colors`` is a read-only int64 copy of the values given, which must be
-    integers; equality is by value (q, graph key and colors).
+    ``colors`` is a read-only int64 copy of the values given, integers, one
+    per vertex; equality is by value (q, graph content and colors).
     """
 
     q: int
     colors: np.ndarray
-    graph_key: str
+    graph: RegularGraph
 
     def __post_init__(self):
         if self.q < 2:
@@ -57,6 +58,8 @@ class Coloring:
         given = np.asarray(self.colors)
         if given.ndim != 1:
             raise PreconditionFail("colors must be a flat sequence")
+        if len(given) != self.graph.n:
+            raise BindingMismatch(f"{len(given)} colors for a graph on {self.graph.n} vertices")
         # Python ints beyond int64 come out as a float or object array; only
         # those go on to the cast, whose OverflowError reports them
         if given.dtype.kind not in "biu" and not all(
@@ -77,35 +80,36 @@ class Coloring:
         if not isinstance(other, Coloring):
             return NotImplemented
         return (
-            (self.q, self.graph_key) == (other.q, other.graph_key)
+            self.q == other.q and self.graph == other.graph
             and np.array_equal(self.colors, other.colors)
         )
 
     def __hash__(self) -> int:
-        return hash((self.q, self.graph_key, self.colors.tobytes()))
+        return hash((self.q, self.graph, self.colors.tobytes()))
 
     @property
     def n(self) -> int:
         return len(self.colors)
 
+    @property
+    def graph_key(self) -> str:
+        """The bound graph's file identity (see ``RegularGraph.graph_key``)."""
+        return self.graph.graph_key
+
     def relabeled(self, sigma: Sequence[int]) -> "Coloring":
-        """Apply a color permutation: vertex color c becomes sigma[c]."""
-        return Coloring(self.q, np.asarray(sigma)[self.colors], self.graph_key)
+        """Apply a color permutation: vertex color c becomes sigma[c]. A sigma
+        that is not a permutation of range(q) raises PreconditionFail."""
+        if sorted(sigma) != list(range(self.q)):
+            raise PreconditionFail(f"sigma is not a permutation of range({self.q})")
+        return Coloring(self.q, np.asarray(sigma)[self.colors], self.graph)
 
 
 def make_coloring(G: RegularGraph, q: int, colors: Sequence[int]) -> Coloring:
-    if len(colors) != G.n:
-        raise BindingMismatch(f"{len(colors)} colors for a graph on {G.n} vertices")
-    return Coloring(q, colors, G.graph_key)
-
-
-def _check_bound(G: RegularGraph, X: Coloring) -> None:
-    if X.graph_key != G.graph_key or X.n != G.n:
-        raise BindingMismatch("coloring is bound to a different graph")
+    return Coloring(q, colors, G)
 
 
 def _check_pair(X: Coloring, Y: Coloring) -> None:
-    if X.graph_key != Y.graph_key or X.n != Y.n:
+    if X.graph != Y.graph:
         raise BindingMismatch("colorings are bound to different graphs")
     if X.q != Y.q:
         raise BindingMismatch(f"colorings use different q: {X.q} vs {Y.q}")
@@ -113,7 +117,8 @@ def _check_pair(X: Coloring, Y: Coloring) -> None:
 
 def is_proper(G: RegularGraph, X: Coloring) -> tuple[bool, tuple[int, int] | None]:
     """True iff no edge is monochromatic; otherwise also the first violating edge."""
-    _check_bound(G, X)
+    if X.graph != G:
+        raise BindingMismatch("coloring is bound to a different graph")
     u, v = G.edge_arrays()
     bad = np.flatnonzero(X.colors[u] == X.colors[v])
     if bad.size:
@@ -214,7 +219,7 @@ def sample_gadget_coloring(G: RegularGraph, q: int, seed) -> Coloring:
     i, j = colors[base].T
     parts = colors[base_n:].reshape(-1, 2, 3)  # block k: its x-side part, its y-side part
     parts[:] = np.where(i == j, [(i + 1) % q, (i + 2) % q], [j, i]).T[:, :, None]
-    return Coloring(q, colors, G.graph_key)
+    return Coloring(q, colors, G)
 
 
 def sample_bipartite_biased(G: RegularGraph, q: int, tau: float, seed) -> Coloring:
@@ -245,7 +250,7 @@ def sample_bipartite_biased(G: RegularGraph, q: int, tau: float, seed) -> Colori
     forced = np.zeros(G.n, dtype=bool)
     forced[G.adjacency[part0[marked]]] = True
     colors[part1] = np.where(forced[part1], q - 2, uniform1)
-    return Coloring(q, colors, G.graph_key)
+    return Coloring(q, colors, G)
 
 
 def layered_bipartite_pair(G: RegularGraph, q: int) -> tuple[Coloring, Coloring]:
@@ -271,7 +276,7 @@ def layered_bipartite_pair(G: RegularGraph, q: int) -> tuple[Coloring, Coloring]
     x[part1] = 1 + blocks
     y[part1] = q - 1
     y[part0] = blocks
-    return Coloring(q, x, G.graph_key), Coloring(q, y, G.graph_key)
+    return Coloring(q, x, G), Coloring(q, y, G)
 
 
 def coordinate_colorings(q: int, N: int, G: RegularGraph) -> list[Coloring]:
@@ -290,7 +295,7 @@ def coordinate_colorings(q: int, N: int, G: RegularGraph) -> list[Coloring]:
     if same.any():
         i, e = np.unravel_index(same.argmax(), same.shape)
         raise BindingMismatch(f"{not_lift}: edge ({u[e]}, {v[e]}) has one color in coordinate {i}")
-    return [Coloring(q, row, G.graph_key) for row in rows]
+    return [Coloring(q, row, G) for row in rows]
 
 
 def _check_enumerable(G: RegularGraph, q: int) -> None:
@@ -446,4 +451,4 @@ def _distance_matrix(rows: np.ndarray, q: int) -> np.ndarray:
 def enumerate_proper(G: RegularGraph, q: int) -> list[Coloring]:
     """All proper q-colorings as functions (not up to symmetry), lexicographic:
     the relabelings of the canonical rows."""
-    return [Coloring(q, row, G.graph_key) for row in _relabelings(_proper_rows(G, q), q)]
+    return [Coloring(q, row, G) for row in _relabelings(_proper_rows(G, q), q)]

@@ -5,11 +5,12 @@ Graphs are immutable once built: vertex count n, uniform degree d, and the
 optional array of part labels. Bipartite constructions carry part labels
 (every edge must cross). A graph is only this content: what a construction
 was built from is not kept, and code that needs a structure (a tensor power,
-a gadget expansion, a 2-lift) checks it against the adjacency.
+a gadget expansion, a 2-lift) checks it against the adjacency. In memory a
+graph is its own identity (equality and ``hash`` read the arrays); the sha256
+``graph_key`` names it in files and is computed on first read.
 """
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -45,7 +46,7 @@ class RegularGraph:
     """Simple d-regular graph: ``adjacency`` is the (n, d) neighbor array, rows sorted.
 
     ``part_labels`` tags a bipartition when the graph was built bipartite.
-    Equality and ``graph_key`` cover these four fields and nothing else.
+    Equality, ``hash`` and ``graph_key`` cover these four fields and nothing else.
     """
 
     n: int
@@ -61,18 +62,24 @@ class RegularGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RegularGraph):
             return NotImplemented
-        return (
+        return other is self or (
             (self.n, self.d) == (other.n, other.d)
             and np.array_equal(self.adjacency, other.adjacency)
             and np.array_equal(self.part_labels, other.part_labels)  # None only equals None
         )
 
     def __hash__(self) -> int:
-        return hash(self.graph_key)
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        labels = None if self.part_labels is None else self.part_labels.tobytes()
+        return hash((self.n, self.d, self.adjacency.tobytes(), labels))
 
     @cached_property
     def graph_key(self) -> str:
-        """Content hash of n, d, part labels and the canonical edge list."""
+        """File identity: sha256 of n, d, part labels and the decimal edge list."""
+        import hashlib  # here, not at import: it maps OpenSSL, which only files need
         h = hashlib.sha256(f"{self.n}|{self.d}|".encode())
         if self.part_labels is not None:
             h.update(",".join(map(str, self.part_labels.tolist())).encode())

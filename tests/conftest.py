@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from chromacode import codes, graphs
@@ -16,6 +17,12 @@ def gadget_blocks(H):
     u, u2, u3, v, v2, v3 = H.n + 6k + (0..5), with u joined to x and v to y."""
     return [(x, y, [b, b + 1, b + 2], [b + 3, b + 4, b + 5])
             for b, (x, y) in zip(range(H.n, H.n + 6 * H.m, 6), H.edges())]
+
+
+def edgeless(n):
+    """The graph on n vertices and no edges (n = 0 too): a graph for
+    colorings whose edges do not matter."""
+    return graphs.RegularGraph(n, 0, np.zeros((n, 0)))
 
 
 def triangle():

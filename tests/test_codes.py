@@ -28,6 +28,7 @@ from chromacode.codes import (
 from chromacode.colorings import coordinate_colorings, enumerate_proper, make_coloring
 from chromacode.errors import BindingMismatch, OutOfRange, PreconditionFail, TooLarge
 from chromacode.graphs import complete_graph, cycle_graph, gadget_expand, tensor_power
+from conftest import edgeless
 
 
 class TestThreshold:
@@ -78,7 +79,7 @@ class TestMaxDistance:
     def test_bounds_every_distance(self, data, q, n):
         # q above BRUTE_Q_CAP takes the Hungarian path
         rows = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
-        X, Y = (col.Coloring(q, data.draw(rows), "g") for _ in range(2))
+        X, Y = (col.Coloring(q, data.draw(rows), edgeless(n)) for _ in range(2))
         assert col.distance(X, Y)[0] <= max_distance(n, q)
 
     def test_reached_by_coordinate_colorings(self):
@@ -111,16 +112,21 @@ class TestVerify:
         assert res.distances == (6, 0, 6, 6, 0, 6)
         assert (res.ok, res.min_dist, res.worst_pair) == (False, 0, (0, 2))
 
+    def test_bound_to_the_graph(self):
+        G = tensor_power(3, 2)
+        C = CodeSet(tuple(coordinate_colorings(3, 2, G)), Fraction(2, 3))
+        assert C.graph is G and C.graph_key == G.graph_key == C.members[0].graph_key
+        assert CodeSet((), Fraction(0)).graph_key is None
+
     def test_mixed_binding(self):
         X = coordinate_colorings(3, 2, tensor_power(3, 2))[0]
         C5 = cycle_graph(5)
         Y = make_coloring(C5, 3, [0, 1, 0, 1, 2])
         with pytest.raises(BindingMismatch, match="members bound to different graphs or q values"):
             verify_delta_distinct(CodeSet((X, Y), Fraction(0)))
-        # one graph key and q, but unequal lengths
-        short = col.Coloring(3, X.colors[:-1], X.graph_key)
-        with pytest.raises(BindingMismatch, match="members bound to different graphs or q values"):
-            verify_delta_distinct(CodeSet((X, short), Fraction(0)))
+        # one graph and q, but unequal lengths: the shorter one cannot be made
+        with pytest.raises(BindingMismatch, match="8 colors for a graph on 9 vertices"):
+            col.Coloring(3, X.colors[:-1], X.graph)
 
 
     def test_blocks_give_the_same_distances(self, monkeypatch):
@@ -139,7 +145,7 @@ class TestVerify:
         # 3 colorings at q = 64 on 40,000 vertices: one product over all of
         # them held two (192, 40000) float64 factors, 117 MiB at peak
         rows = np.random.default_rng(0).integers(0, 64, size=(3, 40_000))
-        C = CodeSet(tuple(col.Coloring(64, x, "g") for x in rows), Fraction(1, 2))
+        C = CodeSet(tuple(col.Coloring(64, x, edgeless(40_000)) for x in rows), Fraction(1, 2))
         tracemalloc.start()
         try:
             res = verify_delta_distinct(C)

@@ -31,7 +31,7 @@ from chromacode.graphs import (
     tensor_power,
     two_lift,
 )
-from conftest import gadget_blocks
+from conftest import edgeless, gadget_blocks
 
 
 def chromatic_polynomial_cycle(n, q):
@@ -98,10 +98,10 @@ class TestColoringValues:
         q, values = case
         colors = np.array(values, dtype=np.int64) if as_array else values
         if all(0 <= c < q for c in values):
-            assert Coloring(q, colors, "g").colors.tolist() == values
+            assert Coloring(q, colors, edgeless(len(values))).colors.tolist() == values
         else:
             with pytest.raises(OutOfRange, match="color out of range"):
-                Coloring(q, colors, "g")
+                Coloring(q, colors, edgeless(len(values)))
 
     @pytest.mark.parametrize(
         "colors",
@@ -110,7 +110,7 @@ class TestColoringValues:
     )
     def test_non_integer_colors_rejected(self, colors):
         with pytest.raises(PreconditionFail, match="colors must be integers"):
-            Coloring(3, colors, "g")
+            Coloring(3, colors, edgeless(len(colors)))
 
     @pytest.mark.parametrize(
         "colors,want",
@@ -118,7 +118,7 @@ class TestColoringValues:
          ([np.int32(2), 1], [2, 1]), ([True, False], [1, 0])],
     )
     def test_integer_colors_kept(self, colors, want):
-        X = Coloring(3, colors, "g")
+        X = Coloring(3, colors, edgeless(len(colors)))
         assert X.colors.dtype == np.int64 and X.colors.tolist() == want
 
     @pytest.mark.parametrize(
@@ -128,14 +128,30 @@ class TestColoringValues:
     )
     def test_integers_beyond_int64_out_of_range(self, colors):
         with pytest.raises(OutOfRange, match="color out of range"):
-            Coloring(3, colors, "g")
+            Coloring(3, colors, edgeless(len(colors)))
 
     def test_hash_follows_equality(self):
-        a, b = Coloring(3, [0, 1, 2], "g"), Coloring(3, np.array([0, 1, 2]), "g")
+        a, b = Coloring(3, [0, 1, 2], edgeless(3)), Coloring(3, np.array([0, 1, 2]), edgeless(3))
         assert a == b and hash(a) == hash(b)
-        others = [Coloring(4, [0, 1, 2], "g"), Coloring(3, [0, 1, 2], "h"),
-                  Coloring(3, [0, 2, 1], "g")]
+        others = [Coloring(4, [0, 1, 2], edgeless(3)), Coloring(3, [0, 1, 2], complete_graph(3)),
+                  Coloring(3, [0, 2, 1], edgeless(3))]
         assert len({a, b, *others}) == 4
+
+
+class TestRelabeled:
+    def test_permutation_applied(self):
+        X = make_coloring(cycle_graph(5), 3, [0, 1, 0, 1, 2])
+        assert X.relabeled((2, 0, 1)).colors.tolist() == [2, 0, 2, 0, 1]
+        assert X.relabeled(np.array([1, 2, 0])).graph is X.graph
+
+    @pytest.mark.parametrize("sigma", [[0, 0, 1], [1, 2], [2, 1, 0, 3], [0, 1, 3]],
+                             ids=["repeat", "short", "long", "outside"])
+    def test_non_permutation_refused(self, sigma):
+        # [0, 0, 1] would merge two color classes into an improper coloring,
+        # [1, 2] would index past sigma, [2, 1, 0, 3] would carry a fourth color
+        X = make_coloring(cycle_graph(5), 3, [0, 1, 0, 1, 2])
+        with pytest.raises(PreconditionFail, match=r"sigma is not a permutation of range\(3\)"):
+            X.relabeled(sigma)
 
 
 class TestIsProper:

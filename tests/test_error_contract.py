@@ -99,8 +99,8 @@ RB9 = graphs.random_regular_bipartite(9, 4, seed=1)
     [(lambda: codes.greedy_pack(C5, lambda s: colorings.enumerate_proper(C6, 3)[0],
                                 Fraction(1, 2), 2, 5, 0),
       BindingMismatch, "sampler returned a coloring of a different graph"),
-     (lambda: Coloring(1, [0, 0], "g"), OutOfRange, "need q >= 2"),
-     (lambda: Coloring(3, [[0, 1], [1, 0]], "g"), PreconditionFail,
+     (lambda: Coloring(1, [0, 0], EDGELESS), OutOfRange, "need q >= 2"),
+     (lambda: Coloring(3, [[0, 1], [1, 0]], EDGELESS), PreconditionFail,
       "colors must be a flat sequence"),
      (lambda: colorings.make_coloring(C5, 3, [0, 1]), BindingMismatch,
       "2 colors for a graph on 5 vertices"),
@@ -136,13 +136,17 @@ RB9 = graphs.random_regular_bipartite(9, 4, seed=1)
       "Rayleigh quotient undefined for 0-regular graphs"),
      (lambda: spectral.rayleigh_quotient(C5, [1, -1]), BindingMismatch,
       r"vector length \(2,\) does not match n=5"),
-     (lambda: min_cost_assignment([[1, 2], [3]]), PreconditionFail, "cost matrix must be square")],
+     (lambda: min_cost_assignment([[1, 2], [3]]), PreconditionFail, "cost matrix must be square"),
+     *[(lambda sigma=sigma: colorings.make_coloring(C5, 3, [0, 1, 0, 1, 2]).relabeled(sigma),
+        PreconditionFail, r"sigma is not a permutation of range\(3\)")
+       for sigma in ([0, 0, 1], [1, 2], [2, 1, 0, 3])]],
     ids=["pack-foreign-coloring", "coloring-q1", "coloring-2d", "make-coloring-length",
          "distance-two-graphs", "biased-q2", "layered-q2", "layered-no-parts",
          "coordinate-not-tensor", "coordinate-same-size-not-tensor", "lift-not-a-lift",
          "lift-cycle-not-a-lift", "lift-wrong-size", "coordinate-huge-N", "coordinate-q1",
          "certificate-q2", "normalized-adjacency-d0",
-         "rayleigh-d0", "rayleigh-length", "assignment-not-square"],
+         "rayleigh-d0", "rayleigh-length", "assignment-not-square", "relabel-repeat",
+         "relabel-short", "relabel-long"],
 )
 def test_library_refusal(call, kind, named):
     with pytest.raises(kind, match=named):

@@ -1,9 +1,17 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from chromacode import graphs, spectral
+from chromacode import fileio, graphs, spectral
+from chromacode.colorings import Coloring, distance, is_proper
 from chromacode.errors import BindingMismatch, OutOfRange, PreconditionFail, TooLarge
 from chromacode.graphs import (
     build_from_edges,
@@ -444,3 +452,150 @@ class TestExpansionOracle:
                         naive = ratio
             h, _ = edge_expansion_exact(G)
             assert h == pytest.approx(naive)
+
+
+# -- graph identity: content in memory, graph_key at the file boundary ----------
+
+@st.composite
+def small_graphs(draw, kinds=("cycle", "bipartite", "tensor")):
+    """A cycle, a random bipartite graph (with part labels, d = 0 allowed) or
+    a tensor power."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "cycle":
+        return cycle_graph(draw(st.integers(3, 30)))
+    if kind == "bipartite":
+        half = draw(st.integers(1, 12))
+        return random_regular_bipartite(half, draw(st.integers(0, half)),
+                                        seed=draw(st.integers(0, 2**32 - 1)))
+    return tensor_power(draw(st.integers(2, 4)), draw(st.integers(1, 2)))
+
+
+def greedy_colors(G):
+    """A proper coloring with at most d + 1 colors: each vertex in id order
+    takes the least color no lower neighbor has."""
+    colors = []
+    for v, row in enumerate(G.adjacency.tolist()):
+        taken = {colors[u] for u in row if u < v}
+        colors.append(min(set(range(G.d + 1)) - taken))
+    return colors
+
+
+def labels_of(G):
+    return None if G.part_labels is None else G.part_labels.tolist()
+
+
+def assert_same_graph(G, H):
+    """G and H are one graph: equal, equal hashes and keys, and a coloring
+    bound to either serves the other."""
+    assert G == H and hash(G) == hash(H) and G.graph_key == H.graph_key
+    q = max(G.d + 1, 2)
+    X, Y = Coloring(q, greedy_colors(G), G), Coloring(q, greedy_colors(G), H)
+    assert X == Y and hash(X) == hash(Y)
+    assert distance(X, Y)[0] == 0
+    assert is_proper(H, X) == is_proper(G, Y) == (True, None)
+
+
+def assert_other_graph(G, H):
+    """G and H differ: unequal, other keys, and a coloring bound to one is
+    refused on the other."""
+    assert G != H and G.graph_key != H.graph_key
+    X = Coloring(2 + G.d, greedy_colors(G), G)
+    with pytest.raises(BindingMismatch, match="coloring is bound to a different graph"):
+        is_proper(H, X)
+    if H.n == G.n:
+        Y = Coloring(2 + G.d, [0] * H.n, H)
+        with pytest.raises(BindingMismatch, match="colorings are bound to different graphs"):
+            distance(X, Y)
+
+
+class TestGraphIdentity:
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_shuffled_edges_give_the_same_graph(self, G, data):
+        edges = data.draw(st.permutations(G.edges()))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
+        assert_same_graph(G, build_from_edges(G.n, edges, part_labels=labels_of(G)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs())
+    def test_text_round_trip_gives_the_same_graph(self, G):
+        H = fileio.graph_from_text(fileio.graph_to_text(G))
+        assert H is not G
+        assert_same_graph(G, H)
+
+    @pytest.mark.parametrize("q", range(2, 9))
+    def test_complete_graph_is_the_first_tensor_power(self, q):
+        assert_same_graph(complete_graph(q), tensor_power(q, 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs())
+    def test_two_switch_gives_another_graph(self, G):
+        # replace edges ab, cd by ad, cb: the least change that keeps G
+        # regular, and keeps every edge crossing when the a < b are part 0
+        edges = set(G.edges())
+        switch = next(((a, b, c, d) for (a, b), (c, d) in itertools.combinations(sorted(edges), 2)
+                       if len({a, b, c, d}) == 4 and not {(min(a, d), max(a, d)),
+                                                          (min(b, c), max(b, c))} & edges), None)
+        assume(switch is not None)
+        a, b, c, d = switch
+        moved = edges - {(a, b), (c, d)} | {(a, d), (c, b)}
+        assert_other_graph(G, build_from_edges(G.n, sorted(moved), part_labels=labels_of(G)))
+
+    def test_one_edge_gives_another_graph(self):
+        assert_other_graph(build_from_edges(2, []), build_from_edges(2, [(0, 1)]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs(["bipartite"]))
+    def test_part_labels_alone_give_another_graph(self, G):
+        unlabelled = build_from_edges(G.n, G.edges())
+        flipped = build_from_edges(G.n, G.edges(), part_labels=(1 - G.part_labels).tolist())
+        assert_other_graph(G, unlabelled)
+        assert_other_graph(G, flipped)
+
+
+KEY_ONLY_AT_FILES = """
+import json, os, sys
+from fractions import Fraction
+import chromacode
+from chromacode import codes, graphs
+
+petersen = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+named = {
+    "C5": graphs.cycle_graph(5), "C6": graphs.cycle_graph(6), "C7": graphs.cycle_graph(7),
+    "prism": graphs.build_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                                         (0, 3), (1, 4), (2, 5)]),
+    "K33": graphs.build_from_edges(6, [(i, 3 + j) for i in range(3) for j in range(3)],
+                                   part_labels=[0, 0, 0, 1, 1, 1]),
+    "petersen": graphs.build_from_edges(10, petersen),
+}
+sizes = {name: [codes.exact_max_packing(G, 3, Fraction(k, G.n))[0] for k in range(G.n + 1)]
+         for name, G in named.items()}
+X, *rest = codes.exact_max_packing(named["petersen"], 3, Fraction(1, 2))[1].members
+same = X == chromacode.Coloring(3, X.colors.tolist(), graphs.build_from_edges(10, petersen))
+hashlib_loaded = "hashlib" in sys.modules
+from chromacode import fileio
+path = os.path.join(sys.argv[1], "petersen.graph")
+fileio.write_graph(path, named["petersen"])
+with open(path + ".json") as fh:
+    key = json.load(fh)["graph_key"]
+print(json.dumps({"sizes": sizes, "same": same, "hashlib": hashlib_loaded, "key": key}))
+"""
+
+
+def test_no_graph_key_without_a_file(tmp_path):
+    """In a fresh process, the exact oracle over every delta on six graphs,
+    a witness's members and a Coloring comparison load no hashlib: only
+    writing a graph file computes its key, which is the one pinned here.
+    Inside pytest hashlib is already loaded, hence the new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(graphs.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", KEY_ONLY_AT_FILES, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    # f(C5) and f(Petersen) at delta = k/n, k = 0..n
+    assert out["sizes"]["C5"] == [30, 5, 2, 1, 1, 1]
+    assert out["sizes"]["petersen"] == [120, 20, 10, 5, 4, 2, 1, 1, 1, 1, 1]
+    assert out["same"] and not out["hashlib"]
+    assert out["key"] == "bd2372f8b3a6568e"

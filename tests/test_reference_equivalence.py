@@ -29,7 +29,7 @@ from chromacode.graphs import (
     tensor_power,
     two_lift,
 )
-from conftest import gadget_blocks
+from conftest import edgeless, gadget_blocks
 
 
 # -- random_regular_bipartite: the dict/set augmenting-path repair -------------
@@ -313,7 +313,7 @@ def reference_biased(G, q, tau, seed):
     uniform1 = rng.integers(low, q, size=len(part1))
     forced = (colors[G.adjacency[part1]] == q - 1).any(axis=1)
     colors[part1] = np.where(forced, q - 2, uniform1)
-    return Coloring(q, colors, G.graph_key)
+    return Coloring(q, colors, G)
 
 
 def interleaved_lift():
@@ -416,7 +416,7 @@ def reference_enumerate_proper(G, q):
 
     def backtrack(v):
         if v == G.n:
-            out.append(Coloring(q, assigned, G.graph_key))
+            out.append(Coloring(q, assigned, G))
             return
         blocked = {assigned[u] for u in lower_nbrs[v]}
         for c in range(q):
@@ -553,7 +553,7 @@ class TestExactOracle:
             st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=1, max_size=9
         )), dtype=np.int64)
         got = colorings._distance_matrix(rows, q)
-        members = [Coloring(q, row, "g") for row in rows]
+        members = [Coloring(q, row, edgeless(n)) for row in rows]
         want = [[colorings.distance(X, Y)[0] for Y in members] for X in members]
         assert got.tolist() == want
         # verify on the same members, some repeated: every pair's distance in
