@@ -363,6 +363,10 @@ def _build_tensor_lift(q: int, p: Mapping, seed) -> tuple[RegularGraph, Sampler]
     if p["lifts"] < 0:
         raise OutOfRange(f"tensor-lift lifts={p['lifts']} is negative")
     G = graphs.tensor_power(q, p["N"])
+    n = G.n
+    for _ in range(p["lifts"]):  # refuse a too-large last search before the first runs
+        graphs._check_search_work(n, G.d)
+        n *= 2
     for k in range(p["lifts"]):
         signs, _ = graphs.search_low_lambda_signing(G, p["restarts"], seed=(*seed, k))
         G = graphs.two_lift(G, signs)

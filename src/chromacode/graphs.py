@@ -30,6 +30,7 @@ TENSOR_WORK_CAP = 1 << 20
 # 3 * 10^6 of a cubic graph on 10^6 vertices
 GRAPH_ENTRIES_CAP = 1 << 23
 SEARCH_MAX_PASSES = 200  # greedy flip passes per signing-search restart
+SEARCH_WORK_CAP = 1 << 31  # dense work m n^3 of one signing-search pass (K_4^2 3 lifts: 1.2e9)
 PERM_REDRAWS = 20        # whole redraws of a colliding permutation before repair
 FLIP_BATCH_BYTES = 1 << 20  # flipped signed matrices held at once by the signing search
 
@@ -393,23 +394,26 @@ def search_low_lambda_signing(
 ) -> tuple[np.ndarray, float]:
     """Randomized-restart greedy search for a signing whose 2-lift has small lambda2.
 
-    A signing is a +1/-1 vector in canonical edge order, as ``two_lift``
-    takes. Each restart draws one from its own derived seed ``child``, as
-    ``default_rng(child).choice((-1, 1), size=m)``, and greedily applies the
-    best single-edge flip while the score improves, for at most
-    SEARCH_MAX_PASSES passes. No lift is built:
-    by Bilu-Linial 2006, spec(lift) = spec(A) U spec(A_s), so the lift's lambda2
-    is max(lambda2(G), top eigenvalue of the signed matrix A_s), and that is
-    the score. Each restart builds A_s once, and a flip negates its two
-    entries in place. A pass scores all m flips by batched ``eigvalsh`` calls
-    on flipped copies of A_s, in one reused buffer of at most
-    FLIP_BATCH_BYTES (or one matrix). Scores are compared rounded to 9
-    decimals, so candidates that differ only by floating-point noise tie and the
-    tie-breaks decide: within a pass the lowest flip index among the best
-    wins; across restarts the smaller (rounded lambda, sign vector). Returns
-    the best signing and its lift's lambda2; no optimality guarantee. The
-    result depends only on (G, restarts, seed). Raises PreconditionFail for
-    d < 2, a disconnected G or restarts < 1.
+    A signing is a +1/-1 vector in canonical edge order, as ``two_lift`` takes.
+    Restart r draws ``default_rng(child).choice((-1, 1), size=m)`` with child
+    (*seed, r), or (seed, r) for an int seed, then applies the best single-edge
+    flip while the score improves, for at most SEARCH_MAX_PASSES passes. The
+    score is the lift's lambda2, max(lambda2(G), top ``eigvalsh`` eigenvalue
+    of the signed matrix A_s), as spec(lift) = spec(A) U spec(A_s) (Bilu-Linial
+    2006); no lift is built. Scores compare rounded to 9 decimals: within a
+    pass the lowest flip index among the best wins, across restarts the
+    smaller (rounded lambda, sign vector). No optimality guarantee.
+
+    A pass bounds every flip's score from one ``eigh`` of A_s (``_flip_bounds``,
+    less 1e-12 for rounding). Flips whose bound rounds to at least the current
+    score are dropped, and a restart with none left stops. Else the
+    lowest-bound flip is solved exactly, then each kept flip whose bound is
+    within 1e-9 of that score (any other rounds higher), so the result is
+    that of solving every flip. Restarts run in lockstep groups, their
+    matrices solved in stacks of at most FLIP_BATCH_BYTES (or one matrix).
+    Raises PreconditionFail for d < 2, a disconnected G or restarts < 1, and
+    TooLarge, before any matrix is built, when a pass's dense work m n^3 is
+    above SEARCH_WORK_CAP.
     """
     from . import spectral  # local import: spectral depends on graphs
 
@@ -419,48 +423,81 @@ def search_low_lambda_signing(
         raise PreconditionFail("signing search needs a connected graph")
     if restarts < 1:
         raise PreconditionFail("signing search needs restarts >= 1")
+    _check_search_work(G.n, G.d)
+    n, m = G.n, G.m
     lam_base = spectral.lambda2(G)
     u, v = G.edge_arrays()
-    per_batch = min(G.m, max(1, FLIP_BATCH_BYTES // (8 * G.n * G.n)))
-    batch = np.empty((per_batch, G.n, G.n))  # flipped copies of A_s, reused by every pass
+    per_batch = max(1, FLIP_BATCH_BYTES // (8 * n * n))  # matrices in one stack
 
-    def scores(mats: np.ndarray) -> list[float]:
-        # max(lambda2(G), top eigenvalue) of each matrix, by one batched eigvalsh
-        return [max(lam_base, t) for t in np.linalg.eigvalsh(mats)[:, -1].tolist()]
+    def scores(A: np.ndarray, rows: np.ndarray, flips: np.ndarray) -> np.ndarray:
+        # the score of each A[rows[i]] with edge flips[i] flipped, a stack at a time
+        out = np.empty(len(rows))
+        for c in range(0, len(rows), per_batch):
+            r, e = rows[c:c + per_batch], flips[c:c + per_batch]
+            mats, k = A[r], np.arange(len(r))
+            mats[k, u[e], v[e]] = mats[k, v[e], u[e]] = -A[r, u[e], v[e]]
+            out[c:c + len(r)] = np.linalg.eigvalsh(mats)[:, -1]
+        return np.maximum(out, lam_base)
 
-    def flip_edge(i: int) -> None:
-        signs[i] = -signs[i]
-        A[u[i], v[i]] = A[v[i], u[i]] = -A[u[i], v[i]]
-
-    def flip_scores() -> list[float]:
-        # the score after each single-edge flip, in edge order, a batch at a time
-        out = []
-        for c in range(0, G.m, per_batch):
-            e = np.arange(c, min(c + per_batch, G.m))
-            flipped = batch[: len(e)]
-            flipped[:] = A
-            flipped[e - c, u[e], v[e]] = flipped[e - c, v[e], u[e]] = -A[u[e], v[e]]
-            out += scores(flipped)
-        return out
-
-    best = None  # ((rounded lambda, sign tuple), lambda)
-    for r in range(restarts):
-        child = (*seed, r) if isinstance(seed, tuple) else (seed, r)
-        signs = np.random.default_rng(child).choice((-1, 1), size=G.m)
-        A = spectral.normalized_adjacency(G, signs)  # A_s, kept in step with signs
-        (lam,) = scores(A[None])
+    prefix = seed if isinstance(seed, tuple) else (seed,)  # restart r draws from (*prefix, r)
+    found = []  # ((rounded lambda, sign tuple), lambda) of each restart, in order
+    for g0 in range(0, restarts, per_batch):
+        signs = np.array([np.random.default_rng((*prefix, r)).choice((-1, 1), size=m)
+                          for r in range(g0, min(g0 + per_batch, restarts))])
+        A = np.stack([spectral.normalized_adjacency(G, s) for s in signs])  # A_s of each restart
+        lam = np.maximum(np.linalg.eigvalsh(A)[:, -1], lam_base).tolist()
+        active = np.arange(len(signs))
         for _ in range(SEARCH_MAX_PASSES):
-            flips = flip_scores()
-            flip = min(range(G.m), key=lambda i: round(flips[i], 9))  # lowest index
-            if round(flips[flip], 9) >= round(lam, 9):
+            bound = np.maximum(_flip_bounds(A[active], u, v), lam_base) - 1e-12
+            keep = np.round(bound, 9) < np.array([round(lam[r], 9) for r in active])[:, None]
+            live = keep.any(1)
+            active, bound, keep = active[live], bound[live], keep[live]
+            if not active.size:
                 break
-            flip_edge(flip)
-            lam = flips[flip]
-        key = (round(lam, 9), tuple(signs.tolist()))
-        if best is None or key < best[0]:
-            best = (key, lam)
-    (_, signs), lam = best
+            lowest = np.where(keep, bound, np.inf).argmin(1)
+            first = scores(A, active, lowest)
+            keep[np.arange(len(active)), lowest] = False
+            i, e = np.nonzero(keep & (bound <= first[:, None] + 1e-9))
+            solved = np.concatenate([first, scores(A, active[i], e)]).tolist()
+            winners = {}  # restart -> its least (rounded score, flip, score)
+            for r, *win in sorted(zip([*active.tolist(), *active[i].tolist()],
+                                      [round(s, 9) for s in solved], [*lowest, *e], solved)):
+                winners.setdefault(r, win)
+            active = np.array([r for r, (key, _, _) in winners.items() if key < round(lam[r], 9)],
+                              dtype=np.int64)
+            for r in active.tolist():
+                _, e, lam[r] = winners[r]
+                signs[r, e] = -signs[r, e]
+                A[r, u[e], v[e]] = A[r, v[e], u[e]] = -A[r, u[e], v[e]]
+        found += [((round(x, 9), tuple(s.tolist())), x) for s, x in zip(signs, lam)]
+    (_, signs), lam = min(found, key=lambda f: f[0])
     return np.array(signs), lam
+
+
+def _check_search_work(n: int, d: int) -> None:
+    """Refuse with TooLarge a signing search on n vertices of degree d whose
+    pass does dense work m n^3 above SEARCH_WORK_CAP."""
+    if n * d // 2 * n**3 > SEARCH_WORK_CAP:
+        raise TooLarge(f"signing search on {n} vertices of degree {d}: m n^3 = "
+                       f"{n * d // 2 * n**3} dense work per pass, above the cap {SEARCH_WORK_CAP}")
+
+
+def _flip_bounds(A: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(k, m) lower bounds on the top eigenvalue of each of k stacked symmetric
+    matrices A once entries (u_j, v_j) and (v_j, u_j) are negated, each j.
+
+    The flip adds c (e_u e_v' + e_v e_u'), c = -2 A[u, v]. On A's top two
+    eigenvectors X it is diag(theta1, theta2) + c (p r' + r p') with p = X[u],
+    r = X[v], whose top eigenvalue bounds the flipped one from below
+    (Courant-Fischer). Both are at least theta2: the update's eigenvalues are
+    +c and -c, and adding one negative rank-one term lowers the top
+    eigenvalue of a matrix to no less than its second (interlacing).
+    """
+    theta, X = np.linalg.eigh(A)
+    c = -2 * A[:, u, v]
+    p1, p2, r1, r2 = X[:, u, -1], X[:, u, -2], X[:, v, -1], X[:, v, -2]
+    a, b = theta[:, -1:] + 2 * c * p1 * r1, theta[:, -2:-1] + 2 * c * p2 * r2
+    return (a + b) / 2 + np.hypot((a - b) / 2, c * (p1 * r2 + p2 * r1))
 
 
 def edge_expansion_exact(G: RegularGraph) -> tuple[float, tuple[int, ...]]:

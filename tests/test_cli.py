@@ -816,6 +816,16 @@ def _k4_signing(edit):
     return argv
 
 
+def _lift_search(half):
+    """argv for `construct two-lift --search` of a random cubic bipartite graph on 2 half vertices."""
+    def argv(tmp_path):
+        path = tmp_path / "b.graph"
+        fileio.write_graph(str(path), graphs.random_regular_bipartite(half, 3, seed=1))
+        return ["construct", "two-lift", "--graph", path, "--search", "--restarts", 1,
+                "--out", tmp_path / "lift.graph"]
+    return argv
+
+
 def _sweep_config(**config):
     def argv(tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -910,6 +920,12 @@ class TestErrorContract:
          (_sweep_config(delta_grid=["1/2"], lambda_grid=["9/10"],
                         families=[{"kind": "tensor-lift", "lifts": -1}]),
           "tensor-lift lifts=-1 is negative"),
+         (_sweep_config(delta_grid=["1/2"], lambda_grid=["9/10"],
+                        families=[{"kind": "tensor-lift", "lifts": 10}]),
+          "signing search on 288 vertices of degree 4: m n^3 = 13759414272 dense work per "
+          f"pass, above the cap {graphs.SEARCH_WORK_CAP}"),
+         (_lift_search(10000), "signing search on 20000 vertices of degree 3: m n^3 = "
+          f"240000000000000000 dense work per pass, above the cap {graphs.SEARCH_WORK_CAP}"),
          *[(_sweep_config(delta_grid=["1/2"], lambda_grid=["9/10"],
                           families=[{"kind": "biased", "tau": tau}]), named)
            for tau, named in ((float("inf"), "tau=inf is not a rational in [0, 1]"),
@@ -944,7 +960,8 @@ class TestErrorContract:
              "exact-f-c5-huge-q", "exact-f-c5-huge-q-delta0", "pack-enumerated-huge-q",
              "pack-enumerated-q1000", "exact-f-c16-q5", "pack-enumerated-c16-q5",
              "tensor-N10000", "tensor-N30000000", "tensor-q64-N2", "sweep-tensor-lift-N10000",
-             "sweep-tensor-lift-lifts-negative", "sweep-tau-infinity", "sweep-tau-1e400",
+             "sweep-tensor-lift-lifts-negative", "sweep-tensor-lift-lifts10",
+             "two-lift-search-too-large", "sweep-tau-infinity", "sweep-tau-1e400",
              "sweep-tau-bool",
              "complete-q20000", "cycle-n1e20", "random-bipartite-half1e20",
              "distance-huge-q", "verify-huge-q", "pack-gadget-huge-q"],

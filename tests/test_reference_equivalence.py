@@ -229,7 +229,7 @@ class TestConstructions:
         assert_same_graph(gadget_expand(H), reference_gadget_expand(H))
 
 
-# -- search_low_lambda_signing: one eigvalsh call per flip -----------------------
+# -- search_low_lambda_signing: one eigvalsh call per flip, every flip solved -----
 
 def reference_search(G, restarts, seed):
     lam_base = spectral.lambda2(G)
@@ -272,6 +272,11 @@ def k32_lift():
     return two_lift(T, np.random.default_rng(5).choice((-1, 1), size=T.m))
 
 
+def k32_lift_lift():
+    L = k32_lift()
+    return two_lift(L, np.random.default_rng(6).choice((-1, 1), size=L.m))
+
+
 class TestBatchedSigningSearch:
     @pytest.mark.parametrize(
         "make,restarts,seed",
@@ -279,8 +284,18 @@ class TestBatchedSigningSearch:
          (lambda: tensor_power(4, 2), 2, (7, 3)),
          (k32_lift, 3, 1),
          (k32_lift, 3, (7, 3, 0)),
-         (lambda: tensor_power(3, 2), 30, (7, 3, 0))],
-        ids=["K4^2-0", "K4^2-tuple", "K3^2-lift-1", "K3^2-lift-tuple", "K3^2-sweep"],
+         (lambda: tensor_power(3, 2), 30, (7, 3, 0)),
+         (lambda: tensor_power(3, 3), 2, 5),
+         (lambda: tensor_power(3, 3), 2, (7, 3)),
+         (k32_lift_lift, 2, 2),
+         (k32_lift_lift, 2, (7, 3, 1)),
+         (lambda: cycle_graph(9), 8, 3),
+         (lambda: cycle_graph(9), 8, (1, 2)),
+         (lambda: random_regular_bipartite(20, 3, seed=1), 3, 4),
+         (lambda: random_regular_bipartite(20, 3, seed=1), 3, (4, 1))],
+        ids=["K4^2-0", "K4^2-tuple", "K3^2-lift-1", "K3^2-lift-tuple", "K3^2-sweep",
+             "K3^3-5", "K3^3-tuple", "K3^2-lift-lift-2", "K3^2-lift-lift-tuple", "C9-3",
+             "C9-tuple", "bipartite20-4", "bipartite20-tuple"],
     )
     def test_same_signing_and_float(self, make, restarts, seed):
         G = make()
@@ -290,13 +305,36 @@ class TestBatchedSigningSearch:
         assert repr(lam) == repr(ref_lam)
 
     def test_small_batches(self, monkeypatch):
-        # one matrix per batch, and a batch that does not divide m
+        # one matrix per stack (so one restart per lockstep group), and a
+        # stack that divides neither m nor the restarts
         G = k32_lift()
-        ref = reference_search(G, 2, 4)
+        ref = reference_search(G, 7, 4)
         for size in (1, 5 * 8 * G.n * G.n):
             monkeypatch.setattr(graphs, "FLIP_BATCH_BYTES", size)
-            signs, lam = graphs.search_low_lambda_signing(G, 2, 4)
+            stacks = []
+            monkeypatch.setattr(graphs.np.linalg, "eigh", recording(np.linalg.eigh, stacks))
+            monkeypatch.setattr(graphs.np.linalg, "eigvalsh", recording(np.linalg.eigvalsh, stacks))
+            signs, lam = graphs.search_low_lambda_signing(G, 7, 4)
+            monkeypatch.undo()
             assert np.array_equal(signs, ref[0]) and repr(lam) == repr(ref[1])
+            assert max(stacks) == max(1, size // (8 * G.n * G.n))
+
+    def test_solves_screened(self, monkeypatch):
+        # the README sweep's search solves 291 flipped or initial matrices
+        # (every flip solved: 1,686), and lambda2 of K_3^2 one more
+        stacks = []
+        monkeypatch.setattr(graphs.np.linalg, "eigvalsh", recording(np.linalg.eigvalsh, stacks))
+        graphs.search_low_lambda_signing(tensor_power(3, 2), 30, (7, 3, 0))
+        assert sum(stacks) <= 400
+
+
+def recording(solve, stacks):
+    """``solve``, appending the number of matrices of each call to ``stacks``."""
+    def counted(a, *args, **kwargs):
+        a = np.asarray(a)
+        stacks.append(1 if a.ndim == 2 else len(a))
+        return solve(a, *args, **kwargs)
+    return counted
 
 
 # -- sample_bipartite_biased: the full part-1 neighbor gather --------------------

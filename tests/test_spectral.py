@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromacode import spectral
+from chromacode import graphs, spectral
 from chromacode.errors import NoConvergence, PreconditionFail, TooLarge
 from chromacode.graphs import (
     build_from_edges,
@@ -293,6 +293,31 @@ class TestLiftSpectrum:
             *np.linalg.eigvalsh(normalized_adjacency(G, s)),
         ])
         assert np.max(np.abs(np.array(lifted) - union)) < 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_flip_bounds(self, fixture_graphs, data):
+        # the signing search's two lower bounds on the top eigenvalue of A_s with
+        # edge e flipped: the 2x2 compression onto A_s's top two eigenvectors
+        # (graphs._flip_bounds), and theta2(A_s) by interlacing
+        connected = [G for G in fixture_graphs.values() if G.d >= 2 and spectral.is_connected(G)]
+        G = data.draw(st.one_of(
+            st.sampled_from(connected),
+            st.builds(random_regular_bipartite, st.integers(3, 12), st.integers(2, 3),
+                      st.integers(0, 2**16)).filter(spectral.is_connected),
+        ))
+        s = np.array(data.draw(st.lists(st.sampled_from((-1, 1)), min_size=G.m, max_size=G.m)))
+        A = normalized_adjacency(G, s)
+        u, v = G.edge_arrays()
+        bounds = graphs._flip_bounds(A[None], u, v)[0]
+        theta2 = np.linalg.eigvalsh(A)[-2]
+        for e in range(G.m):
+            flipped = A.copy()
+            flipped[u[e], v[e]] = flipped[v[e], u[e]] = -A[u[e], v[e]]
+            top = np.linalg.eigvalsh(flipped)[-1]
+            assert bounds[e] <= top + 1e-12
+            assert top >= theta2 - 1e-12
+            assert bounds[e] >= theta2 - 1e-12
 
 
 # prints the thread count of the OpenBLAS the process loaded, or None
