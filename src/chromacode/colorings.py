@@ -104,10 +104,6 @@ class Coloring:
         return Coloring(self.q, np.asarray(sigma)[self.colors], self.graph)
 
 
-def make_coloring(G: RegularGraph, q: int, colors: Sequence[int]) -> Coloring:
-    return Coloring(q, colors, G)
-
-
 def _check_pair(X: Coloring, Y: Coloring) -> None:
     if X.graph != Y.graph:
         raise BindingMismatch("colorings are bound to different graphs")

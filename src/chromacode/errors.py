@@ -12,14 +12,14 @@ surfaces as a traceback.
   part label, vertex id, tau, or a (delta, lambda) point.
 - ``PreconditionFail``: an input lacks a structure the operation needs:
   regular, simple (no self-loop or repeated edge), cubic, bipartite,
-  connected, disjoint subsets, nonzero degree or vector, gadget layout, part
-  sizes, a square matrix, a non-empty code set.
+  connected, nonzero degree, gadget layout, part sizes, a square matrix, a
+  non-empty code set.
 - ``TooLarge``: an input above the cap of an exhaustive or dense computation.
 - ``MalformedFile``: a graph, signing, coloring, sidecar or config file that
   does not parse; the message names the path, line or field.
 - ``BindingMismatch``: objects that must belong together do not: a coloring,
-  signing, vector or sidecar and its graph (also a graph on which the
-  coordinate colorings of K_q^N are not proper), or two colorings' q.
+  signing or sidecar and its graph (also a graph on which the coordinate
+  colorings of K_q^N are not proper), or two colorings' q.
 - ``NoConvergence``: the Lanczos iteration of ``spectral.lambda2`` ran out
   of its step budget.
 """

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from fractions import Fraction
 from typing import Mapping
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import graphs
 from .codes import CodeSet
-from .colorings import Coloring, make_coloring
+from .colorings import Coloring
 from .errors import BindingMismatch, MalformedFile
 from .graphs import RegularGraph
 
@@ -54,19 +55,20 @@ def graph_to_text(G: RegularGraph) -> str:
 
 
 _INT64 = np.iinfo(np.int64)
+# an optional sign and ASCII digits: int() alone also reads "1_0" as 10 and
+# the digits of other scripts
+_INT_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
 def _ints(line: str, lineno: int, count: int | None = None, start: int = 0) -> list[int]:
     """The integer fields of ``line[start:]``. Raises MalformedFile naming the
-    line unless every field is an int64 integer and, given ``count``, there
-    are that many."""
-    try:
-        values = [int(x) for x in line[start:].split()]
-    except ValueError:
-        values = None
-    if values is None or count not in (None, len(values)):
+    line unless every field is an optional sign and ASCII digits within
+    int64 and, given ``count``, there are that many."""
+    fields = line[start:].split()
+    if not all(map(_INT_FIELD.fullmatch, fields)) or count not in (None, len(fields)):
         want = "integers" if count is None else f"{count} integers"
         raise MalformedFile(f"line {lineno}: expected {want}, got {line!r}")
+    values = [int(x) for x in fields]
     if any(not _INT64.min <= x <= _INT64.max for x in values):
         raise MalformedFile(f"line {lineno}: integer outside int64 in {line!r}")
     return values
@@ -139,7 +141,7 @@ def read_coloring(path: str, G: RegularGraph, graph_path: str | None = None) -> 
         raise MalformedFile(f'{path}: "q" must be an integer, got {q!r}')
     if type(colors) is not list or any(type(c) is not int for c in colors):
         raise MalformedFile(f'{path}: "colors" must be a list of integers')
-    return make_coloring(G, q, colors)
+    return Coloring(q, colors, G)
 
 
 def write_signing(path: str, G: RegularGraph, signs) -> None:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import BindingMismatch, OutOfRange, PreconditionFail, TooLarge
 
-EXPANSION_CAP = 24       # exhaustive edge-expansion limit (2^(n-1) subsets)
 TENSOR_SIZE_CAP = 4096   # vertex cap for tensor powers
 # adjacency entries n (q-1)^N a tensor power may list: its one broadcast holds
 # n (q-1)^N N int64 digits, at most about 26 MB under both caps (K_6^4)
@@ -115,22 +114,6 @@ class RegularGraph:
         cols = self.adjacency.ravel()
         upper = rows < cols
         return rows[upper], cols[upper]
-
-
-@dataclass(frozen=True)
-class VertexSubsetMeasures:
-    """Normalized subset measures: w(A) = |A|/n, e(A) = |E(A)|/m, e(A,B) = |E(A,B)|/m.
-
-    Raw integer counts are kept alongside the fractions so callers can do
-    exact arithmetic.
-    """
-
-    w: float
-    e_within: float
-    e_cross: float
-    size: int
-    inner_edges: int
-    cross_edges: int
 
 
 def build_from_edges(
@@ -498,84 +481,3 @@ def _flip_bounds(A: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     p1, p2, r1, r2 = X[:, u, -1], X[:, u, -2], X[:, v, -1], X[:, v, -2]
     a, b = theta[:, -1:] + 2 * c * p1 * r1, theta[:, -2:-1] + 2 * c * p2 * r2
     return (a + b) / 2 + np.hypot((a - b) / 2, c * (p1 * r2 + p2 * r1))
-
-
-def edge_expansion_exact(G: RegularGraph) -> tuple[float, tuple[int, ...]]:
-    """Exact edge expansion h(G) = min_{0<|S|<=n/2} |E(S, V\\S)| / |S|.
-
-    Enumerates subsets containing vertex 0 (complement symmetry halves the
-    space) in Gray-code order with incremental cut updates. Returns the
-    minimum ratio and a minimizing set of size <= n/2.
-    """
-    n = G.n
-    if n > EXPANSION_CAP:
-        raise TooLarge(f"n={n} exceeds exhaustive cap {EXPANSION_CAP}")
-    if n < 2:
-        raise PreconditionFail("edge expansion needs n >= 2")
-    nbr = [sum(1 << u for u in row) for row in G.adjacency.tolist()]
-    d = G.d
-    mask = 1
-    size = 1
-    cut = d
-    full = (1 << n) - 1
-    best_h = float(cut)
-    best_mask = mask
-    best_size = 1
-    for g in range(1, 1 << (n - 1)):
-        v = ((g & -g).bit_length() - 1) + 1
-        inside = (nbr[v] & mask).bit_count()
-        if (mask >> v) & 1:
-            mask &= ~(1 << v)
-            size -= 1
-            cut -= d - 2 * inside
-        else:
-            mask |= 1 << v
-            size += 1
-            cut += d - 2 * inside
-        if mask == full:
-            continue
-        h = cut / min(size, n - size)
-        if h < best_h:
-            best_h = h
-            best_mask = mask
-            best_size = size
-    if best_size > n - best_size:
-        best_mask = full & ~best_mask
-    witness = tuple(v for v in range(n) if (best_mask >> v) & 1)
-    return best_h, witness
-
-
-def subset_measures(
-    G: RegularGraph,
-    A: Iterable[int],
-    B: Iterable[int] | None = None,
-) -> VertexSubsetMeasures:
-    """Exact w(A), e(A) and, when B is given, e(A, B). A and B must be disjoint."""
-    in_a = _vertex_mask(G, A)
-    in_b = _vertex_mask(G, B if B is not None else ())
-    common = np.flatnonzero(in_a & in_b)
-    if common.size:
-        raise PreconditionFail(f"subsets share vertices, e.g. {common[0]}")
-    u, v = G.edge_arrays()
-    size = int(in_a.sum())
-    inner = int((in_a[u] & in_a[v]).sum())
-    cross = int((in_a[u] & in_b[v] | in_b[u] & in_a[v]).sum())
-    m = G.m
-    return VertexSubsetMeasures(
-        w=size / G.n,
-        e_within=inner / m if m else 0.0,
-        e_cross=cross / m if m else 0.0,
-        size=size,
-        inner_edges=inner,
-        cross_edges=cross,
-    )
-
-
-def _vertex_mask(G: RegularGraph, vertices: Iterable[int]) -> np.ndarray:
-    """Boolean mask of a vertex subset; raises OutOfRange on out-of-range ids."""
-    ids = np.fromiter((int(v) for v in vertices), dtype=np.int64)
-    if ((ids < 0) | (ids >= G.n)).any():
-        raise OutOfRange("subset contains out-of-range vertices")
-    mask = np.zeros(G.n, dtype=bool)
-    mask[ids] = True
-    return mask

@@ -1,4 +1,4 @@
-"""Regime certificates and structural lemma checks.
+"""Regime certificates and the (delta, lambda) regime-map sweep.
 
 Classification is evidence-based and finite: "certified-unique" means the
 exact rational certificate inequality holds, "counterexample-exists" means a
@@ -9,13 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
-from . import codes, colorings as col, graphs, spectral
+from . import codes, spectral
 from .codes import CodeSet, SweepFamily
-from .colorings import Coloring
-from .errors import ChromaError, OutOfRange, PreconditionFail, TooLarge
-from .graphs import RegularGraph
+from .errors import ChromaError, OutOfRange
 
 CERTIFIED = "certified-unique"
 COUNTEREXAMPLE = "counterexample-exists"
@@ -60,85 +58,6 @@ def unique_regime_certificate(q: int, delta, lam) -> CertificateResult:
     lhs = (q - 1) * gap * gap + (1 - (q - 1) * gap) ** 2
     rhs = 1 - (1 - Fraction(1, q - 1)) / (1 - lam)
     return CertificateResult(lhs < rhs, lhs, rhs)
-
-
-@dataclass(frozen=True)
-class SigmaProfile:
-    """Per-permutation overlap profile of a coloring pair.
-
-    For each sigma, V_sigma = {v : X(v) = sigma(Y(v))}; stores w(V_sigma) and
-    e(V_sigma, complement), plus the lambda2 the inequality was checked at.
-    """
-
-    sigmas: tuple[tuple[int, ...], ...]
-    w: tuple[float, ...]
-    e_cross: tuple[float, ...]
-    lambda2: float
-
-
-def sigma_profile(
-    G: RegularGraph, X: Coloring, Y: Coloring, lam: float | None = None
-) -> SigmaProfile:
-    """Compute all q! overlap sets and check the spectral cut inequality.
-
-    Verifies e(V_sigma, complement) >= 2 (1 - lambda2) (w - w^2) for every
-    sigma (tolerance 1e-9), that the cyclic-shift orbit of every sigma covers
-    V exactly once, and that d(X, Y) = n (1 - max_sigma w).
-    """
-    q = X.q
-    if q > col.BRUTE_Q_CAP:
-        raise TooLarge(f"q={q} enumerates {q}! permutations; cap is {col.BRUTE_Q_CAP}")
-    col._check_pair(X, Y)
-    if lam is None:
-        lam = spectral.lambda2(G)
-    eu, ev = G.edge_arrays()
-    n, m = G.n, G.m
-    sigmas = []
-    ws = []
-    crosses = []
-    sizes = {}
-    for sig in col._all_perms(q):
-        sigma = tuple(sig.tolist())
-        mask = X.colors == sig[Y.colors]
-        size = int(mask.sum())
-        cross = int((mask[eu] != mask[ev]).sum())
-        w = size / n
-        e_cross = cross / m if m else 0.0
-        if e_cross < 2.0 * (1.0 - lam) * (w - w * w) - 1e-9:
-            raise AssertionError(
-                f"cut inequality violated at sigma={sigma}: "
-                f"{e_cross} < 2(1-{lam})({w}-{w}^2)"
-            )
-        sigmas.append(sigma)
-        ws.append(w)
-        crosses.append(e_cross)
-        sizes[sigma] = size
-    # every cyclic-shift orbit covers V exactly once
-    for sigma in sizes:
-        total = sum(
-            sizes[tuple((c + i) % q for c in sigma)] for i in range(q)
-        )
-        if total != n:
-            raise AssertionError(f"orbit of {sigma} covers {total} != {n} vertices")
-    dist, _ = col.distance(X, Y)
-    if dist != n - max(sizes.values()):
-        raise AssertionError("distance disagrees with 1 - max_sigma w(V_sigma)")
-    return SigmaProfile(tuple(sigmas), tuple(ws), tuple(crosses), lam)
-
-
-def independent_size_bound(
-    G: RegularGraph, A: Sequence[int]
-) -> tuple[float, float, bool]:
-    """w(A) <= (1 + e(A)) / 2, checked in exact integer arithmetic.
-
-    Returns (w, e_within, ok).
-    """
-    if G.d < 1:
-        raise PreconditionFail("bound needs d >= 1")
-    meas = graphs.subset_measures(G, A)
-    # w <= (1 + e)/2  <=>  2 |A| m <= n (m + |E(A)|)
-    ok = 2 * meas.size * G.m <= G.n * (G.m + meas.inner_edges)
-    return meas.w, meas.e_within, ok
 
 
 # -- regime map sweep ---------------------------------------------------------

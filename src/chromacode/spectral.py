@@ -1,4 +1,4 @@
-"""Normalized-adjacency spectra, Rayleigh quotients, and the Cheeger sandwich.
+"""Normalized-adjacency spectra: every eigenvalue densely, or lambda2 alone.
 
 full_spectrum is the dense LAPACK solver (all eigenpairs plus a residual) up
 to DENSE_CAP vertices; only the ``spectrum`` command needs it, and its
@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import graphs
-from .errors import BindingMismatch, NoConvergence, PreconditionFail, TooLarge
+from .errors import NoConvergence, PreconditionFail, TooLarge
 from .graphs import RegularGraph
 
 DENSE_CAP = 4096
@@ -227,38 +226,3 @@ def _lanczos_top(apply, size: int, n: int, tol) -> float:
         T[j, j + 1] = T[j + 1, j] = b
         V[j + 1] = w / b
         j += 1
-
-
-def rayleigh_quotient(G: RegularGraph, x) -> float:
-    """<x, Ax> / <x, x> for the normalized adjacency."""
-    if G.d == 0:
-        raise PreconditionFail("Rayleigh quotient undefined for 0-regular graphs")
-    vec = np.asarray(x, dtype=float)
-    if vec.shape != (G.n,):
-        raise BindingMismatch(f"vector length {vec.shape} does not match n={G.n}")
-    denom = float(vec @ vec)
-    if denom == 0.0:
-        raise PreconditionFail("Rayleigh quotient of the zero vector")
-    u, v = G.edge_arrays()
-    num = 2.0 * float(vec[u] @ vec[v]) / G.d
-    return num / denom
-
-
-@dataclass(frozen=True)
-class CheegerResult:
-    lower: float
-    h: float
-    upper: float
-    ok: bool
-
-
-def cheeger_check(G: RegularGraph) -> CheegerResult:
-    """Exact h(G) against the spectral sandwich d(1-l2)/2 <= h <= d sqrt(2(1-l2)),
-    each side with 1e-9 slack for float rounding."""
-    h, _ = graphs.edge_expansion_exact(G)
-    lam2 = lambda2(G)
-    gap = max(0.0, 1.0 - lam2)
-    lower = G.d * gap / 2.0
-    upper = G.d * (2.0 * gap) ** 0.5
-    ok = (lower <= h + 1e-9) and (h <= upper + 1e-9)
-    return CheegerResult(lower, h, upper, ok)

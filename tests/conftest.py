@@ -25,6 +25,13 @@ def edgeless(n):
     return graphs.RegularGraph(n, 0, np.zeros((n, 0)))
 
 
+def declared_regular():
+    """A triangle and a vertex on no edge, declared 2-regular: vertex 3's row
+    names 0 and 1, but ``edge_arrays`` reads each edge from its lower end's
+    row, where 3 is missing. ``RegularGraph`` does not check rows agree."""
+    return graphs.RegularGraph(4, 2, np.array([[1, 2], [0, 2], [0, 1], [0, 1]]))
+
+
 def triangle():
     return graphs.cycle_graph(3)
 

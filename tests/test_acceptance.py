@@ -3,11 +3,13 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
+import math
 import time
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from chromacode import colorings as col
 from chromacode.codes import exact_max_packing
@@ -23,7 +25,6 @@ from chromacode.graphs import (
     cycle_graph,
     gadget_expand,
     random_regular_bipartite,
-    subset_measures,
     tensor_power,
     two_lift,
 )
@@ -31,12 +32,12 @@ from chromacode.regimes import (
     COUNTEREXAMPLE,
     SweepConfig,
     SweepFamily,
-    independent_size_bound,
     regime_map_sweep,
-    sigma_profile,
     unique_regime_certificate,
 )
-from chromacode.spectral import cheeger_check, full_spectrum, lambda2, rayleigh_quotient
+from chromacode.spectral import full_spectrum, lambda2
+import lemmas
+from conftest import declared_regular, petersen
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -218,24 +219,21 @@ def test_criterion_9_structural_inequalities(fixture_graphs):
         for _ in range(1000):
             x = rng.standard_normal(G.n)
             x -= x.mean()
-            ok &= rayleigh_quotient(G, x) <= lam2 + 1e-8
+            ok &= lemmas.rayleigh(G, x) <= lam2 + 1e-8
             checks += 1
         # degree conservation and the independent-size bound on random subsets
         for _ in range(100):
             size = int(rng.integers(0, G.n + 1))
-            A = list(rng.choice(G.n, size=size, replace=False))
-            comp = [v for v in range(G.n) if v not in set(A)]
-            meas = subset_measures(G, A, comp)
-            ok &= 2 * meas.inner_edges + meas.cross_edges == G.d * meas.size
+            ok &= lemmas.degree_conserved(G, rng.choice(G.n, size=size, replace=False))
             checks += 1
         for _ in range(1000):
             size = int(rng.integers(0, G.n + 1))
             A = rng.choice(G.n, size=size, replace=False)
-            ok &= independent_size_bound(G, A)[2]
+            ok &= lemmas.size_bound_holds(G, A)
             checks += 1
-        ok &= cheeger_check(G).ok
+        ok &= lemmas.cheeger_holds(G, lam2)
         checks += 1
-        # sigma-profile inequality on sampled proper pairs
+        # the overlap-set cut inequality on sampled proper pairs
         if name == "rb16":
             pairs = [
                 (
@@ -250,10 +248,27 @@ def test_criterion_9_structural_inequalities(fixture_graphs):
             idx = rng.integers(0, len(cols), size=(3, 2))
             pairs = [(cols[i], cols[j]) for i, j in idx]
         for X, Y in pairs:
-            prof = sigma_profile(G, X, Y, lam=lam2)  # raises on violation
-            checks += 2 * len(prof.sigmas) + 2
+            ok &= lemmas.overlap_cut_holds(X, Y, lam2)
+            checks += 2 * math.factorial(X.q) + 2
     ok &= checks >= 10_000
     report(9, ok, f"{checks} assertions over {len(fixture_graphs)} graphs, all held")
+
+
+@pytest.mark.parametrize(
+    "check",
+    [lambda: lemmas.rayleigh(petersen(), np.ones(10)) <= lambda2(petersen()) + 1e-8,
+     lambda: lemmas.degree_conserved(declared_regular(), [3]),
+     lambda: lemmas.size_bound_holds(declared_regular(), range(4)),
+     lambda: lemmas.cheeger_holds(petersen(), -1.0),
+     lambda: lemmas.cheeger_holds(petersen(), 1.0),
+     lambda: any(lemmas.overlap_cut_holds(X, Y, -1.0)
+                 for X, Y in combinations(enumerate_proper(cycle_graph(7), 3)[:8], 2))],
+    ids=["rayleigh-not-mean-free", "degree-not-regular", "size-bound-not-regular",
+         "cheeger-lambda2-too-small", "cheeger-lambda2-too-large", "overlap-cut-lambda-minus-1"],
+)
+def test_criterion_9_checks_fail_on_wrong_input(check):
+    # each check of criterion 9 fails once an input breaks its hypotheses
+    assert not check()
 
 
 def test_criterion_10_monotonicity(fixture_graphs):

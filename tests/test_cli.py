@@ -8,7 +8,7 @@ import pytest
 
 from chromacode import colorings, fileio, graphs
 from chromacode.cli import _load_sweep_config, build_parser, main
-from chromacode.colorings import coordinate_colorings, is_proper, make_coloring
+from chromacode.colorings import Coloring, coordinate_colorings, is_proper
 from chromacode.graphs import complete_graph, gadget_expand, tensor_power, two_lift
 from conftest import gadget_blocks, petersen
 
@@ -205,7 +205,7 @@ class TestVerify:
 
     def test_improper_fails(self, tmp_path, tensor_file, capsys):
         G = fileio.read_graph(tensor_file)
-        bad = make_coloring(G, 3, [0] * G.n)
+        bad = Coloring(3, [0] * G.n, G)
         bp = tmp_path / "bad.json"
         fileio.write_coloring(str(bp), bad)
         assert run(["verify", "--graph", tensor_file, bp]) == 1
@@ -253,7 +253,7 @@ class TestVerify:
 
     def test_mismatched_n_exit_2(self, tmp_path, tensor_file):
         C5 = graphs.cycle_graph(5)
-        X = make_coloring(C5, 3, [0, 1, 0, 1, 2])
+        X = Coloring(3, [0, 1, 0, 1, 2], C5)
         xp = tmp_path / "x5.json"
         fileio.write_coloring(str(xp), X)
         assert run(["verify", "--graph", tensor_file, xp]) == 2
@@ -274,7 +274,7 @@ class TestPack:
         assert payload["min_dist"] >= 22
         G = fileio.read_graph(str(gpath))
         assert payload["graph"] == G.graph_key
-        members = [make_coloring(G, payload["q"], row) for row in payload["members"]]
+        members = [Coloring(payload["q"], row, G) for row in payload["members"]]
         assert len(members) == payload["size"]
         assert all(is_proper(G, X)[0] for X in members)
 
@@ -328,7 +328,7 @@ class TestExactF:
         assert run(["exact-f", "--graph", path, "--q", 3, "--delta", "2/5",
                     "--with-witness"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        members = [make_coloring(G, 3, colors) for colors in payload["witness"]]
+        members = [Coloring(3, colors, G) for colors in payload["witness"]]
         assert len(members) == payload["size"] >= 2
         assert all(is_proper(G, X)[0] for X in members)
         # canonical representatives: colors first appear as 0, 1, 2
@@ -645,7 +645,7 @@ class TestPinnedBytes:
                     "gadget", "--budget", 200, "--target", 4, "--seed", 1, "--out", out]) == 0
         assert out.read_bytes() == (EXPECTED / "pack_gadget.json").read_bytes()
         G = gadget_expand(complete_graph(4))
-        assert all(is_proper(G, make_coloring(G, 3, row))[0]
+        assert all(is_proper(G, Coloring(3, row, G))[0]
                    for row in json.loads(out.read_text())["members"])
 
     def test_pack_stopped_by_max_distance(self, tmp_path):
@@ -889,6 +889,10 @@ class TestErrorContract:
          (_graph_text("2 1\n0 99999999999999999999\n"), "line 2: integer outside int64"),
          (_k4_signing(lambda text: text + "0 99999999999999999999 1\n"),
           "line 7: integer outside int64"),
+         # int() alone reads these as a 3-cycle and a +1 sign
+         (_graph_text("3 2\n0 1\n1 2\n0 0_2\n"), "line 4: expected 2 integers, got '0 0_2'"),
+         (_k4_signing(lambda text: text.replace("0 1 +1", "0 1 +0_1")),
+          "line 1: expected 3 integers, got '0 1 +0_1'"),
          (_biased_default_tau_d0, "default tau 1/(8 d^2) needs d >= 1"),
          (lambda tmp_path: _gadget_pack(tmp_path, delta="3/2"), "delta=3/2 outside [0, 1]"),
          (_exact_f_c5("-1/2"), "delta=-1/2 outside [0, 1]"),
@@ -951,7 +955,7 @@ class TestErrorContract:
              "foreign-sidecar", "empty-graph-file", "header-d-mismatch", "signing-sign-2",
              "signing-missing-edge", "two-lift-signing-and-search", "sweep-families-not-list",
              "sweep-grid-non-rational",
-             "graph-above-int64", "signing-above-int64",
+             "graph-above-int64", "signing-above-int64", "graph-underscore", "signing-underscore",
              "biased-default-tau-d0", "pack-delta-above-1", "exact-f-delta-below-0",
              "exact-f-delta-above-1", "verify-delta-above-1", "verify-one-delta-below-0",
              "verify-mixed-q", "exact-f-c6-q-1", "exact-f-c6-q0", "exact-f-c6-q1",

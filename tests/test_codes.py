@@ -25,7 +25,7 @@ from chromacode.codes import (
     max_distance,
     verify_delta_distinct,
 )
-from chromacode.colorings import coordinate_colorings, enumerate_proper, make_coloring
+from chromacode.colorings import Coloring, coordinate_colorings, enumerate_proper
 from chromacode.errors import BindingMismatch, OutOfRange, PreconditionFail, TooLarge
 from chromacode.graphs import complete_graph, cycle_graph, gadget_expand, tensor_power
 from conftest import edgeless
@@ -54,7 +54,7 @@ class TestThreshold:
     @pytest.mark.parametrize("delta", [Fraction(-1, 2), Fraction(3, 2)])
     def test_every_caller_refuses_before_work(self, delta):
         C5 = cycle_graph(5)
-        X = make_coloring(C5, 3, [0, 1, 0, 1, 2])
+        X = Coloring(3, [0, 1, 0, 1, 2], C5)
 
         def sampler(s):
             raise AssertionError("sampled before the threshold was checked")
@@ -121,7 +121,7 @@ class TestVerify:
     def test_mixed_binding(self):
         X = coordinate_colorings(3, 2, tensor_power(3, 2))[0]
         C5 = cycle_graph(5)
-        Y = make_coloring(C5, 3, [0, 1, 0, 1, 2])
+        Y = Coloring(3, [0, 1, 0, 1, 2], C5)
         with pytest.raises(BindingMismatch, match="members bound to different graphs or q values"):
             verify_delta_distinct(CodeSet((X, Y), Fraction(0)))
         # one graph and q, but unequal lengths: the shorter one cannot be made
@@ -555,7 +555,7 @@ class TestRowCodes:
         G = oracle_graphs[name]
         delta = Fraction(data.draw(st.integers(0, G.n)), G.n)
         _, from_rows = exact_max_packing(G, q, delta)
-        colored = tuple(make_coloring(G, q, row) for row in from_rows.rows.tolist())
+        colored = tuple(Coloring(q, row, G) for row in from_rows.rows.tolist())
         from_colorings = CodeSet(colored, delta, from_rows.min_dist, from_rows.provenance)
         assert from_colorings.members is colored
         assert from_rows.members == colored and len(from_rows) == len(colored)

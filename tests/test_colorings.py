@@ -17,7 +17,6 @@ from chromacode.colorings import (
     enumerate_proper,
     is_proper,
     layered_bipartite_pair,
-    make_coloring,
     sample_bipartite_biased,
     sample_gadget_coloring,
 )
@@ -140,7 +139,7 @@ class TestColoringValues:
 
 class TestRelabeled:
     def test_permutation_applied(self):
-        X = make_coloring(cycle_graph(5), 3, [0, 1, 0, 1, 2])
+        X = Coloring(3, [0, 1, 0, 1, 2], cycle_graph(5))
         assert X.relabeled((2, 0, 1)).colors.tolist() == [2, 0, 2, 0, 1]
         assert X.relabeled(np.array([1, 2, 0])).graph is X.graph
 
@@ -149,7 +148,7 @@ class TestRelabeled:
     def test_non_permutation_refused(self, sigma):
         # [0, 0, 1] would merge two color classes into an improper coloring,
         # [1, 2] would index past sigma, [2, 1, 0, 3] would carry a fourth color
-        X = make_coloring(cycle_graph(5), 3, [0, 1, 0, 1, 2])
+        X = Coloring(3, [0, 1, 0, 1, 2], cycle_graph(5))
         with pytest.raises(PreconditionFail, match=r"sigma is not a permutation of range\(3\)"):
             X.relabeled(sigma)
 
@@ -157,20 +156,20 @@ class TestRelabeled:
 class TestIsProper:
     def test_k3_proper(self):
         K3 = complete_graph(3)
-        assert is_proper(K3, make_coloring(K3, 3, [0, 1, 2])) == (True, None)
+        assert is_proper(K3, Coloring(3, [0, 1, 2], K3)) == (True, None)
 
     def test_k3_violation(self):
         K3 = complete_graph(3)
-        ok, edge = is_proper(K3, make_coloring(K3, 3, [0, 0, 1]))
+        ok, edge = is_proper(K3, Coloring(3, [0, 0, 1], K3))
         assert not ok and edge == (0, 1)
 
     def test_c5(self):
         C5 = cycle_graph(5)
-        assert is_proper(C5, make_coloring(C5, 3, [0, 1, 0, 1, 2]))[0]
+        assert is_proper(C5, Coloring(3, [0, 1, 0, 1, 2], C5))[0]
 
     def test_binding(self):
         K3 = complete_graph(3)
-        X = make_coloring(K3, 3, [0, 1, 2])
+        X = Coloring(3, [0, 1, 2], K3)
         with pytest.raises(BindingMismatch):
             is_proper(complete_graph(4), X)
 
@@ -181,13 +180,13 @@ class TestIsProper:
                 for _ in range(30):
                     colors = rng.integers(0, q, size=G.n).tolist()
                     edge = first_monochromatic_edge(G, colors)
-                    assert is_proper(G, make_coloring(G, q, colors)) == (edge is None, edge)
+                    assert is_proper(G, Coloring(q, colors, G)) == (edge is None, edge)
 
 
 class TestAgreementMatrix:
     def test_self_is_diagonal(self):
         C5 = cycle_graph(5)
-        X = make_coloring(C5, 3, [0, 1, 0, 1, 2])
+        X = Coloring(3, [0, 1, 0, 1, 2], C5)
         M = agreement_matrix(X, X)
         assert M[0, 0] == 2 and M[1, 1] == 2 and M[2, 2] == 1
         assert M.sum() == 5 and np.all(M == np.diag(np.diag(M)))
@@ -199,8 +198,8 @@ class TestAgreementMatrix:
 
     def test_disjoint_supports(self):
         G = graphs.build_from_edges(2, [(0, 1)])
-        X = make_coloring(G, 3, [0, 0])
-        Y = make_coloring(G, 3, [1, 2])
+        X = Coloring(3, [0, 0], G)
+        Y = Coloring(3, [1, 2], G)
         M = agreement_matrix(X, Y)
         assert M[0, 1] == 1 and M[0, 2] == 1 and M.sum() == 2
 
@@ -208,7 +207,7 @@ class TestAgreementMatrix:
 class TestDistance:
     def test_identical(self):
         C5 = cycle_graph(5)
-        X = make_coloring(C5, 3, [0, 1, 0, 1, 2])
+        X = Coloring(3, [0, 1, 0, 1, 2], C5)
         assert distance(X, X) == (0, (0, 1, 2))
 
     def test_coordinate_colorings(self):
@@ -265,18 +264,18 @@ class TestDistance:
 
     def test_zero_iff_relabel(self):
         C5 = cycle_graph(5)
-        X = make_coloring(C5, 3, [0, 1, 0, 1, 2])
+        X = Coloring(3, [0, 1, 0, 1, 2], C5)
         assert distance(X, X.relabeled((2, 0, 1)))[0] == 0
-        Y = make_coloring(C5, 3, [0, 1, 0, 2, 1])
+        Y = Coloring(3, [0, 1, 0, 2, 1], C5)
         assert distance(X, Y)[0] > 0
         # above BRUTE_Q_CAP the Hungarian path decides, on weights of about n q^q
         rng = np.random.default_rng(5)
         for q, half in ((40, 25), (64, 1)):
             G = random_regular_bipartite(half, 1, seed=0)
-            X = make_coloring(G, q, rng.integers(0, q, size=G.n))
+            X = Coloring(q, rng.integers(0, q, size=G.n), G)
             assert distance(X, X)[0] == 0
             assert distance(X, X.relabeled(rng.permutation(q).tolist()))[0] == 0
-            Y = make_coloring(G, q, [X.colors[0]] * G.n)  # one color class
+            Y = Coloring(q, [X.colors[0]] * G.n, G)  # one color class
             assert distance(X, Y)[0] == G.n - (X.colors == X.colors[0]).sum() > 0
 
     def test_permutation_invariance(self):
@@ -299,8 +298,8 @@ class TestDistance:
 
     def test_binding_mismatch(self):
         C5 = cycle_graph(5)
-        X = make_coloring(C5, 3, [0, 1, 0, 1, 2])
-        Y = make_coloring(C5, 4, [0, 1, 0, 1, 2])
+        X = Coloring(3, [0, 1, 0, 1, 2], C5)
+        Y = Coloring(4, [0, 1, 0, 1, 2], C5)
         with pytest.raises(BindingMismatch):
             distance(X, Y)
 
@@ -315,7 +314,7 @@ def colorings_of_random_graph(draw, count, max_q):
         half, draw(st.integers(0, min(half, 3))), seed=draw(st.integers(0, 2**16))
     )
     vectors = st.lists(st.integers(0, q - 1), min_size=G.n, max_size=G.n)
-    return q, [make_coloring(G, q, draw(vectors)) for _ in range(count)]
+    return q, [Coloring(q, draw(vectors), G) for _ in range(count)]
 
 
 def agreements(X, Y):

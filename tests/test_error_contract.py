@@ -16,7 +16,6 @@ from chromacode.errors import BindingMismatch, OutOfRange, PreconditionFail
 SRC = Path(__file__).parent.parent / "src" / "chromacode"
 # (module, exception) pairs allowed besides the package's own kinds
 ALLOWED = {
-    ("regimes", "AssertionError"),  # the lemma checks of sigma_profile
     ("cli", "argparse.ArgumentTypeError"),  # argparse reports it as a usage error
 }
 
@@ -102,10 +101,9 @@ RB9 = graphs.random_regular_bipartite(9, 4, seed=1)
      (lambda: Coloring(1, [0, 0], EDGELESS), OutOfRange, "need q >= 2"),
      (lambda: Coloring(3, [[0, 1], [1, 0]], EDGELESS), PreconditionFail,
       "colors must be a flat sequence"),
-     (lambda: colorings.make_coloring(C5, 3, [0, 1]), BindingMismatch,
+     (lambda: Coloring(3, [0, 1], C5), BindingMismatch,
       "2 colors for a graph on 5 vertices"),
-     (lambda: colorings.distance(colorings.make_coloring(C5, 3, [0, 1, 0, 1, 2]),
-                                 colorings.make_coloring(C6, 3, [0, 1] * 3)),
+     (lambda: colorings.distance(Coloring(3, [0, 1, 0, 1, 2], C5), Coloring(3, [0, 1] * 3, C6)),
       BindingMismatch, "colorings are bound to different graphs"),
      (lambda: colorings.sample_bipartite_biased(RB, 2, 0.5, 0), OutOfRange,
       "biased sampler needs q >= 3"),
@@ -132,21 +130,16 @@ RB9 = graphs.random_regular_bipartite(9, 4, seed=1)
       "certificate needs q >= 3"),
      (lambda: spectral.normalized_adjacency(EDGELESS), PreconditionFail,
       "0-regular graph has no normalized adjacency"),
-     (lambda: spectral.rayleigh_quotient(EDGELESS, [1, -1]), PreconditionFail,
-      "Rayleigh quotient undefined for 0-regular graphs"),
-     (lambda: spectral.rayleigh_quotient(C5, [1, -1]), BindingMismatch,
-      r"vector length \(2,\) does not match n=5"),
      (lambda: min_cost_assignment([[1, 2], [3]]), PreconditionFail, "cost matrix must be square"),
-     *[(lambda sigma=sigma: colorings.make_coloring(C5, 3, [0, 1, 0, 1, 2]).relabeled(sigma),
+     *[(lambda sigma=sigma: Coloring(3, [0, 1, 0, 1, 2], C5).relabeled(sigma),
         PreconditionFail, r"sigma is not a permutation of range\(3\)")
        for sigma in ([0, 0, 1], [1, 2], [2, 1, 0, 3])]],
     ids=["pack-foreign-coloring", "coloring-q1", "coloring-2d", "make-coloring-length",
          "distance-two-graphs", "biased-q2", "layered-q2", "layered-no-parts",
          "coordinate-not-tensor", "coordinate-same-size-not-tensor", "lift-not-a-lift",
          "lift-cycle-not-a-lift", "lift-wrong-size", "coordinate-huge-N", "coordinate-q1",
-         "certificate-q2", "normalized-adjacency-d0",
-         "rayleigh-d0", "rayleigh-length", "assignment-not-square", "relabel-repeat",
-         "relabel-short", "relabel-long"],
+         "certificate-q2", "normalized-adjacency-d0", "assignment-not-square",
+         "relabel-repeat", "relabel-short", "relabel-long"],
 )
 def test_library_refusal(call, kind, named):
     with pytest.raises(kind, match=named):

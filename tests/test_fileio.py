@@ -6,7 +6,7 @@ import pytest
 
 from chromacode import codes, fileio
 from chromacode.colorings import (
-    coordinate_colorings, make_coloring, sample_bipartite_biased, sample_gadget_coloring,
+    Coloring, coordinate_colorings, sample_bipartite_biased, sample_gadget_coloring,
 )
 from chromacode.errors import BindingMismatch, OutOfRange
 from chromacode.graphs import (
@@ -81,7 +81,7 @@ class TestRoundTrip:
     def test_coloring_out_of_range_rejected(self, colors):
         G = random_regular_bipartite(1, 1, seed=0)
         with pytest.raises(OutOfRange, match="color out of range"):
-            make_coloring(G, 3, colors)
+            Coloring(3, colors, G)
 
     def test_signing(self, tmp_path):
         G = random_regular_bipartite(6, 3, seed=2)
@@ -102,7 +102,7 @@ class TestRoundTrip:
         payload = json.loads(path.read_text())
         members = payload["members"]
         assert all(type(c) is int for row in members for c in row)
-        assert tuple(make_coloring(G, payload["q"], row) for row in members) == C.members
+        assert tuple(Coloring(payload["q"], row, G) for row in members) == C.members
         assert (payload["graph"], payload["n"], payload["size"]) == (G.graph_key, G.n, len(C))
         assert (Fraction(payload["delta"]), payload["min_dist"]) == (C.delta, C.min_dist)
         assert payload["provenance"] == dict(C.provenance)

