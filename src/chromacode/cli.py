@@ -26,13 +26,13 @@ from .errors import ChromaError, MalformedFile
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return codes.parse_rational(text)
+    except (ChromaError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
 
 
 def _seed(text: str) -> int:
-    if not text.isdecimal():
+    if not (text.isascii() and text.isdecimal()):  # isdecimal alone reads "٣" as 3
         raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
     return int(text)
 

@@ -7,6 +7,7 @@ bound to its graph object; its ``graph_key`` is read only for files and output.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -21,6 +22,19 @@ from .errors import BindingMismatch, ChromaError, OutOfRange, PreconditionFail, 
 from .graphs import RegularGraph
 
 CLIQUE_CAP = 2000
+# an optional sign, ASCII digits and an optional ASCII denominator, as
+# fileio's integer fields: Fraction alone also reads "1_1/2_0" as 11/20, the
+# digits of other scripts, decimals and exponents
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def parse_rational(x) -> Fraction:
+    """``Fraction(x)``, where a string must be ``[+-]?[0-9]+(/[0-9]+)?`` in
+    ASCII: another string raises ChromaError, a zero denominator
+    ZeroDivisionError."""
+    if isinstance(x, str) and not _RATIONAL.fullmatch(x):
+        raise ChromaError(f"{x!r} is not an integer or p/q in ASCII digits")
+    return Fraction(x)
 
 
 def distance_threshold(delta: Fraction, n: int) -> int:
@@ -324,8 +338,8 @@ def _biased_sampler(G: RegularGraph, q: int, tau=None) -> Sampler:
         raise ChromaError(f"tau={tau!r} is not a rational in [0, 1]")
     else:
         try:  # OverflowError: an infinite float, or a rational beyond every float
-            tau = float(Fraction(tau))
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            tau = float(parse_rational(tau))
+        except (ChromaError, TypeError, ValueError, ZeroDivisionError, OverflowError):
             raise ChromaError(f"tau={tau!r} is not a rational in [0, 1]") from None
     if not 0.0 <= tau <= 1.0:
         raise OutOfRange(f"tau={tau} outside [0, 1]")

@@ -41,12 +41,33 @@ def _frozen(values, shape) -> np.ndarray:
     return arr
 
 
+def _part_labels(values, n: int) -> np.ndarray:
+    """``values`` as n read-only int64 part labels. Raises PreconditionFail
+    for another length and OutOfRange naming the first vertex whose label
+    is not 0 or 1."""
+    try:
+        labels = np.array(values, dtype=np.int64)
+    except (TypeError, ValueError):  # ragged, or not integers
+        labels = None
+    if labels is None or labels.shape != (n,):
+        raise PreconditionFail("part_labels length must equal n")
+    labels.setflags(write=False)
+    if labels.size and (labels.min() < 0 or labels.max() > 1):
+        i = np.flatnonzero((labels != 0) & (labels != 1))[0]
+        raise OutOfRange(f"vertex {i} has part label {labels[i]}, not 0 or 1")
+    return labels
+
+
 @dataclass(frozen=True, eq=False)
 class RegularGraph:
     """Simple d-regular graph: ``adjacency`` is the (n, d) neighbor array, rows sorted.
 
     ``part_labels`` tags a bipartition when the graph was built bipartite.
     Equality, ``hash`` and ``graph_key`` cover these four fields and nothing else.
+    Making one checks, in O(nd), that the adjacency holds n d entries
+    (PreconditionFail), that each names a vertex in [0, n) (OutOfRange), and
+    the part labels as ``build_from_edges`` does. That rows are sorted and
+    mirror each other is not checked: that would need a sort of all n d entries.
     """
 
     n: int
@@ -55,9 +76,19 @@ class RegularGraph:
     part_labels: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "adjacency", _frozen(self.adjacency, (self.n, self.d)))
+        n, d = self.n, self.d
+        try:
+            adjacency = _frozen(self.adjacency, (n, d))
+        except (TypeError, ValueError):  # ragged rows, another size, or not integers
+            adjacency = None
+        if adjacency is None or min(n, d) < 0:
+            raise PreconditionFail(f"adjacency must be n={n} rows of d={d} neighbors")
+        if adjacency.size and (adjacency.min() < 0 or adjacency.max() >= n):
+            v, i = np.argwhere((adjacency < 0) | (adjacency >= n))[0]
+            raise OutOfRange(f"vertex {v} lists neighbor {adjacency[v, i]}, outside [0, {n})")
+        object.__setattr__(self, "adjacency", adjacency)
         if self.part_labels is not None:
-            object.__setattr__(self, "part_labels", _frozen(self.part_labels, (self.n,)))
+            object.__setattr__(self, "part_labels", _part_labels(self.part_labels, n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RegularGraph):
@@ -158,13 +189,7 @@ def build_from_edges(
         )
     labels = None
     if part_labels is not None:
-        labels = np.array(part_labels, dtype=np.int64)
-        if labels.shape != (n,):
-            raise PreconditionFail("part_labels length must equal n")
-        stray = np.flatnonzero((labels != 0) & (labels != 1))
-        if stray.size:
-            i = stray[0]
-            raise OutOfRange(f"vertex {i} has part label {labels[i]}, not 0 or 1")
+        labels = _part_labels(part_labels, n)
         inside = np.flatnonzero(labels[u] == labels[v])
         if inside.size:
             i = inside[0]
@@ -276,7 +301,10 @@ def random_regular_bipartite(half: int, d: int, seed) -> RegularGraph:
     for k in range(d):
         for _ in range(PERM_REDRAWS):
             perm = rng.permutation(half)
-            if not any((row == perm).any() for row in perms[:k]):
+            for row in perms[:k]:  # a plain loop: a generator costs more than the test
+                if (row == perm).any():
+                    break
+            else:
                 break
         else:
             clash = (perms[:k] == perm).any(axis=0)
@@ -305,8 +333,10 @@ def _complete_permutation(
     alternating paths. Every popped position draws one ``rng.permutation``
     and proposes its allowed, unvisited values in that order: the first free
     one ends the search, else all are visited and their owners queued in
-    that order. The state is int and bool arrays over positions or values,
-    so one pop costs O(half) time and memory.
+    that order. The first pop is the freed position itself with nothing
+    visited, so it takes the first free value it may hold in its draw; only
+    when its draw holds none is the BFS state built (``_augment``). A search
+    thus costs O(half) time and memory per pop, and most end at the first.
 
     A completion always exists. The k < half rows of ``perms`` are
     collision-free permutations, so each position forbids exactly k values
@@ -320,36 +350,51 @@ def _complete_permutation(
     assignment = np.where(clash, -1, perm)  # position -> value, -1 while freed
     owner = np.full(half, -1, dtype=np.int64)  # value -> position, -1 while free
     owner[assignment[~clash]] = np.flatnonzero(~clash)
-
-    def augment(start: int) -> None:
-        # reaching a free value flips the path below it
-        visited = np.zeros(half, dtype=bool)
-        came_from = np.empty(half, dtype=np.int64)  # value -> position that proposed it
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            blocked = visited.copy()
-            blocked[perms[:, i]] = True
-            order = rng.permutation(half)
-            order = order[~blocked[order]]  # i's proposals, in draw order
-            came_from[order] = i  # past the first free value it is never read
-            free = order[owner[order] < 0]
-            if free.size:
-                v = int(free[0])
-                while True:
-                    pi = int(came_from[v])
-                    displaced = int(assignment[pi])
-                    assignment[pi] = v
-                    owner[v] = pi
-                    if pi == start:
-                        return
-                    v = displaced
-            visited[order] = True
-            queue.extend(owner[order].tolist())
-
     for i in np.flatnonzero(clash).tolist():
-        augment(i)
+        order = rng.permutation(half)
+        open_ = owner < 0  # the free values i may hold
+        open_[perms[:, i]] = False
+        v = order[open_[order].argmax()]  # the first of them in the draw, if any
+        if open_[v]:
+            assignment[i] = v
+            owner[v] = i
+        else:
+            _augment(i, order, assignment, owner, perms, rng)
     return assignment
+
+
+def _augment(start: int, order: np.ndarray, assignment: np.ndarray, owner: np.ndarray,
+             perms: np.ndarray, rng) -> None:
+    """The BFS of ``_complete_permutation`` from freed position ``start``,
+    whose draw ``order`` holds no free value it may take. Reaching a free
+    value flips the path below it, in ``assignment`` and ``owner``."""
+    half = len(order)
+    visited = np.zeros(half, dtype=bool)
+    came_from = np.empty(half, dtype=np.int64)  # value -> position that proposed it
+    queue = deque()
+    i = start
+    while True:
+        blocked = visited.copy()
+        blocked[perms[:, i]] = True
+        order = order[~blocked[order]]  # i's proposals, in draw order
+        came_from[order] = i  # past the first free value it is never read
+        free = order[owner[order] < 0]
+        if free.size:
+            v = int(free[0])
+            while True:
+                pi = int(came_from[v])
+                displaced = int(assignment[pi])
+                assignment[pi] = v
+                owner[v] = pi
+                if pi == start:
+                    return
+                v = displaced
+        visited[order] = True
+        queue.extend(owner[order].tolist())
+        if not queue:
+            return
+        i = queue.popleft()
+        order = rng.permutation(half)
 
 
 def two_lift(G: RegularGraph, signs) -> RegularGraph:
@@ -442,16 +487,19 @@ def search_low_lambda_signing(
             keep[np.arange(len(active)), lowest] = False
             i, e = np.nonzero(keep & (bound <= first[:, None] + 1e-9))
             solved = np.concatenate([first, scores(A, active[i], e)]).tolist()
-            winners = {}  # restart -> its least (rounded score, flip, score)
-            for r, *win in sorted(zip([*active.tolist(), *active[i].tolist()],
-                                      [round(s, 9) for s in solved], [*lowest, *e], solved)):
+            winners = {}  # restart -> its least (rounded score, flip, score), as Python numbers
+            for r, *win in sorted(zip(active.tolist() + active[i].tolist(),
+                                      [round(s, 9) for s in solved],
+                                      lowest.tolist() + e.tolist(), solved)):
                 winners.setdefault(r, win)
-            active = np.array([r for r, (key, _, _) in winners.items() if key < round(lam[r], 9)],
-                              dtype=np.int64)
-            for r in active.tolist():
-                _, e, lam[r] = winners[r]
-                signs[r, e] = -signs[r, e]
-                A[r, u[e], v[e]] = A[r, v[e], u[e]] = -A[r, u[e], v[e]]
+            better = [r for r, (key, _, _) in winners.items() if key < round(lam[r], 9)]
+            for r in better:
+                lam[r] = winners[r][2]
+            # every improved restart takes its winning flip in one indexed assignment
+            active = np.array(better, dtype=np.int64)
+            e = np.array([winners[r][1] for r in better], dtype=np.int64)
+            signs[active, e] = -signs[active, e]
+            A[active, u[e], v[e]] = A[active, v[e], u[e]] = -A[active, u[e], v[e]]
         found += [((round(x, 9), tuple(s.tolist())), x) for s, x in zip(signs, lam)]
     (_, signs), lam = min(found, key=lambda f: f[0])
     return np.array(signs), lam

@@ -68,11 +68,11 @@ class SweepConfig:
 
     ``q``, ``seed``, ``budget`` and ``target`` must be ints (not bools), at
     least 3 for ``q`` and 0 for the rest. Each grid is a list or tuple of
-    rationals, each an int (not a bool), a string such as "2/3" or a
-    Fraction; a float is refused, as its binary value is not the rational
-    meant. The grids are stored as tuples of Fractions: delta in
-    [0, 1 - 1/q], where distances stop, and lambda in [-1, 1], where
-    normalized eigenvalues lie.
+    rationals, each an int (not a bool), a string such as "2/3" or "-1" in
+    ASCII digits (``codes.parse_rational``) or a Fraction; a float is
+    refused, as its binary value is not the rational meant. The grids are
+    stored as tuples of Fractions: delta in [0, 1 - 1/q], where distances
+    stop, and lambda in [-1, 1], where normalized eigenvalues lie.
     """
 
     q: int
@@ -99,8 +99,8 @@ class SweepConfig:
                         f'got {x!r}'
                     )
             try:
-                values = tuple(map(Fraction, grid))
-            except (ValueError, ZeroDivisionError) as exc:
+                values = tuple(map(codes.parse_rational, grid))
+            except (ChromaError, ZeroDivisionError) as exc:
                 raise ChromaError(f'sweep config "{name}" holds a non-rational: {exc}') from None
             for x in values:
                 if not lo <= x <= hi:

@@ -104,7 +104,7 @@ def _neighbor_sum(v: np.ndarray, columns: np.ndarray) -> np.ndarray:
     Reducing the gathered rows along axis 0 adds them one row after another,
     so the bits equal those of a loop over the rows.
     """
-    return v[columns].sum(axis=0)
+    return np.add.reduce(v[columns], axis=0)
 
 
 def lambda2(G: RegularGraph) -> float:
@@ -195,13 +195,13 @@ def _lanczos_top(apply, size: int, n: int, tol) -> float:
     while True:
         v = V[j]
         w = apply(v)
-        w -= w.mean()
+        w -= np.add.reduce(w) / size  # w.mean() without its wrapper
         steps += 1
         T[j, j] = v @ w
         basis = V[: j + 1]
         for _ in range(2):  # classical Gram-Schmidt, twice
             w -= (basis @ w) @ basis
-        b = float(np.linalg.norm(w))
+        b = math.sqrt(w @ w)  # np.linalg.norm(w) without its wrapper
         full = j + 1 == m
         if b <= LANCZOS_TOL or full or steps % LANCZOS_CHECK == 0 \
                 or steps >= LANCZOS_MAX_STEPS:
@@ -220,9 +220,9 @@ def _lanczos_top(apply, size: int, n: int, tol) -> float:
                 T[:] = 0.0
                 T[:k, :k] = np.diag(theta[-k:])
                 T[k, :k] = T[:k, k] = b * S[-1, -k:]
-                V[k] = w / b
+                np.divide(w, b, out=V[k])
                 j = k
                 continue
         T[j, j + 1] = T[j + 1, j] = b
-        V[j + 1] = w / b
+        np.divide(w, b, out=V[j + 1])
         j += 1

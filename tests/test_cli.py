@@ -415,16 +415,16 @@ class TestRegimeMap:
 
     def test_benchmark_config_writes_its_pinned_bytes(self, tmp_path):
         # the benchmark's own config and CSV, read and never written
-        want = BENCH_CSV.read_bytes()
-        out = tmp_path / "map.csv"
-        assert run(["regime-map", "--config", BENCH_CONFIG, "--out", out]) == 0
-        assert out.read_bytes() == want
-        lines = want.splitlines(keepends=True)
-        header = len(lines[0])
-        for cut in (header, header + 10, len(b"".join(lines[:5])), len(want)):
-            out.write_bytes(want[:cut])
-            assert run(["regime-map", "--config", BENCH_CONFIG, "--out", out, "--resume"]) == 0
-            assert out.read_bytes() == want, cut
+        assert_writes_and_resumes(tmp_path, BENCH_CONFIG, BENCH_CSV.read_bytes())
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_benchmark_config_at_other_seeds(self, tmp_path, seed):
+        # a copy of that config under its own "seed" (which wins over --seed),
+        # against a CSV pinned in tests/expected
+        config = tmp_path / f"seed{seed}.json"
+        config.write_text(json.dumps({**json.loads(BENCH_CONFIG.read_text()), "seed": seed}))
+        want = (EXPECTED / f"regime_map_seed{seed}.csv").read_bytes()
+        assert_writes_and_resumes(tmp_path, config, want)
 
     def test_resume_under_another_seed_exit_2(self, tmp_path, capsys):
         # a seed-7 run cut mid-file, resumed by a seed-6 copy of the config
@@ -683,6 +683,21 @@ class TestParsing:
         with pytest.raises(SystemExit) as err:
             run(["certify", "--q", 3, "--delta", "abc", "--lambda", "1/4"])
         assert err.value.code == 2
+
+
+def assert_writes_and_resumes(tmp_path, config, want: bytes) -> None:
+    """``regime-map`` on ``config`` writes ``want``, and resuming it from
+    four cuts (after the header, mid-row, after four rows, whole) ends with
+    ``want`` too."""
+    out = tmp_path / "map.csv"
+    assert run(["regime-map", "--config", config, "--out", out]) == 0
+    assert out.read_bytes() == want
+    lines = want.splitlines(keepends=True)
+    header = len(lines[0])
+    for cut in (header, header + 10, len(b"".join(lines[:5])), len(want)):
+        out.write_bytes(want[:cut])
+        assert run(["regime-map", "--config", config, "--out", out, "--resume"]) == 0
+        assert out.read_bytes() == want, cut
 
 
 def _c4(tmp_path) -> Path:
@@ -947,7 +962,14 @@ class TestErrorContract:
          *[(_huge_q_c5(command), "q=1000000 exceeds the distance cap 128")
            for command in ("distance", "verify")],
          (lambda tmp_path: _gadget_pack(tmp_path, q=10**6),
-          "q=1000000 exceeds the distance cap 128")],
+          "q=1000000 exceeds the distance cap 128"),
+         # Fraction alone reads these as 11/20, 1/5, 1/2 and 10/128
+         (_sweep_config(delta_grid=["1_1/2_0"]), 'sweep config "delta_grid" holds a non-rational'),
+         (_sweep_config(lambda_grid=["١/٥"]), 'sweep config "lambda_grid" holds a non-rational'),
+         (_sweep_config(lambda_grid=["0.5"]), 'sweep config "lambda_grid" holds a non-rational'),
+         (_sweep_config(delta_grid=["1/2"], lambda_grid=["9/10"],
+                        families=[{"kind": "biased", "tau": "1_0/1_28"}]),
+          "tau='1_0/1_28' is not a rational in [0, 1]")],
         ids=["coloring-not-json", "coloring-list", "coloring-no-q", "coloring-float-q",
              "coloring-float-colors", "coloring-null-colors", "binary-graph",
              "sidecar-not-json", "parts-0-2-biased", "resume-binary-out", "resume-without-out",
@@ -968,7 +990,9 @@ class TestErrorContract:
              "two-lift-search-too-large", "sweep-tau-infinity", "sweep-tau-1e400",
              "sweep-tau-bool",
              "complete-q20000", "cycle-n1e20", "random-bipartite-half1e20",
-             "distance-huge-q", "verify-huge-q", "pack-gadget-huge-q"],
+             "distance-huge-q", "verify-huge-q", "pack-gadget-huge-q",
+             "sweep-grid-underscore", "sweep-grid-arabic-indic", "sweep-grid-decimal",
+             "sweep-tau-underscore"],
     )
     def test_bad_input_exit_2(self, tmp_path, capsys, make_argv, named):
         argv = make_argv(tmp_path)
@@ -993,6 +1017,26 @@ class TestErrorContract:
             run([*argv, "--seed", -1])
         assert err.value.code == 2
         assert "argument --seed: not a non-negative integer: '-1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [(["construct", "cycle", "--n", 5, "--seed", "٣"],
+          "argument --seed: not a non-negative integer: '٣'"),
+         (["certify", "--q", 3, "--delta", "1_1/2_0", "--lambda", "1/5"],
+          "argument --delta: not a rational: '1_1/2_0'"),
+         (["certify", "--q", 3, "--delta", "2/3", "--lambda", "١/٥"],
+          "argument --lambda: not a rational: '١/٥'"),
+         (["pack", "--graph", "g.graph", "--q", 3, "--delta", "1/2", "--sampler", "biased",
+           "--tau", "1/1_28"], "argument --tau: not a rational: '1/1_28'")],
+        ids=["seed-arabic-indic", "delta-underscore", "lambda-arabic-indic", "tau-underscore"],
+    )
+    def test_number_outside_ascii_exit_2(self, capsys, argv, named):
+        # str.isdecimal and Fraction accept these; a number is ASCII digits,
+        # as in the files fileio reads
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2
+        assert named in capsys.readouterr().err
 
     def test_every_seeded_subcommand_refuses_a_negative_seed(self, capsys):
         parser = build_parser()

@@ -133,13 +133,30 @@ RB9 = graphs.random_regular_bipartite(9, 4, seed=1)
      (lambda: min_cost_assignment([[1, 2], [3]]), PreconditionFail, "cost matrix must be square"),
      *[(lambda sigma=sigma: Coloring(3, [0, 1, 0, 1, 2], C5).relabeled(sigma),
         PreconditionFail, r"sigma is not a permutation of range\(3\)")
-       for sigma in ([0, 0, 1], [1, 2], [2, 1, 0, 3])]],
+       for sigma in ([0, 0, 1], [1, 2], [2, 1, 0, 3])],
+     # a graph made directly: its shape, neighbor range and part labels
+     (lambda: graphs.RegularGraph(3, 2, [[1, 2], [0, 2]]), PreconditionFail,
+      "adjacency must be n=3 rows of d=2 neighbors"),
+     (lambda: graphs.RegularGraph(2, 1, [[1], [0, 1]]), PreconditionFail,
+      "adjacency must be n=2 rows of d=1 neighbors"),
+     (lambda: graphs.RegularGraph(-1, 0, []), PreconditionFail,
+      "adjacency must be n=-1 rows of d=0 neighbors"),
+     (lambda: graphs.RegularGraph(2, 1, [[5], [0]]), OutOfRange,
+      r"vertex 0 lists neighbor 5, outside \[0, 2\)"),
+     (lambda: graphs.RegularGraph(2, 1, [[1], [-1]]), OutOfRange,
+      r"vertex 1 lists neighbor -1, outside \[0, 2\)"),
+     (lambda: graphs.RegularGraph(2, 1, [[1], [0]], [0]), PreconditionFail,
+      "part_labels length must equal n"),
+     (lambda: graphs.RegularGraph(2, 1, [[1], [0]], [0, 2]), OutOfRange,
+      "vertex 1 has part label 2, not 0 or 1")],
     ids=["pack-foreign-coloring", "coloring-q1", "coloring-2d", "make-coloring-length",
          "distance-two-graphs", "biased-q2", "layered-q2", "layered-no-parts",
          "coordinate-not-tensor", "coordinate-same-size-not-tensor", "lift-not-a-lift",
          "lift-cycle-not-a-lift", "lift-wrong-size", "coordinate-huge-N", "coordinate-q1",
          "certificate-q2", "normalized-adjacency-d0", "assignment-not-square",
-         "relabel-repeat", "relabel-short", "relabel-long"],
+         "relabel-repeat", "relabel-short", "relabel-long", "graph-short", "graph-ragged",
+         "graph-negative-n", "graph-neighbor-above-n", "graph-neighbor-negative",
+         "graph-labels-short", "graph-label-2"],
 )
 def test_library_refusal(call, kind, named):
     with pytest.raises(kind, match=named):

@@ -1,6 +1,6 @@
 """The array-native graph build, constructions, signing search, biased
-sampler, graph key, Lanczos product and exact oracle against reference copies
-of their per-element forms.
+sampler, graph key, Lanczos product and step, and exact oracle against
+reference copies of their per-element or earlier forms.
 
 Each reference below keeps the earlier loop as it was: its RNG calls, float
 operations and tie-breaks. The library must match it exactly (equal arrays,
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from chromacode import codes, colorings, graphs, spectral
 from chromacode.codes import CodeSet, distance_threshold, exact_max_packing, verify_delta_distinct
 from chromacode.colorings import Coloring, enumerate_proper, sample_bipartite_biased
-from chromacode.errors import PreconditionFail, TooLarge
+from chromacode.errors import NoConvergence, PreconditionFail, TooLarge
 from chromacode.graphs import (
     build_from_edges,
     complete_graph,
@@ -140,6 +140,19 @@ class TestRepair:
         random_regular_bipartite(40, 40, 0)
         assert len(calls) >= 30  # a uniform draw rarely avoids 30 earlier rows
 
+    @pytest.mark.parametrize("half,d,seed", [(1000, 25, (7, 0)), (60, 59, 3), (40, 40, 0)])
+    def test_both_branches(self, monkeypatch, half, d, seed):
+        # a search that ends at its first pop never builds BFS state; the
+        # README graph takes that branch at all but one of its clash positions,
+        # and the near-full graphs reach the BFS too
+        counts = count_repair(monkeypatch)
+        G = random_regular_bipartite(half, d, seed)
+        monkeypatch.undo()
+        assert_same_graph(G, reference_graph(half, d, seed))
+        assert counts["searches"] >= 1 and counts["draws"] > counts["clashes"]
+        if half == 1000:
+            assert (counts["clashes"], counts["draws"], counts["searches"]) == (306, 307, 1)
+
     @settings(max_examples=40, deadline=None)
     @given(half=st.integers(2, 40), short=st.sampled_from([0, 1]),
            seed=st.integers(0, 2**32 - 1))
@@ -147,6 +160,33 @@ class TestRepair:
         # at d = half - 1 or half the later rows nearly always take the repair
         d = half - short
         assert_same_graph(random_regular_bipartite(half, d, seed), reference_graph(half, d, seed))
+
+
+def count_repair(monkeypatch):
+    """Count the repair's clash positions, its draws and its BFS searches
+    (each a search that did not end at its first pop)."""
+    counts = {"clashes": 0, "draws": 0, "searches": 0}
+    repair, augment = graphs._complete_permutation, graphs._augment
+
+    class Counted:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def permutation(self, n):
+            counts["draws"] += 1
+            return self.rng.permutation(n)
+
+    def counted_repair(perm, clash, perms, rng):
+        counts["clashes"] += int(clash.sum())
+        return repair(perm, clash, perms, Counted(rng))
+
+    def counted_augment(*args):
+        counts["searches"] += 1
+        return augment(*args)
+
+    monkeypatch.setattr(graphs, "_complete_permutation", counted_repair)
+    monkeypatch.setattr(graphs, "_augment", counted_augment)
+    return counts
 
 
 # -- constructions: per-edge loops ----------------------------------------------
@@ -439,6 +479,72 @@ class TestNeighborSum:
         assert G.n > spectral.LANCZOS_MIN_N
         got = repr(spectral.lambda2(G))
         monkeypatch.setattr(spectral, "_neighbor_sum", reference_neighbor_sum)
+        assert got == repr(spectral.lambda2(G))
+
+
+def reference_lanczos_top(apply, size, n, tol):
+    """``spectral._lanczos_top`` with numpy's wrappers: ``w.mean()``,
+    ``np.linalg.norm`` and ``w / b``."""
+    m, k = spectral.LANCZOS_BASIS, spectral.LANCZOS_KEEP
+    V = np.empty((m, size))
+    T = np.zeros((m, m))
+    x = np.random.default_rng(0xC0DE).standard_normal(size)
+    x -= x.mean()
+    V[0] = x / np.linalg.norm(x)
+    j = steps = 0
+    while True:
+        v = V[j]
+        w = apply(v)
+        w -= w.mean()
+        steps += 1
+        T[j, j] = v @ w
+        basis = V[: j + 1]
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            w -= (basis @ w) @ basis
+        b = float(np.linalg.norm(w))
+        full = j + 1 == m
+        if b <= spectral.LANCZOS_TOL or full or steps % spectral.LANCZOS_CHECK == 0 \
+                or steps >= spectral.LANCZOS_MAX_STEPS:
+            theta, S = np.linalg.eigh(T[: j + 1, : j + 1])
+            residual = b * abs(S[-1, -1])
+            if b <= spectral.LANCZOS_TOL or residual <= tol(theta[-1]):
+                return float(theta[-1])
+            if steps >= spectral.LANCZOS_MAX_STEPS:
+                raise NoConvergence(
+                    f"Lanczos did not converge on n={n} after "
+                    f"{steps} steps (residual {residual:.3g})"
+                )
+            if full:  # thick restart (Wu-Simon) from the top k Ritz pairs
+                for c in range(0, size, 4096):  # in place, no k x size temporary
+                    V[:k, c : c + 4096] = S[:, -k:].T @ V[:, c : c + 4096]
+                T[:] = 0.0
+                T[:k, :k] = np.diag(theta[-k:])
+                T[k, :k] = T[:k, k] = b * S[-1, -k:]
+                V[k] = w / b
+                j = k
+                continue
+        T[j, j + 1] = T[j + 1, j] = b
+        V[j + 1] = w / b
+        j += 1
+
+
+class TestLanczosTop:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: random_regular_bipartite(1000, 25, seed=(7, 0)),
+         lambda: random_regular_bipartite(1000, 4, seed=(7, 1)),
+         lambda: random_regular_bipartite(5000, 3, seed=(1,)),
+         lambda: cycle_graph(1001),
+         lambda: tensor_power(7, 3)],
+        ids=["layered-pair", "biased", "bipartite10000", "C1001", "K7^3"],
+    )
+    def test_same_reprs(self, make, monkeypatch):
+        # the README sweep's two graphs, a long restart-heavy run, and two
+        # graphs without part labels (the unlabelled path)
+        G = make()
+        assert G.n > spectral.LANCZOS_MIN_N
+        got = repr(spectral.lambda2(G))
+        monkeypatch.setattr(spectral, "_lanczos_top", reference_lanczos_top)
         assert got == repr(spectral.lambda2(G))
 
 
